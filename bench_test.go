@@ -246,21 +246,6 @@ func BenchmarkHostEngine_Bit(b *testing.B) {
 	}
 }
 
-// The materializing reference pipeline, kept benchmarked so the fast path's
-// advantage stays visible over time.
-func BenchmarkHostEngine_Bit_Reference(b *testing.B) {
-	w, _ := corpora()
-	comp := compressFor(b, w, gompresso.VariantBit, gompresso.DEStrict)
-	b.SetBytes(int64(len(w)))
-	for i := 0; i < b.N; i++ {
-		if _, _, err := gompresso.Decompress(comp, gompresso.DecompressOptions{
-			Engine: gompresso.EngineHost, HostReference: true,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Host-engine decompression of the Byte variant (fused, no token stream).
 func BenchmarkHostEngine_Byte(b *testing.B) {
 	w, _ := corpora()

@@ -63,7 +63,6 @@ type report struct {
 	Benchmarks   []result `json:"benchmarks"`
 	HostFastPath struct {
 		SeedBaselineMBps float64 `json:"seed_baseline_mbps"`
-		ReferenceMBps    float64 `json:"reference_mbps"`
 		OptimizedMBps    float64 `json:"optimized_mbps"`
 		SpeedupVsSeed    float64 `json:"speedup_vs_seed"`
 	} `json:"host_fast_path"`
@@ -149,9 +148,9 @@ func main() {
 		}
 		return result{Name: name, HostGBps: best}
 	}
-	decompressHost := func(comp []byte, ref bool) int {
+	decompressHost := func(comp []byte) int {
 		outBuf, _, err := gompresso.Decompress(comp, gompresso.DecompressOptions{
-			Engine: gompresso.EngineHost, HostReference: ref,
+			Engine: gompresso.EngineHost,
 		})
 		if err != nil {
 			fatal("host decompress: %v", err)
@@ -174,8 +173,7 @@ func main() {
 		device("Fig13_GompBit_InOut", bitDE, gompresso.DE, gompresso.PCIeInOut),
 	)
 
-	fast := host("HostEngine_Bit", func() int { return decompressHost(bitDE, false) })
-	ref := host("HostEngine_Bit_Reference", func() int { return decompressHost(bitDE, true) })
+	fast := host("HostEngine_Bit", func() int { return decompressHost(bitDE) })
 	stream := func(workers int) int {
 		r, err := gompresso.NewReaderWith(bytes.NewReader(bitDE), gompresso.ReaderOptions{Workers: workers})
 		if err != nil {
@@ -188,8 +186,8 @@ func main() {
 		}
 		return int(n)
 	}
-	rep.Benchmarks = append(rep.Benchmarks, fast, ref,
-		host("HostEngine_Byte", func() int { return decompressHost(byteDE, false) }),
+	rep.Benchmarks = append(rep.Benchmarks, fast,
+		host("HostEngine_Byte", func() int { return decompressHost(byteDE) }),
 		// StreamReader_Bit keeps PR-1's name and configuration (default
 		// options) so the series stays comparable across BENCH_<n>.json;
 		// the _W<n> rows are the parallel pipeline at fixed worker counts.
@@ -682,7 +680,6 @@ func main() {
 	}
 
 	rep.HostFastPath.SeedBaselineMBps = seedHostBitMBps
-	rep.HostFastPath.ReferenceMBps = ref.HostGBps * 1000
 	rep.HostFastPath.OptimizedMBps = fast.HostGBps * 1000
 	rep.HostFastPath.SpeedupVsSeed = rep.HostFastPath.OptimizedMBps / seedHostBitMBps
 

@@ -115,11 +115,6 @@ func WithPCIe(m PCIeMode) Option { return func(c *Codec) { c.dopt.PCIe = m } }
 // (default: a Tesla K40).
 func WithDevice(d *Device) Option { return func(c *Codec) { c.dopt.Device = d } }
 
-// WithHostReference forces the host engine through the materializing
-// reference pipeline instead of the fused fast path (validation and
-// benchmarking; output is byte-identical either way).
-func WithHostReference(on bool) Option { return func(c *Codec) { c.dopt.HostReference = on } }
-
 // WithFormat pins the input format Decompress and NewReader expect. The
 // default, FormatAuto, sniffs the magic bytes and accepts the Gompresso
 // container, gzip, and zlib; raw DEFLATE (FormatDeflate) has no magic and

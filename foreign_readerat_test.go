@@ -3,9 +3,7 @@ package gompresso_test
 import (
 	"bytes"
 	"compress/gzip"
-	"context"
 	"io"
-	"math/rand"
 	"testing"
 
 	"gompresso"
@@ -51,69 +49,6 @@ func foreignFixture(t *testing.T, rawLen int, spacing int64) ([]byte, []byte, *g
 		t.Fatal("ForeignIndex nil after EOF")
 	}
 	return data, raw, idx
-}
-
-// TestForeignReaderAtParity drives random ReadAt and WriteRangeTo calls
-// through an index-backed foreign ReaderAt, cached and uncached, against
-// the sequential oracle.
-func TestForeignReaderAtParity(t *testing.T) {
-	data, raw, idx := foreignFixture(t, 300<<10, 16<<10)
-	if idx.NumChunks() < 4 {
-		t.Fatalf("only %d chunks; fixture too coarse to test", idx.NumChunks())
-	}
-	for _, cached := range []bool{false, true} {
-		opts := []gompresso.Option(nil)
-		if cached {
-			opts = append(opts, gompresso.WithCache(8<<20))
-		}
-		c, err := gompresso.New(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ra, err := c.NewReaderAtWithIndex(bytes.NewReader(data), int64(len(data)), idx)
-		if err != nil {
-			t.Fatalf("cached=%v: NewReaderAtWithIndex: %v", cached, err)
-		}
-		if ra.Size() != int64(len(raw)) {
-			t.Fatalf("cached=%v: Size %d, want %d", cached, ra.Size(), len(raw))
-		}
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 60; i++ {
-			off := rng.Int63n(int64(len(raw)))
-			n := rng.Int63n(40 << 10)
-			p := make([]byte, n)
-			m, err := ra.ReadAt(p, off)
-			if err != nil && err != io.EOF {
-				t.Fatalf("cached=%v: ReadAt(%d,%d): %v", cached, n, off, err)
-			}
-			if !bytes.Equal(p[:m], raw[off:off+int64(m)]) {
-				t.Fatalf("cached=%v: ReadAt(%d,%d) bytes differ", cached, n, off)
-			}
-			var sink bytes.Buffer
-			w, err := ra.WriteRangeTo(context.Background(), &sink, off, n)
-			if err != nil && err != io.EOF {
-				t.Fatalf("cached=%v: WriteRangeTo(%d,%d): %v", cached, off, n, err)
-			}
-			if !bytes.Equal(sink.Bytes(), raw[off:off+w]) {
-				t.Fatalf("cached=%v: WriteRangeTo(%d,%d) bytes differ", cached, off, n)
-			}
-		}
-		// Whole-stream read through chunk machinery.
-		all := make([]byte, len(raw))
-		if _, err := ra.ReadAt(all, 0); err != nil && err != io.EOF {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(all, raw) {
-			t.Fatalf("cached=%v: full ReadAt differs", cached)
-		}
-		if cached {
-			stats := c.CacheStats()
-			if stats.Hits == 0 {
-				t.Fatal("cache never hit across repeated ranges")
-			}
-			ra.Forget()
-		}
-	}
 }
 
 // TestForeignReaderAtRejectsMismatch: an index built over different bytes

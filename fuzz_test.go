@@ -43,9 +43,7 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("fast path mismatch: got %d bytes, want %d", len(fast), len(data))
 		}
 
-		ref, _, err := gompresso.Decompress(comp, gompresso.DecompressOptions{
-			Engine: gompresso.EngineHost, HostReference: true,
-		})
+		ref, err := referenceDecompress(comp)
 		if err != nil {
 			t.Fatalf("reference path: %v", err)
 		}

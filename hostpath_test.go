@@ -35,9 +35,7 @@ func TestHostFastPathMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v/%v: fast: %v", c.name, variant, de, err)
 				}
-				ref, _, err := gompresso.Decompress(comp, gompresso.DecompressOptions{
-					Engine: gompresso.EngineHost, HostReference: true,
-				})
+				ref, err := referenceDecompress(comp)
 				if err != nil {
 					t.Fatalf("%s/%v/%v: reference: %v", c.name, variant, de, err)
 				}

@@ -1,8 +1,8 @@
 // Package core orchestrates Gompresso compression and decompression end to
 // end: block splitting, the LZ77 parse (with or without Dependency
 // Elimination), entropy coding into the container format, and the two
-// decompression engines — a host reference engine and the simulated-GPU
-// engine built on internal/kernels.
+// decompression engines — the host fast path and the simulated-GPU engine
+// built on internal/kernels.
 package core
 
 import (
@@ -204,8 +204,8 @@ type Engine int
 const (
 	// EngineDevice decompresses on the simulated GPU (the paper's system).
 	EngineDevice Engine = iota
-	// EngineHost decompresses block-parallel on host goroutines — the
-	// reference implementation used for validation and CPU comparisons.
+	// EngineHost decompresses block-parallel on host goroutines through
+	// the fused fast path — the production decoder.
 	EngineHost
 )
 
@@ -239,11 +239,6 @@ type DecompressOptions struct {
 	Device   *gpu.Device      // nil selects a simulated Tesla K40
 	PCIe     PCIeMode
 	Workers  int // host engine goroutines
-	// HostReference forces the host engine through the reference pipeline
-	// (DecodeBit/DecodeByte into a TokenStream, then TokenStream.Decompress)
-	// instead of the fused fast path. Used for validation and as the
-	// baseline in benchmarks; output is byte-identical either way.
-	HostReference bool
 	// TileTo, when > 0, makes the device time model behave as if the input
 	// were replicated to TileTo raw bytes. The paper's evaluation uses 1 GB
 	// datasets, which keep the device full; smaller reproductions would
@@ -326,27 +321,22 @@ func DecompressContext(ctx context.Context, data []byte, o DecompressOptions) ([
 	return out, stats, nil
 }
 
-// decompressHost is the block-parallel host path. By default each block runs
-// the fused fast path (bitstream→output in one pass, pooled decoder tables,
-// chunked match copies, zero steady-state allocations); with o.HostReference
-// it runs the materializing reference pipeline instead. Decode scratch is
-// hoisted to one per worker share, so a many-block container pays the pool
-// Get/Put once per worker instead of once per block.
+// decompressHost is the block-parallel host path: every block decodes
+// through format's single entry point (bitstream→output in one pass, pooled
+// decoder tables, chunked match copies, zero steady-state allocations).
+// Decode scratch is hoisted to one per worker share, so a many-block
+// container pays the pool Get/Put once per worker instead of once per block.
 func decompressHost(ctx context.Context, f *format.File, out []byte, o DecompressOptions) error {
 	bs := int(f.Header.BlockSize)
-	byteVariant := f.Header.Variant == format.VariantByte
-	var scratch []*format.DecodeScratch
-	if !byteVariant && !o.HostReference {
-		scratch = make([]*format.DecodeScratch, parallel.Workers(len(f.Blocks), o.Workers))
-		for i := range scratch {
-			scratch[i] = format.GetScratch()
-		}
-		defer func() {
-			for _, sc := range scratch {
-				format.PutScratch(sc)
-			}
-		}()
+	scratch := make([]*format.DecodeScratch, parallel.Workers(len(f.Blocks), o.Workers))
+	for i := range scratch {
+		scratch[i] = format.GetScratch()
 	}
+	defer func() {
+		for _, sc := range scratch {
+			format.PutScratch(sc)
+		}
+	}()
 	errs := make([]error, len(f.Blocks))
 	parallel.ForShare(len(f.Blocks), o.Workers, func(share, i int) {
 		if err := ctx.Err(); err != nil {
@@ -354,42 +344,7 @@ func decompressHost(ctx context.Context, f *format.File, out []byte, o Decompres
 			return
 		}
 		blk := &f.Blocks[i]
-		dst := out[i*bs : i*bs+blk.RawLen : i*bs+blk.RawLen]
-		switch {
-		case o.HostReference:
-			var ts *lz77.TokenStream
-			var err error
-			if byteVariant {
-				ts, err = format.DecodeByte(blk.Payload, blk.NumSeqs, blk.RawLen)
-			} else {
-				ts, err = f.BitBlockOf(i).DecodeBit(blk.RawLen)
-			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			// Decompress into the block's region of the output buffer:
-			// length 0, capacity exactly RawLen, so the writes fill the
-			// region without reallocating.
-			if _, err := ts.Decompress(dst[:0]); err != nil {
-				errs[i] = err
-			}
-		case byteVariant:
-			errs[i] = format.DecodeByteInto(dst, blk.Payload, blk.NumSeqs)
-		default:
-			// Stack-allocated BitBlock view; the fused decode borrows pooled
-			// decoder scratch internally.
-			bb := format.BitBlock{
-				LitLenLengths: blk.LitLenLengths,
-				OffLengths:    blk.OffLengths,
-				SubBits:       blk.SubBits,
-				SubLits:       blk.SubLits,
-				Payload:       blk.Payload,
-				NumSeqs:       blk.NumSeqs,
-				SeqsPerSub:    int(f.Header.SeqsPerSub),
-			}
-			errs[i] = bb.DecodeBitInto(dst, scratch[share])
-		}
+		errs[i] = f.Header.DecodeBlockInto(out[i*bs:i*bs+blk.RawLen], blk, scratch[share])
 	})
 	for i, err := range errs {
 		if err != nil {

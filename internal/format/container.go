@@ -273,16 +273,39 @@ func ParseFile(data []byte) (*File, error) {
 	return f, nil
 }
 
-// BitBlockOf reconstructs the BitBlock view of a parsed block.
-func (f *File) BitBlockOf(i int) *BitBlock {
-	b := &f.Blocks[i]
-	return &BitBlock{
+// bitView is the BitBlock view of parsed block b: the block's own fields
+// plus the header's sub-block granularity.
+func (h FileHeader) bitView(b *Block) BitBlock {
+	return BitBlock{
 		LitLenLengths: b.LitLenLengths,
 		OffLengths:    b.OffLengths,
 		SubBits:       b.SubBits,
 		SubLits:       b.SubLits,
 		Payload:       b.Payload,
 		NumSeqs:       b.NumSeqs,
-		SeqsPerSub:    int(f.Header.SeqsPerSub),
+		SeqsPerSub:    int(h.SeqsPerSub),
 	}
+}
+
+// BitBlockOf reconstructs the BitBlock view of a parsed block.
+func (f *File) BitBlockOf(i int) *BitBlock {
+	bb := f.Header.bitView(&f.Blocks[i])
+	return &bb
+}
+
+// DecodeBlockInto decodes block b of an h-headed container into dst, whose
+// length must be the block's raw length. It is the single per-block decode
+// entry point: the one-shot host engine, the streaming Reader and ReaderAt
+// all turn a parsed block into bytes through it, on the fused fast paths
+// (DecodeBitInto / DecodeByteInto). sc is Bit-variant decode scratch; nil
+// borrows one from the package pool for the call.
+func (h FileHeader) DecodeBlockInto(dst []byte, b *Block, sc *DecodeScratch) error {
+	if b.RawLen != len(dst) {
+		return fmt.Errorf("%w: block raw length %d, expected %d", ErrFormat, b.RawLen, len(dst))
+	}
+	if h.Variant == VariantByte {
+		return DecodeByteInto(dst, b.Payload, b.NumSeqs)
+	}
+	bb := h.bitView(b)
+	return bb.DecodeBitInto(dst, sc)
 }

@@ -55,6 +55,7 @@ type DecodeScratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(DecodeScratch) }}
 
 // GetScratch takes a DecodeScratch from the package pool.
+//
 //lint:allow poolescape sanctioned lifecycle helper, paired with PutScratch
 func GetScratch() *DecodeScratch { return scratchPool.Get().(*DecodeScratch) }
 
@@ -142,6 +143,13 @@ func (b *BitBlock) DecodeBitInto(dst []byte, sc *DecodeScratch) error {
 	}
 	if totalBits > int64(len(b.Payload))*8 {
 		return errCorrupt("sub-block bits exceed payload")
+	}
+	// Every sequence ends in a length symbol of at least one bit. Without
+	// this bound a lying sequence count keeps the loops below spinning on
+	// empty sequences long after the payload ran out (the cursor reads
+	// zeros past the end and reports the overrun only when asked).
+	if int64(b.NumSeqs) > int64(len(b.Payload))*8 {
+		return errCorrupt("%d sequences exceed payload", b.NumSeqs)
 	}
 
 	c := bitio.NewCursor(b.Payload, 0)

@@ -2,7 +2,9 @@ package format
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gompresso/internal/lz77"
@@ -138,5 +140,30 @@ func TestDecodeBitIntoCorrupt(t *testing.T) {
 			t.Fatalf("trial %d: structural corruption not detected", trial)
 		}
 		dst = dst[:cap(dst)]
+	}
+}
+
+// A sequence count the payload cannot hold must be rejected before the
+// decode loop: with a tree whose only code is the null-sequence symbol, an
+// exhausted cursor reads zeros as empty sequences forever, so a lying
+// count would otherwise buy billions of iterations from a few bytes.
+func TestDecodeBitIntoBoundsSeqCount(t *testing.T) {
+	lengths := make([]uint8, LitLenSyms)
+	nullSeq, _, _ := LenSym(0)
+	lengths[nullSeq] = 1
+	blk := &BitBlock{
+		LitLenLengths: lengths,
+		OffLengths:    make([]uint8, OffSyms),
+		Payload:       []byte{0},
+		NumSeqs:       1 << 31,
+		SeqsPerSub:    DefaultSeqsPerSub,
+	}
+	err := blk.DecodeBitInto(nil, nil)
+	if !errors.Is(err, lz77.ErrCorrupt) || !strings.Contains(err.Error(), "sequences exceed payload") {
+		t.Fatalf("2^31 sequences in a 1-byte payload: err %v", err)
+	}
+	blk.NumSeqs = 8 // the most eight bits can hold
+	if err := blk.DecodeBitInto(nil, nil); err != nil {
+		t.Fatalf("8 null sequences in 8 bits: %v", err)
 	}
 }

@@ -1,0 +1,131 @@
+package format
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"gompresso/internal/datagen"
+	"gompresso/internal/lz77"
+)
+
+// oracleDecodeBlock is the reference the single decode entry point is
+// checked against: the block entropy-decoded into a lz77.TokenStream
+// (DecodeBit / DecodeByte), then resolved by TokenStream.Decompress — no
+// decode loop shared with DecodeBlockInto.
+//
+// The host decoders read a Bit block's sub-blocks as one back-to-back
+// bitstream and never consult the sub-block size table (it exists so device
+// lanes can seek), so on arbitrary bytes the oracle reads it the same way:
+// as one sub-block spanning the payload. On every stream an encoder wrote
+// the two readings are the same.
+func oracleDecodeBlock(h FileHeader, b *Block) ([]byte, error) {
+	var ts *lz77.TokenStream
+	var err error
+	if h.Variant == VariantByte {
+		ts, err = DecodeByte(b.Payload, b.NumSeqs, b.RawLen)
+	} else {
+		bb := h.bitView(b)
+		bb.SubBits, bb.SeqsPerSub = []int64{int64(len(b.Payload)) * 8}, b.NumSeqs
+		ts, err = bb.DecodeBit(b.RawLen)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Sized before Decompress allocates: a crafted stream can claim far
+	// more output than the block's raw length.
+	total := 0
+	for _, s := range ts.Seqs {
+		total += int(s.LitLen) + int(s.MatchLen)
+	}
+	if total != b.RawLen {
+		return nil, fmt.Errorf("oracle: tokens describe %d bytes, block says %d", total, b.RawLen)
+	}
+	return ts.Decompress(nil)
+}
+
+// fuzzContainer compresses src into a small multi-block container.
+func fuzzContainer(t testing.TB, variant Variant, src []byte) []byte {
+	t.Helper()
+	const blockSize = 1 << 10
+	nb := (len(src) + blockSize - 1) / blockSize
+	h := FileHeader{
+		Variant: variant, DEMode: lz77.DEStrict, CWL: 10, Window: 8 << 10, MinMatch: 4, MaxMatch: 64,
+		BlockSize: blockSize, RawSize: uint64(len(src)), SeqsPerSub: 16, NumBlocks: uint32(nb),
+	}
+	data := AppendHeader(nil, h)
+	for lo := 0; lo < len(src); lo += blockSize {
+		raw := src[lo:min(lo+blockSize, len(src))]
+		ts, err := lz77.Parse(raw, lz77.Options{DE: lz77.DEStrict})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk := Block{RawLen: len(raw), NumSeqs: len(ts.Seqs)}
+		if variant == VariantByte {
+			if blk.Payload, err = EncodeByte(ts); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			bb, err := EncodeBit(ts, int(h.CWL), int(h.SeqsPerSub))
+			if err != nil {
+				t.Fatal(err)
+			}
+			blk.Payload, blk.LitLenLengths, blk.OffLengths = bb.Payload, bb.LitLenLengths, bb.OffLengths
+			blk.SubBits, blk.SubLits = bb.SubBits, bb.SubLits
+		}
+		data = AppendBlock(data, variant, &blk)
+	}
+	return data
+}
+
+// FuzzDecodeBlock feeds arbitrary bytes to the single decode entry point:
+// whatever ParseFile accepts, DecodeBlockInto must decode to exactly the
+// oracle's bytes or fail when the oracle fails — never panic, never write
+// past dst.
+func FuzzDecodeBlock(f *testing.F) {
+	for _, src := range [][]byte{
+		datagen.WikiXML(3<<10, 1),
+		datagen.MatrixMarket(3<<10, 2),
+		datagen.Nesting(3<<10, 4, 3),
+	} {
+		for _, variant := range []Variant{VariantBit, VariantByte} {
+			data := fuzzContainer(f, variant, src)
+			f.Add(data)
+			flipped := bytes.Clone(data)
+			flipped[len(flipped)*2/3] ^= 0x10 // inside a block payload
+			f.Add(flipped)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		file, err := ParseFile(data)
+		if err != nil {
+			return
+		}
+		// RawSize equals the sum of the blocks' raw lengths once ParseFile
+		// has accepted the container, so this bounds every allocation below.
+		if file.Header.RawSize > 16<<20 {
+			t.Skip("validated raw size above the fuzz bound")
+		}
+		const guard = 64
+		for i := range file.Blocks {
+			b := &file.Blocks[i]
+			buf := make([]byte, b.RawLen+guard)
+			for j := b.RawLen; j < len(buf); j++ {
+				buf[j] = 0xA5
+			}
+			err := file.Header.DecodeBlockInto(buf[:b.RawLen], b, nil)
+			for j := b.RawLen; j < len(buf); j++ {
+				if buf[j] != 0xA5 {
+					t.Fatalf("block %d: DecodeBlockInto wrote past dst at +%d", i, j-b.RawLen)
+				}
+			}
+			want, oerr := oracleDecodeBlock(file.Header, b)
+			if (err == nil) != (oerr == nil) {
+				t.Fatalf("block %d: DecodeBlockInto err %v, oracle err %v", i, err, oerr)
+			}
+			if err == nil && !bytes.Equal(buf[:b.RawLen], want) {
+				t.Fatalf("block %d: DecodeBlockInto and the oracle decode different bytes", i)
+			}
+		}
+	})
+}

@@ -124,6 +124,16 @@ func ParseIndexTrailer(data []byte, h FileHeader) (*Index, error) {
 	return idx, nil
 }
 
+// ReadFullAt fills p from ra at off. io.ReaderAt lets a read that ends
+// exactly at end of input return len(p), io.EOF — the footer read below is
+// always such a read — so a full read is a success whatever came with it.
+func ReadFullAt(ra io.ReaderAt, p []byte, off int64) error {
+	if n, err := ra.ReadAt(p, off); n < len(p) && err != nil {
+		return err
+	}
+	return nil
+}
+
 // ReadIndexAt reads the index trailer of a size-byte container stored in
 // ra, whose header is h. It reports ErrFormat when the container carries no
 // valid trailer; callers fall back to BuildIndex or ScanIndex.
@@ -132,7 +142,7 @@ func ReadIndexAt(ra io.ReaderAt, size int64, h FileHeader) (*Index, error) {
 		return nil, fmt.Errorf("%w: no index trailer", ErrFormat)
 	}
 	var foot [IndexFooterSize]byte
-	if _, err := ra.ReadAt(foot[:], size-IndexFooterSize); err != nil {
+	if err := ReadFullAt(ra, foot[:], size-IndexFooterSize); err != nil {
 		return nil, fmt.Errorf("%w: reading index footer: %w", ErrFormat, err)
 	}
 	if [4]byte(foot[4:]) != indexMagic {
@@ -143,7 +153,7 @@ func ReadIndexAt(ra io.ReaderAt, size int64, h FileHeader) (*Index, error) {
 		return nil, fmt.Errorf("%w: implausible index trailer", ErrFormat)
 	}
 	tail := make([]byte, total)
-	if _, err := ra.ReadAt(tail, size-total); err != nil {
+	if err := ReadFullAt(ra, tail, size-total); err != nil {
 		return nil, fmt.Errorf("%w: reading index trailer: %w", ErrFormat, err)
 	}
 	idx, err := parseIndexBytes(tail, h)

@@ -46,7 +46,9 @@ const (
 	StageCacheLookup
 	// StageBlockDecode is entropy/LZ decode of one block or chunk.
 	StageBlockDecode
-	// StageSeqDecode is one sequential-fallback decode attempt.
+	// StageSeqDecode is one attempt at an object's one-time block-access
+	// discovery pass: an index load or scan, or a foreign stream's
+	// counting decode.
 	StageSeqDecode
 	// StageBodyWrite is time inside response-body writes.
 	StageBodyWrite

@@ -145,7 +145,7 @@ func TestFaultMatrix(t *testing.T) {
 }
 
 // A genuinely corrupt object is quarantined after its first failed
-// decode: repeats answer 502 without re-decoding (the sequential-decode
+// decode: repeats answer 502 without re-decoding (the discovery-pass
 // counter stands still), the TTL expires the entry, and rewriting the
 // file clears it immediately.
 func TestQuarantine(t *testing.T) {
@@ -234,7 +234,7 @@ func TestLoadShedding(t *testing.T) {
 		MaxInFlight: 1,
 		QueueWait:   50 * time.Millisecond,
 	})
-	// Occupy the only slot with a slow sequential decode.
+	// Occupy the only slot with a slow discovery pass.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -450,7 +450,7 @@ func TestRequestTimeoutMidResponse(t *testing.T) {
 
 // Mid-body client disconnects across every serving path, asserting no
 // goroutine leaks (extends TestClientDisconnect with leak checking and
-// the sequential paths).
+// the objects whose first request runs a discovery pass).
 func TestDisconnectLeaks(t *testing.T) {
 	fx := newFixture(t)
 	_, ts := startServer(t, Options{Root: fx.root, CacheBytes: 4 << 20, MaxInFlight: 2})
@@ -474,12 +474,12 @@ func TestDisconnectLeaks(t *testing.T) {
 	})
 }
 
-// Flaky source reads on the sequential path are retried with backoff
-// inside the request: the client sees one clean 200.
+// Flaky source reads during the one-time discovery pass are retried with
+// backoff inside the request: the client sees one clean 200.
 func TestSequentialRetry(t *testing.T) {
 	fx := newFixture(t)
 	// The offset keeps the format-sniff read below the fault, so the
-	// failures land inside the sequential decode where the retry lives.
+	// failures land inside the counting decode where the retry lives.
 	script := mustScript(t, "corpus.txt.gz:eio@4096#2")
 	src := NewFaultSource(NewDirSource(fx.root), script)
 	_, ts := startServer(t, Options{Root: fx.root, Source: src})

@@ -5,14 +5,16 @@
 // Request lifecycle: a GET/HEAD for /<path> resolves to root/<path>,
 // whose format is sniffed (Gompresso container, gzip, or zlib). Range
 // and If-Range headers are interpreted over the decompressed stream —
-// clients address raw bytes and never see the compression. Indexed
-// containers serve ranges through gompresso.ReaderAt, which decodes
-// only the blocks the range overlaps; with a decoded-block cache
-// attached (Options.CacheBytes), hot blocks are decoded once and
-// streamed to every requester from shared refcounted buffers, and
-// concurrent requests for the same block coalesce into a single decode.
-// Unindexed containers and foreign .gz/.zz objects fall back to a
-// sequential decode per request.
+// clients address raw bytes and never see the compression. Every body is
+// served through gompresso.ReaderAt, which decodes only the blocks the
+// range overlaps; with a decoded-block cache attached
+// (Options.CacheBytes), hot blocks are decoded once and streamed to every
+// requester from shared refcounted buffers, and concurrent requests for
+// the same block coalesce into a single decode. An object gets its
+// ReaderAt from a one-time, singleflighted discovery pass on first use:
+// a container's index trailer (or, lacking one, a scan of its block
+// section), a foreign .gz/.zz stream's seek index captured by one
+// counting decode.
 //
 // All requests share one codec — one worker pool, one cache, one
 // budget — and a concurrency limiter bounds how many are actively
@@ -207,20 +209,14 @@ type object struct {
 	etag  string
 	form  gompresso.Format
 
-	// ra serves random access; nil selects the sequential fallback
-	// (unindexed native containers, or foreign gzip/zlib before
-	// promotion). Native indexed containers get it at resolve; foreign
-	// objects get it when a seek index becomes available — loaded from a
-	// sidecar at resolve, or captured during the first counting decode
-	// and promoted mid-lifetime, hence the atomic.
-	ra atomic.Pointer[gompresso.ReaderAt]
-
-	// rawSize is the decompressed size; -1 until discovered (foreign
-	// formats pay one counting decode on first use). szTok is the
-	// capacity-1 token serializing that discovery; waiters block on it
-	// with their request context, not a bare mutex.
-	rawSize atomic.Int64
-	szTok   chan struct{}
+	// ra is the object's block access — every body and the decompressed
+	// size come from it. nil until discovered: a foreign object with a
+	// persisted sidecar gets it at resolve, everything else from the
+	// first request's discovery pass (see access), hence the atomic.
+	// raTok is the capacity-1 token serializing that discovery; waiters
+	// block on it with their request context, not a bare mutex.
+	ra    atomic.Pointer[gompresso.ReaderAt]
+	raTok chan struct{}
 
 	// refs counts requests currently serving from this object and stale
 	// marks a resolution dropped from the registry (replaced, or evicted
@@ -316,13 +312,13 @@ func New(o Options) (*Server, error) {
 	s.mBytes = s.reg.Counter("bytes_served_total", "decompressed body bytes written to clients")
 	s.gInFlight = s.reg.Gauge("inflight_requests", "object requests inside the decode section now")
 	s.gWaiting = s.reg.Gauge("waiting_requests", "object requests queued on the concurrency limiter now")
-	s.gDecoding = s.reg.Gauge("inflight_sequential_decodes", "sequential fallback decodes running now")
+	s.gDecoding = s.reg.Gauge("inflight_sequential_decodes", "block-access discovery passes running now")
 	s.mShed = s.reg.Counter("shed_total", "requests shed with 503 after waiting QueueWait on the limiter")
 	s.mPanics = s.reg.Counter("panics_total", "request handlers that panicked (answered 500, process survived)")
 	s.mQuar = s.reg.Counter("quarantined_total", "objects quarantined after a corrupt decode")
 	s.mQuarHits = s.reg.Counter("quarantine_hits_total", "requests failed fast with 502 by a quarantine entry")
-	s.mSeqDec = s.reg.Counter("sequential_decodes_total", "sequential fallback decodes started (counting or serving)")
-	s.mRetries = s.reg.Counter("source_retries_total", "transient source-read errors retried on the sequential path")
+	s.mSeqDec = s.reg.Counter("sequential_decodes_total", "block-access discovery passes started (index load or scan, foreign counting decode)")
+	s.mRetries = s.reg.Counter("source_retries_total", "transient source-read errors retried inside a discovery pass")
 	s.mIdxLoad = s.reg.Counter("sidecar_loads_total", "foreign objects promoted to random access from a persisted sidecar")
 	s.mIdxBuild = s.reg.Counter("sidecar_builds_total", "seek indexes captured during a first decode and promoted")
 	s.mIdxErr = s.reg.Counter("sidecar_errors_total", "sidecars that failed to load (corrupt/stale) or persist")
@@ -606,7 +602,7 @@ func (s *Server) serve(w *statusWriter, r *http.Request) error {
 		s.observeBusy(time.Since(busyStart))
 	}()
 
-	size, err := s.objSize(ctx, obj)
+	ra, err := s.access(ctx, obj)
 	if err != nil {
 		switch {
 		case ctx.Err() != nil:
@@ -630,6 +626,7 @@ func (s *Server) serve(w *statusWriter, r *http.Request) error {
 	h.Set("Last-Modified", obj.mtime.UTC().Format(http.TimeFormat))
 	h.Set("Content-Type", contentTypeFor(obj.name))
 
+	size := ra.Size()
 	rng := byteRange{off: 0, length: size}
 	status := http.StatusOK
 	// Range applies to GET only (RFC 9110 §14.2); HEAD reports the
@@ -653,14 +650,7 @@ func (s *Server) serve(w *statusWriter, r *http.Request) error {
 	if r.Method == http.MethodHead {
 		return nil
 	}
-	// Load ra after objSize: a foreign object's first request counts,
-	// captures its index, and promotes — so even the cold request's body
-	// is served through the block machinery.
-	if ra := obj.ra.Load(); ra != nil {
-		_, err = ra.WriteRangeTo(ctx, w, rng.off, rng.length)
-	} else {
-		err = s.serveSequential(ctx, obj, w, rng.off, rng.length)
-	}
+	_, err = ra.WriteRangeTo(ctx, w, rng.off, rng.length)
 	// The status line is gone; a decode or write failure here can only
 	// abort the connection (the byte count mismatch tells the client).
 	// Corruption discovered mid-send still quarantines the object, so
@@ -838,8 +828,9 @@ func (s *Server) release(obj *object) {
 	s.mu.Unlock()
 }
 
-// resolve sniffs the file's format and builds the serving state: a
-// ReaderAt for indexed native containers, sequential metadata otherwise.
+// resolve sniffs the file's format and builds the serving state. Block
+// access is left to the first request's discovery pass (access), except
+// for a foreign object whose seek index is already persisted.
 func (s *Server) resolve(name string, f File, st os.FileInfo) (*object, error) {
 	head := make([]byte, 4)
 	n, err := f.ReadAt(head, 0)
@@ -860,34 +851,22 @@ func (s *Server) resolve(name string, f File, st os.FileInfo) (*object, error) {
 		mtime: st.ModTime(),
 		etag:  fmt.Sprintf(`"g-%x-%x"`, st.Size(), st.ModTime().UnixNano()),
 		form:  form,
-		szTok: make(chan struct{}, 1),
+		raTok: make(chan struct{}, 1),
 	}
-	obj.rawSize.Store(-1)
 	if form == gompresso.FormatGompresso {
-		hdr, err := readHeader(f)
-		if err != nil {
+		// A header that does not parse is a 415 here, before the object
+		// can reach the discovery pass and be quarantined as corrupt.
+		if err := checkHeader(f); err != nil {
 			if !isCorrupt(err) {
 				return nil, errf(http.StatusBadGateway, "cannot read object: %v", err)
 			}
 			return nil, errf(http.StatusUnsupportedMediaType, "malformed container: %v", err)
 		}
-		obj.rawSize.Store(int64(hdr.RawSize))
-		// Fallback rule: random access only through a real index
-		// trailer. An unindexed container would need a full scan to
-		// build one, so it streams sequentially like a foreign object.
-		if _, err := format.ReadIndexAt(f, st.Size(), hdr); err == nil {
-			ra, err := s.codec.NewReaderAt(f, st.Size())
-			if err != nil {
-				return nil, errf(http.StatusUnsupportedMediaType, "malformed container: %v", err)
-			}
-			obj.ra.Store(ra)
-		}
 	} else if idx := s.loadSidecar(name, st); idx != nil {
-		// A persisted sidecar promotes the foreign object immediately:
-		// no counting decode, random access from the first request.
+		// A persisted sidecar gives the foreign object block access
+		// immediately: no counting decode, not even on the first request.
 		if ra, err := s.codec.NewReaderAtWithIndex(f, st.Size(), idx); err == nil {
 			obj.ra.Store(ra)
-			obj.rawSize.Store(idx.RawSize)
 			s.mIdxLoad.Inc()
 		} else {
 			s.mIdxErr.Inc()
@@ -897,13 +876,15 @@ func (s *Server) resolve(name string, f File, st os.FileInfo) (*object, error) {
 	return obj, nil
 }
 
-// readHeader parses the container file header from the start of f.
-func readHeader(f io.ReaderAt) (format.FileHeader, error) {
+// checkHeader reads and validates the container file header at the start
+// of f.
+func checkHeader(f io.ReaderAt) error {
 	head := make([]byte, format.HeaderSize)
-	if _, err := f.ReadAt(head, 0); err != nil {
-		return format.FileHeader{}, err
+	if err := format.ReadFullAt(f, head, 0); err != nil {
+		return err
 	}
-	return format.ParseHeader(head)
+	_, err := format.ParseHeader(head)
+	return err
 }
 
 // isCorrupt classifies a decode error as data corruption — the object
@@ -920,7 +901,7 @@ func isCorrupt(err error) bool {
 		errors.Is(err, gompresso.ErrUnknownFormat)
 }
 
-// isTransient reports whether a sequential-path error is worth an
+// isTransient reports whether a discovery-pass error is worth an
 // in-request retry: read-path failures that are neither corruption
 // (retry cannot help) nor cancellation (nobody is waiting).
 func isTransient(err error) bool {
@@ -979,54 +960,58 @@ func (s *Server) quarantined(name string, st os.FileInfo) (string, bool) {
 	return q.reason, true
 }
 
-// objSize returns the object's decompressed size, discovering it with
-// one counting decode for formats that don't carry it (kept for the
-// object's lifetime). Native containers know it from the header.
-// Discovery is a context-aware singleflight: one request counts while
-// the rest wait on the token with their own contexts, so a disconnected
-// waiter frees its concurrency-limiter slot instead of queueing blindly
-// behind a slow decode; if the counting request is itself cancelled, the
-// next waiter takes over.
-func (s *Server) objSize(ctx context.Context, obj *object) (int64, error) {
-	if v := obj.rawSize.Load(); v >= 0 {
-		return v, nil
+// access returns the object's block access — the ReaderAt every body is
+// written from, which also knows the decompressed size — running the
+// one-time discovery pass on first use (kept for the resolution's
+// lifetime). Discovery is a context-aware singleflight: one request
+// discovers while the rest wait on the token with their own contexts, so
+// a disconnected waiter frees its concurrency-limiter slot instead of
+// queueing blindly behind a slow pass; if the discovering request is
+// itself cancelled, the next waiter takes over.
+func (s *Server) access(ctx context.Context, obj *object) (*gompresso.ReaderAt, error) {
+	if ra := obj.ra.Load(); ra != nil {
+		return ra, nil
 	}
 	select {
-	case obj.szTok <- struct{}{}:
+	case obj.raTok <- struct{}{}:
 	case <-ctx.Done():
-		return 0, ctx.Err()
+		return nil, ctx.Err()
 	}
-	defer func() { <-obj.szTok }()
-	if v := obj.rawSize.Load(); v >= 0 {
-		return v, nil
+	defer func() { <-obj.raTok }()
+	if ra := obj.ra.Load(); ra != nil {
+		return ra, nil
 	}
-	n, err := s.countSize(ctx, obj)
+	ra, err := s.discover(ctx, obj)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	obj.rawSize.Store(n)
-	return n, nil
+	obj.ra.Store(ra)
+	return ra, nil
 }
 
-// seqRetries bounds the sequential path's in-request retries of
+// discoverRetries bounds a discovery pass's in-request retries of
 // transient source-read errors; backoffBase is the first sleep, doubled
 // per attempt with up to 50% jitter so synchronized retries splay.
 const (
-	seqRetries  = 2
-	backoffBase = 25 * time.Millisecond
+	discoverRetries = 2
+	backoffBase     = 25 * time.Millisecond
 )
 
-// retrySequential runs fn up to 1+seqRetries times, backing off between
-// attempts, as long as the failure is transient (a flaky disk read —
-// not corruption, not cancellation) and fn reports it is still safe to
-// retry (no response bytes sent).
-func (s *Server) retrySequential(ctx context.Context, fn func() (retryable bool, err error)) error {
-	var err error
+// discover runs the discovery pass behind access's token, up to
+// 1+discoverRetries times with backoff between attempts as long as the
+// failure is transient (a flaky disk read — not corruption, not
+// cancellation). No response byte has been sent yet, so a retry is
+// always safe.
+func (s *Server) discover(ctx context.Context, obj *object) (*gompresso.ReaderAt, error) {
+	s.gDecoding.Inc()
+	defer s.gDecoding.Dec()
 	for attempt := 0; ; attempt++ {
-		var retryable bool
-		retryable, err = fn()
-		if err == nil || !retryable || attempt == seqRetries || !isTransient(err) {
-			return err
+		s.mSeqDec.Inc()
+		sctx, sp := obs.Start(ctx, obs.StageSeqDecode)
+		ra, err := s.openAccess(sctx, obj)
+		sp.End()
+		if err == nil || attempt == discoverRetries || !isTransient(err) {
+			return ra, err
 		}
 		s.mRetries.Inc()
 		// math/rand/v2: lock-free per-goroutine state, no global mutex
@@ -1040,60 +1025,40 @@ func (s *Server) retrySequential(ctx context.Context, fn func() (retryable bool,
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
-			return err
+			return nil, err
 		}
 	}
 }
 
-// countSize runs the counting decode behind objSize's token. For foreign
-// objects the pass does double duty: seek checkpoints are captured along
-// the way (CollectForeignIndex — no extra decode), and on success the
-// object is promoted to the random-access path and the sidecar persisted
-// if an index directory is configured. The singleflight token means
-// concurrent cold requests build the index exactly once.
-func (s *Server) countSize(ctx context.Context, obj *object) (int64, error) {
-	s.gDecoding.Inc()
-	defer s.gDecoding.Dec()
+// openAccess is one discovery attempt. A native container opens through
+// its index trailer or, lacking one, one scan of its block section. A
+// foreign stream pays one counting decode that captures seek checkpoints
+// along the way (CollectForeignIndex — no extra pass); the index is
+// persisted as a sidecar when an index directory is configured. The
+// singleflight token means concurrent cold requests do this exactly once.
+func (s *Server) openAccess(ctx context.Context, obj *object) (*gompresso.ReaderAt, error) {
+	if obj.form == gompresso.FormatGompresso {
+		return s.codec.NewReaderAt(obj.file, obj.fsize)
+	}
 	src := obs.SourceReaderAt(ctx, obj.file)
-	var n int64
-	err := s.retrySequential(ctx, func() (bool, error) {
-		s.mSeqDec.Inc()
-		_, sp := obs.Start(ctx, obs.StageSeqDecode)
-		defer sp.End()
-		r, err := s.codec.NewReaderContext(ctx, io.NewSectionReader(src, 0, obj.fsize))
-		if err != nil {
-			return true, err
-		}
-		defer r.Close()
-		collecting := r.CollectForeignIndex(s.indexSpacing)
-		n, err = io.Copy(io.Discard, r)
-		if err == nil && collecting {
-			s.promote(obj, r.ForeignIndex())
-		}
-		return true, err
-	})
-	return n, err
-}
-
-// promote installs a freshly captured seek index on a foreign object:
-// the sequential fallback becomes block random access for every later
-// request (and the remainder of this one). Promotion failures are not
-// request failures — the object just keeps streaming sequentially.
-func (s *Server) promote(obj *object, idx *gompresso.SeekIndex) {
-	if idx == nil || obj.ra.Load() != nil {
-		return
+	r, err := s.codec.NewReaderContext(ctx, io.NewSectionReader(src, 0, obj.fsize))
+	if err != nil {
+		return nil, err
 	}
+	defer r.Close()
+	r.CollectForeignIndex(s.indexSpacing)
+	if _, err := io.Copy(io.Discard, r); err != nil {
+		return nil, err
+	}
+	idx := r.ForeignIndex()
 	ra, err := s.codec.NewReaderAtWithIndex(obj.file, obj.fsize, idx)
 	if err != nil {
 		s.mIdxErr.Inc()
-		s.logf("promoting %s: %v", obj.name, err)
-		return
-	}
-	if !obj.ra.CompareAndSwap(nil, ra) {
-		return
+		return nil, fmt.Errorf("indexing %s: %w", obj.name, err)
 	}
 	s.mIdxBuild.Inc()
 	s.persistSidecar(obj, idx)
+	return ra, nil
 }
 
 // sidecarPath maps an object name into the index directory.
@@ -1160,7 +1125,7 @@ func (s *Server) loadSourceSidecar(name string, st os.FileInfo) (*gompresso.Seek
 
 // persistSidecar writes the object's freshly built index durably when an
 // index directory is configured; in-memory deployments skip it. Persist
-// failures never fail the request — the promotion already happened.
+// failures never fail the request — the index is already in use.
 func (s *Server) persistSidecar(obj *object, idx *gompresso.SeekIndex) {
 	if s.indexDir == "" {
 		return
@@ -1175,50 +1140,6 @@ func (s *Server) persistSidecar(obj *object, idx *gompresso.SeekIndex) {
 		return
 	}
 	s.logf("sidecar persisted for %s (%d checkpoints)", obj.name, idx.NumChunks())
-}
-
-// serveSequential is the fallback send path: decode the stream under
-// the request's context, position at off (Seek for native containers,
-// decode-and-discard for foreign), and copy length bytes. Transient
-// read errors retry with backoff while no body byte has been sent;
-// after first byte the response is committed and can only abort.
-func (s *Server) serveSequential(ctx context.Context, obj *object, w io.Writer, off, length int64) error {
-	s.gDecoding.Inc()
-	defer s.gDecoding.Dec()
-	src := obs.SourceReaderAt(ctx, obj.file)
-	return s.retrySequential(ctx, func() (bool, error) {
-		s.mSeqDec.Inc()
-		_, sp := obs.Start(ctx, obs.StageSeqDecode)
-		defer sp.End()
-		var sent int64
-		err := func() error {
-			r, err := s.codec.NewReaderContext(ctx, io.NewSectionReader(src, 0, obj.fsize))
-			if err != nil {
-				return err
-			}
-			defer r.Close()
-			if off > 0 {
-				if obj.form == gompresso.FormatGompresso {
-					_, err = r.Seek(off, io.SeekStart)
-				} else {
-					_, err = io.CopyN(io.Discard, r, off)
-				}
-				if err != nil {
-					return err
-				}
-			}
-			if length > 0 {
-				var n int64
-				n, err = io.CopyN(w, r, length)
-				sent += n
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}()
-		return sent == 0, err
-	})
 }
 
 // contentTypeFor guesses a Content-Type from the object name with the

@@ -508,3 +508,57 @@ func TestObjectInvalidation(t *testing.T) {
 		t.Fatal("stale object's file still open after last release")
 	}
 }
+
+// eagerEOFSource serves files whose ReadAt reports io.EOF together with
+// the final bytes whenever a read ends exactly at the file's size — legal
+// per the io.ReaderAt contract, and what some object-store clients do.
+type eagerEOFSource struct{ Source }
+
+type eagerEOFFile struct {
+	File
+	size int64
+}
+
+func (s eagerEOFSource) Open(name string) (File, error) {
+	f, err := s.Source.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &eagerEOFFile{File: f, size: st.Size()}, nil
+}
+
+func (f *eagerEOFFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	if err == nil && off+int64(n) == f.size {
+		err = io.EOF
+	}
+	return n, err
+}
+
+// A source that returns the end-of-input io.EOF eagerly must serve every
+// object kind: the header check of a header-only (empty) container, the
+// trailer load of an indexed one, the last block of a trailer-less one.
+func TestEagerEOFSource(t *testing.T) {
+	fx := newFixture(t)
+	empty, _, err := gompresso.Compress(nil, gompresso.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(fx.root, "empty.gpz"), empty, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := startServer(t, Options{Root: fx.root, CacheBytes: 8 << 20, Source: eagerEOFSource{NewDirSource(fx.root)}})
+	for name, want := range map[string][]byte{
+		"empty.gpz": {}, "corpus.txt.gpz": fx.src, "noindex.gpz": fx.src, "corpus.txt.gz": fx.src,
+	} {
+		resp := get(t, ts.URL+"/"+name, nil)
+		if b := body(t, resp); resp.StatusCode != http.StatusOK || !bytes.Equal(b, want) {
+			t.Fatalf("%s: status %d, %d bytes (want %d)", name, resp.StatusCode, len(b), len(want))
+		}
+	}
+}

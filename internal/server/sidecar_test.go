@@ -27,76 +27,86 @@ func rangeBody(t *testing.T, url string, off, length int64, wantStatus int) []by
 	return body(t, resp)
 }
 
-// TestForeignPromotion: the first request for a .gz object pays exactly
-// one counting decode, captures the seek index along the way, and
-// promotes the object — later ranged requests decode only covering
-// chunks, with sequential_decodes_total flat.
+// TestForeignPromotion: the first request for an object without block
+// access — a .gz (one counting decode, seek index captured along the way)
+// or a trailer-less container (one scan of its block section) — pays
+// exactly one discovery pass, and its body and every later one come from
+// the block machinery: the second GET of a range raises cache hits, with
+// sequential_decodes_total flat.
 func TestForeignPromotion(t *testing.T) {
-	fx := newFixture(t)
-	_, ts := startServer(t, Options{Root: fx.root, CacheBytes: 8 << 20, IndexSpacing: 32 << 10})
+	for _, name := range []string{"corpus.txt.gz", "noindex.gpz"} {
+		fx := newFixture(t)
+		_, ts := startServer(t, Options{Root: fx.root, CacheBytes: 8 << 20, IndexSpacing: 32 << 10})
 
-	cold := rangeBody(t, ts.URL+"/corpus.txt.gz", 1000, 5000, http.StatusPartialContent)
-	if !bytes.Equal(cold, fx.src[1000:6000]) {
-		t.Fatal("cold ranged body differs")
-	}
-	m := metricsJSON(t, ts.URL)
-	if m["sequential_decodes_total"] != 1 {
-		t.Fatalf("cold request: %v sequential decodes, want 1", m["sequential_decodes_total"])
-	}
-	if m["sidecar_builds_total"] != 1 {
-		t.Fatalf("cold request: %v sidecar builds, want 1", m["sidecar_builds_total"])
-	}
-
-	// Warm: random-access path only — the sequential counter must not move.
-	for _, off := range []int64{0, 100 << 10, 250 << 10} {
-		warm := rangeBody(t, ts.URL+"/corpus.txt.gz", off, 4096, http.StatusPartialContent)
-		if !bytes.Equal(warm, fx.src[off:off+4096]) {
-			t.Fatalf("warm range at %d differs", off)
+		cold := rangeBody(t, ts.URL+"/"+name, 1000, 5000, http.StatusPartialContent)
+		if !bytes.Equal(cold, fx.src[1000:6000]) {
+			t.Fatalf("%s: cold ranged body differs", name)
 		}
-	}
-	after := metricsJSON(t, ts.URL)
-	if after["sequential_decodes_total"] != 1 {
-		t.Fatalf("warm ranges re-ran the sequential decode: %v", after["sequential_decodes_total"])
+		m := metricsJSON(t, ts.URL)
+		if m["sequential_decodes_total"] != 1 {
+			t.Fatalf("%s: cold request ran %v discovery passes, want 1", name, m["sequential_decodes_total"])
+		}
+		if want := map[string]float64{"corpus.txt.gz": 1}[name]; m["sidecar_builds_total"] != want {
+			t.Fatalf("%s: cold request: %v sidecar builds, want %v", name, m["sidecar_builds_total"], want)
+		}
+
+		// Warm: random-access path only — the discovery counter must not move.
+		for _, off := range []int64{0, 1000, 100 << 10, 250 << 10} {
+			warm := rangeBody(t, ts.URL+"/"+name, off, 4096, http.StatusPartialContent)
+			if !bytes.Equal(warm, fx.src[off:off+4096]) {
+				t.Fatalf("%s: warm range at %d differs", name, off)
+			}
+		}
+		after := metricsJSON(t, ts.URL)
+		if after["sequential_decodes_total"] != 1 {
+			t.Fatalf("%s: warm ranges re-ran discovery: %v", name, after["sequential_decodes_total"])
+		}
+		if after["cache_hits_total"] <= m["cache_hits_total"] {
+			t.Fatalf("%s: repeated range did not hit the block cache: %v -> %v",
+				name, m["cache_hits_total"], after["cache_hits_total"])
+		}
 	}
 }
 
 // TestForeignConcurrentCold: many concurrent first requests race the
-// counting decode; the singleflight token must keep it to one pass, every
-// body must be correct, and nothing may leak.
+// discovery pass; the singleflight token must keep it to one, every body
+// must be correct, and nothing may leak.
 func TestForeignConcurrentCold(t *testing.T) {
-	fx := newFixture(t)
-	_, ts := startServer(t, Options{Root: fx.root, CacheBytes: 8 << 20, IndexSpacing: 32 << 10})
+	for _, name := range []string{"corpus.txt.gz", "noindex.gpz"} {
+		fx := newFixture(t)
+		_, ts := startServer(t, Options{Root: fx.root, CacheBytes: 8 << 20, IndexSpacing: 32 << 10})
 
-	noLeaks(t, func() {
-		var wg sync.WaitGroup
-		errs := make(chan error, 16)
-		for i := 0; i < 16; i++ {
-			off := int64(i * 16 << 10)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				resp := get(t, ts.URL+"/corpus.txt.gz", map[string]string{
-					"Range": fmt.Sprintf("bytes=%d-%d", off, off+1023),
-				})
-				b := body(t, resp)
-				if resp.StatusCode != http.StatusPartialContent {
-					errs <- fmt.Errorf("status %d at %d", resp.StatusCode, off)
-					return
-				}
-				if !bytes.Equal(b, fx.src[off:off+1024]) {
-					errs <- fmt.Errorf("body differs at %d", off)
-				}
-			}()
+		noLeaks(t, func() {
+			var wg sync.WaitGroup
+			errs := make(chan error, 16)
+			for i := 0; i < 16; i++ {
+				off := int64(i * 16 << 10)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resp := get(t, ts.URL+"/"+name, map[string]string{
+						"Range": fmt.Sprintf("bytes=%d-%d", off, off+1023),
+					})
+					b := body(t, resp)
+					if resp.StatusCode != http.StatusPartialContent {
+						errs <- fmt.Errorf("%s: status %d at %d", name, resp.StatusCode, off)
+						return
+					}
+					if !bytes.Equal(b, fx.src[off:off+1024]) {
+						errs <- fmt.Errorf("%s: body differs at %d", name, off)
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+		})
+		if m := metricsJSON(t, ts.URL); m["sequential_decodes_total"] != 1 {
+			t.Fatalf("%s: %v discovery passes across 16 concurrent cold requests, want 1",
+				name, m["sequential_decodes_total"])
 		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Error(err)
-		}
-	})
-	if m := metricsJSON(t, ts.URL); m["sequential_decodes_total"] != 1 {
-		t.Fatalf("%v sequential decodes across 16 concurrent cold requests, want 1",
-			m["sequential_decodes_total"])
 	}
 }
 

@@ -28,25 +28,93 @@ import (
 // io.SectionReader.
 type ReaderAt struct {
 	ra      io.ReaderAt
-	hdr     format.FileHeader
-	idx     *format.Index
+	hdr     format.FileHeader // foreign streams: only RawSize is set
+	src     blockSource
 	workers int // per-call decode concurrency; 0 selects GOMAXPROCS
 	ctx     context.Context
 
 	// Optional shared decoded-block cache (Codec.WithCache). Blocks are
 	// keyed under obj, a process-unique identity for this ReaderAt, so
 	// two readers never alias each other's decoded bytes. nil means
-	// every read decodes — the original PR-2 path, byte-identical.
+	// every read decodes.
 	cache *blockcache.Cache
 	obj   uint64
+}
 
-	// Foreign mode (Codec.NewReaderAtWithIndex): a gzip/zlib stream made
-	// randomly accessible through a seek index. "Blocks" are the index's
-	// checkpointed chunks — variable-length, so every block-arithmetic
-	// site goes through blockOf/blockStart/rawLen — and decode seeds a
-	// deflate engine from the checkpoint window instead of parsing a
-	// container record. hdr carries only RawSize; idx is nil.
-	fidx *deflate.Index
+// blockSource is the format-specific half of random access: where the
+// blocks of a decompressed stream lie and how to decode one. Everything
+// above it — the range walker, the cache, tracing — is shared. "Blocks" are
+// a native container's fixed-size blocks or a foreign stream's
+// variable-length checkpointed chunks.
+type blockSource interface {
+	// blockOf returns the block containing decompressed offset off.
+	blockOf(off int64) int64
+	// span returns the decompressed offset block i starts at and the
+	// decompressed length it must have.
+	span(i int64) (start, n int64)
+	// decodeInto reads block i's compressed bytes from src and decodes
+	// them into dst, whose length must be span(i)'s.
+	decodeInto(src io.ReaderAt, i int64, dst []byte) error
+}
+
+// nativeSource is a GPZ1 container's blocks, found through a block index
+// that was read from the container's trailer or built by one scan of its
+// block section.
+type nativeSource struct {
+	hdr format.FileHeader
+	idx *format.Index
+}
+
+// blockSpan returns the raw block size used for block arithmetic.
+func (s *nativeSource) blockSpan() int64 {
+	if bs := int64(s.hdr.BlockSize); bs > 0 {
+		return bs
+	}
+	return int64(s.hdr.RawSize) // degenerate single-block container
+}
+
+func (s *nativeSource) blockOf(off int64) int64 { return off / s.blockSpan() }
+
+// span: BlockSize for every block but the last, the remainder for the last.
+func (s *nativeSource) span(i int64) (start, n int64) {
+	bs := s.blockSpan()
+	start = i * bs
+	return start, min(bs, int64(s.hdr.RawSize)-start)
+}
+
+func (s *nativeSource) decodeInto(src io.ReaderAt, i int64, dst []byte) error {
+	start, end := s.idx.Offsets[i], s.idx.Offsets[i+1]
+	cp := pooledBuf(&compBufPool, int(end-start))
+	defer compBufPool.Put(cp)
+	if err := format.ReadFullAt(src, *cp, start); err != nil {
+		return fmt.Errorf("gompresso: block %d: %w", i, err)
+	}
+	var blk format.Block
+	if _, err := format.ParseBlock(s.hdr, uint32(i), *cp, &blk); err != nil {
+		return err
+	}
+	if err := s.hdr.DecodeBlockInto(dst, &blk, nil); err != nil {
+		return fmt.Errorf("gompresso: block %d: %w", i, err)
+	}
+	return nil
+}
+
+// foreignSource is a gzip/zlib stream made randomly accessible by a seek
+// index: its blocks are the index's checkpointed chunks, each decoded by
+// seeding a deflate engine from the checkpoint's window.
+type foreignSource struct{ idx *deflate.Index }
+
+func (s foreignSource) blockOf(off int64) int64 { return int64(s.idx.ChunkOf(off)) }
+
+func (s foreignSource) span(i int64) (start, n int64) {
+	return s.idx.ChunkStart(int(i)), s.idx.ChunkLen(int(i))
+}
+
+func (s foreignSource) decodeInto(src io.ReaderAt, i int64, dst []byte) error {
+	if err := s.idx.DecodeChunkInto(dst, src, int(i)); err != nil {
+		return fmt.Errorf("gompresso: chunk %d: %w", i, err)
+	}
+	return nil
 }
 
 // NewReaderAt opens a Gompresso container stored in the first size bytes
@@ -89,11 +157,7 @@ func newReaderAt(ctx context.Context, ra io.ReaderAt, size int64, workers int, f
 			return nil, err
 		}
 	}
-	r := &ReaderAt{ra: ra, hdr: hdr, idx: idx, workers: workers, ctx: ctx, cache: cache}
-	if cache != nil {
-		r.obj = blockcache.NextObject()
-	}
-	return r, nil
+	return openReaderAt(ctx, ra, hdr, &nativeSource{hdr: hdr, idx: idx}, workers, cache), nil
 }
 
 // newForeignReaderAt opens a foreign compressed stream (gzip/zlib/raw
@@ -108,12 +172,16 @@ func newForeignReaderAt(ctx context.Context, ra io.ReaderAt, size int64, idx *de
 	if err := idx.Validate(size); err != nil {
 		return nil, err
 	}
-	r := &ReaderAt{ra: ra, fidx: idx, workers: workers, ctx: ctx, cache: cache}
-	r.hdr.RawSize = uint64(idx.RawSize)
+	hdr := format.FileHeader{RawSize: uint64(idx.RawSize)}
+	return openReaderAt(ctx, ra, hdr, foreignSource{idx}, workers, cache), nil
+}
+
+func openReaderAt(ctx context.Context, ra io.ReaderAt, hdr format.FileHeader, src blockSource, workers int, cache *blockcache.Cache) *ReaderAt {
+	r := &ReaderAt{ra: ra, hdr: hdr, src: src, workers: workers, ctx: ctx, cache: cache}
 	if cache != nil {
 		r.obj = blockcache.NextObject()
 	}
-	return r, nil
+	return r
 }
 
 // Header returns the container's file header.
@@ -142,61 +210,15 @@ func recoverToErr(errp *error) {
 // Size returns the decompressed size of the container.
 func (r *ReaderAt) Size() int64 { return int64(r.hdr.RawSize) }
 
-// blockSpan returns the raw block size used for block arithmetic.
-// Native containers only — foreign chunks are variable-length.
-func (r *ReaderAt) blockSpan() int64 {
-	if bs := int64(r.hdr.BlockSize); bs > 0 {
-		return bs
-	}
-	return int64(r.hdr.RawSize) // degenerate single-block container
-}
-
-// blockOf returns the block (native) or checkpointed chunk (foreign)
-// containing decompressed offset off.
-func (r *ReaderAt) blockOf(off int64) int64 {
-	if r.fidx != nil {
-		return int64(r.fidx.ChunkOf(off))
-	}
-	return off / r.blockSpan()
-}
-
-// blockStart returns the decompressed offset block bi begins at.
-func (r *ReaderAt) blockStart(bi int64) int64 {
-	if r.fidx != nil {
-		return r.fidx.ChunkStart(int(bi))
-	}
-	return bi * r.blockSpan()
-}
-
-// rawLen returns the decompressed length block bi must have: BlockSize
-// for every block but the last, the remainder for the last; a foreign
-// chunk's span comes from the index.
-func (r *ReaderAt) rawLen(bi int64) int64 {
-	if r.fidx != nil {
-		return r.fidx.ChunkLen(int(bi))
-	}
-	bs := r.blockSpan()
-	n := int64(r.hdr.RawSize) - bi*bs
-	if n > bs {
-		n = bs
-	}
-	return n
-}
-
 // ReadAt implements io.ReaderAt over the decompressed stream. A read that
 // reaches the end of the stream returns the bytes read and io.EOF, per the
-// io.ReaderAt contract.
+// io.ReaderAt contract. On a decode error it returns the count of bytes
+// before the failing block, all of them valid.
 func (r *ReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	return r.readAtCtx(r.ctx, p, off)
-}
-
-// readAtCtx is ReadAt under an explicit context — the serving layer's
-// entry point, where cancellation is per request rather than per codec.
-func (r *ReaderAt) readAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("gompresso: negative read offset %d", off)
 	}
-	raw := int64(r.hdr.RawSize)
+	raw := r.Size()
 	if len(p) == 0 {
 		if off > raw {
 			return 0, io.EOF
@@ -206,216 +228,23 @@ func (r *ReaderAt) readAtCtx(ctx context.Context, p []byte, off int64) (int, err
 	if off >= raw {
 		return 0, io.EOF
 	}
-	want := len(p)
-	if int64(want) > raw-off {
-		want = int(raw - off)
+	want := int(min(int64(len(p)), raw-off))
+	n, err := r.walk(r.ctx, off, int64(want), p[:want], nil)
+	if err == nil && want < len(p) {
+		err = io.EOF
 	}
-	b0 := r.blockOf(off)
-	nb := r.blockOf(off+int64(want)-1) - b0 + 1
-	errs := make([]error, nb)
-	workers := parallel.Workers(int(nb), r.workers)
-	scratch := make([]*format.DecodeScratch, workers)
-	// Cached mode leaves scratch nil: on the hot path (hits) it is never
-	// touched, and a miss pulls scratch from the pool inside the decode
-	// closure (cacheBlock) instead of paying per-call round-trips here.
-	if r.fidx == nil && r.hdr.Variant == format.VariantBit && r.cache == nil {
-		for i := range scratch {
-			scratch[i] = format.GetScratch()
-		}
-		defer func() {
-			for _, sc := range scratch {
-				format.PutScratch(sc)
-			}
-		}()
-	}
-	src := obs.SourceReaderAt(ctx, r.ra)
-	parallel.ForShare(int(nb), r.workers, func(share, k int) {
-		defer recoverToErr(&errs[k])
-		if err := ctx.Err(); err != nil {
-			errs[k] = err
-			return
-		}
-		if r.cache != nil {
-			errs[k] = r.readBlockCached(ctx, p[:want], off, b0+int64(k))
-		} else {
-			errs[k] = r.readBlock(ctx, src, p[:want], off, b0+int64(k), scratch[share])
-		}
-	})
-	for k, err := range errs {
-		if err != nil {
-			// Everything before the failing block was decoded in full.
-			good := r.blockStart(b0+int64(k)) - off
-			if good < 0 {
-				good = 0
-			}
-			return int(good), err
-		}
-	}
-	if want < len(p) {
-		return want, io.EOF
-	}
-	return want, nil
-}
-
-// blockBufPool recycles whole-block decode buffers for reads that cover a
-// block only partially.
-var blockBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// compBufPool recycles compressed-record buffers.
-var compBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// rangeBufPool recycles WriteRangeTo's uncached staging buffers.
-var rangeBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-func pooledBuf(pool *sync.Pool, n int) *[]byte {
-	bp := pool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	//lint:allow poolescape sanctioned lifecycle helper; callers pool.Put when done
-	return bp
-}
-
-// readBlock decodes block bi into the part of p (the request for
-// [off, off+len(p)) of the raw stream) that the block overlaps. Blocks
-// fully inside the request decode straight into p; edge blocks decode into
-// a pooled buffer first. src is the (possibly trace-wrapped) source.
-func (r *ReaderAt) readBlock(ctx context.Context, src io.ReaderAt, p []byte, off int64, bi int64, sc *format.DecodeScratch) error {
-	rawStart := r.blockStart(bi)
-	rawLen := r.rawLen(bi)
-	lo, hi := rawStart, rawStart+rawLen
-	if lo < off {
-		lo = off
-	}
-	if reqHi := off + int64(len(p)); hi > reqHi {
-		hi = reqHi
-	}
-	var dst []byte
-	whole := lo == rawStart && hi == rawStart+rawLen
-	if whole {
-		dst = p[rawStart-off : rawStart-off+rawLen]
-	} else {
-		bp := pooledBuf(&blockBufPool, int(rawLen))
-		defer blockBufPool.Put(bp)
-		dst = *bp
-	}
-	_, sp := obs.Start(ctx, obs.StageBlockDecode)
-	sp.SetN(bi)
-	err := r.decodeBlockInto(src, dst, bi, sc)
-	sp.End()
-	if err != nil {
-		return err
-	}
-	if !whole {
-		copy(p[lo-off:hi-off], dst[lo-rawStart:hi-rawStart])
-	}
-	return nil
-}
-
-// decodeBlockInto fetches, parses, and decodes block bi into dst, whose
-// length must be the block's expected raw length (rawLen(bi)). src is
-// the backing source — r.ra, or its per-request traced wrapper.
-func (r *ReaderAt) decodeBlockInto(src io.ReaderAt, dst []byte, bi int64, sc *format.DecodeScratch) error {
-	if r.fidx != nil {
-		if err := r.fidx.DecodeChunkInto(dst, src, int(bi)); err != nil {
-			return fmt.Errorf("gompresso: chunk %d: %w", bi, err)
-		}
-		return nil
-	}
-	start, end := r.idx.Offsets[bi], r.idx.Offsets[bi+1]
-	cp := pooledBuf(&compBufPool, int(end-start))
-	defer compBufPool.Put(cp)
-	if _, err := src.ReadAt(*cp, start); err != nil {
-		return fmt.Errorf("gompresso: block %d: %w", bi, err)
-	}
-	var blk format.Block
-	if _, err := format.ParseBlock(r.hdr, uint32(bi), *cp, &blk); err != nil {
-		return err
-	}
-	if blk.RawLen != len(dst) {
-		return fmt.Errorf("%w: block %d: raw length %d, expected %d",
-			format.ErrFormat, bi, blk.RawLen, len(dst))
-	}
-	var err error
-	if r.hdr.Variant == format.VariantByte {
-		err = format.DecodeByteInto(dst, blk.Payload, blk.NumSeqs)
-	} else {
-		bb := bitBlockView(r.hdr, &blk)
-		err = bb.DecodeBitInto(dst, sc)
-	}
-	if err != nil {
-		return fmt.Errorf("gompresso: %w", err)
-	}
-	return nil
-}
-
-// readBlockCached is readBlock through the shared decoded-block cache:
-// a hit copies straight out of the resident buffer, a miss decodes the
-// whole block once (coalescing with any concurrent request for it,
-// scratch drawn from the package pool inside the decode) and leaves it
-// resident for the next request.
-func (r *ReaderAt) readBlockCached(ctx context.Context, p []byte, off int64, bi int64) error {
-	buf, err := r.cacheBlock(ctx, bi, nil)
-	if err != nil {
-		return err
-	}
-	defer buf.Release()
-	rawStart := r.blockStart(bi)
-	data := buf.Bytes()
-	lo, hi := rawStart, rawStart+int64(len(data))
-	if lo < off {
-		lo = off
-	}
-	if reqHi := off + int64(len(p)); hi > reqHi {
-		hi = reqHi
-	}
-	copy(p[lo-off:hi-off], data[lo-rawStart:hi-rawStart])
-	return nil
-}
-
-// cacheBlock returns block bi's decoded bytes through the cache, pinned
-// for the caller (Release when done). sc may be nil; the decode then
-// draws scratch from the package pool (the prefetch path).
-//
-// Tracing: the whole call is a cache_lookup span (a hit's copy, a
-// coalesced wait, or a winning decode); when this request's closure
-// actually decodes, that work is a block_decode child span, and the
-// block counts as a cache miss for the request — blocks obtained
-// without decoding (resident or coalesced) count as hits.
-func (r *ReaderAt) cacheBlock(ctx context.Context, bi int64, sc *format.DecodeScratch) (*blockcache.Buf, error) {
-	key := blockcache.Key{Object: r.obj, Block: uint32(bi)}
-	lctx, lsp := obs.Start(ctx, obs.StageCacheLookup)
-	lsp.SetN(bi)
-	decoded := false
-	buf, err := r.cache.GetOrDecode(ctx, key, int(r.rawLen(bi)), func(dst []byte) error {
-		decoded = true
-		_, dsp := obs.Start(lctx, obs.StageBlockDecode)
-		dsp.SetN(bi)
-		defer dsp.End()
-		s := sc
-		if s == nil && r.hdr.Variant == format.VariantBit {
-			s = format.GetScratch()
-			defer format.PutScratch(s)
-		}
-		return r.decodeBlockInto(obs.SourceReaderAt(lctx, r.ra), dst, bi, s)
-	})
-	lsp.End()
-	if err == nil {
-		obs.FromContext(ctx).CountCache(!decoded)
-	}
-	return buf, err
+	return int(n), err
 }
 
 // WriteRangeTo streams the decompressed byte range [off, off+length) to
-// w under ctx — the serving layer's send path. With a cache attached,
-// blocks are pinned window-parallel (up to the worker budget per
-// window, misses decoding concurrently on the shared pool) and written
-// directly from the shared refcounted buffers — zero copies between
-// decode and the socket; without one it decodes ranges through the
-// same parallel path as ReadAt. The
-// range is clamped to the stream: a range starting at or past the end
-// writes nothing and returns io.EOF, mirroring ReadAt.
+// w under ctx — the serving layer's send path. Blocks are obtained
+// window-parallel (up to the worker budget per window, decodes running
+// concurrently on the shared pool) and written directly from the buffers
+// they were decoded into — with a cache attached, the shared refcounted
+// cache buffers: zero copies between decode and the socket. The range is
+// clamped to the stream: a range starting at or past the end writes
+// nothing and returns io.EOF, mirroring ReadAt. On a decode error it
+// returns the bytes written, which end before the failing block.
 func (r *ReaderAt) WriteRangeTo(ctx context.Context, w io.Writer, off, length int64) (int64, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("gompresso: negative read offset %d", off)
@@ -429,7 +258,7 @@ func (r *ReaderAt) WriteRangeTo(ctx context.Context, w io.Writer, off, length in
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	raw := int64(r.hdr.RawSize)
+	raw := r.Size()
 	if off >= raw {
 		if length == 0 && off <= raw {
 			return 0, nil
@@ -443,142 +272,161 @@ func (r *ReaderAt) WriteRangeTo(ctx context.Context, w io.Writer, off, length in
 	if length == 0 {
 		return 0, nil
 	}
-	var written int64
-	var err error
-	if r.cache != nil {
-		written, err = r.writeRangeCached(ctx, w, off, length)
-	} else {
-		written, err = r.writeRangeDirect(ctx, w, off, length)
-	}
+	written, err := r.walk(ctx, off, length, nil, w)
 	if err == nil && clamped {
 		err = io.EOF
 	}
 	return written, err
 }
 
-// writeRangeCached walks the overlapped blocks in windows of up to
-// `workers` blocks: each window pins its blocks through the cache
-// concurrently (hits are instant, misses decode in parallel — the same
-// concurrency the uncached path gets from ForShare), then writes them
-// to w in order. Window memory is bounded by workers × BlockSize, like
-// every other parallel path in the package.
-func (r *ReaderAt) writeRangeCached(ctx context.Context, w io.Writer, off, length int64) (int64, error) {
-	b0, bLast := r.blockOf(off), r.blockOf(off+length-1)
-	nb := bLast - b0 + 1
-	window := int64(parallel.Workers(int(min(nb, 1<<20)), r.workers))
-	bufs := make([]*blockcache.Buf, window)
-	errs := make([]error, window)
-	var written int64
-	for start := b0; start <= bLast; start += window {
-		end := start + window - 1
-		if end > bLast {
-			end = bLast
+// blockBufPool recycles whole-block decode buffers for uncached reads that
+// cannot decode straight into the caller's memory.
+var blockBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// compBufPool recycles compressed-record buffers.
+var compBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func pooledBuf(pool *sync.Pool, n int) *[]byte {
+	bp := pool.Get().(*[]byte)
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	*bp = (*bp)[:n]
+	//lint:allow poolescape sanctioned lifecycle helper; callers pool.Put when done
+	return bp
+}
+
+// held is one walker window slot: a block's decoded bytes and whatever
+// backs them — a pinned cache buffer, a pooled buffer, or (neither set)
+// the caller's own memory.
+type held struct {
+	data []byte
+	buf  *blockcache.Buf
+	bp   *[]byte
+	err  error
+}
+
+// release unpins or recycles the slot's backing buffer; data must not be
+// touched afterwards.
+func (h *held) release() {
+	if h.buf != nil {
+		h.buf.Release()
+	}
+	if h.bp != nil {
+		blockBufPool.Put(h.bp)
+	}
+	*h = held{}
+}
+
+// walk serves the decompressed range [off, off+length) — non-empty and
+// inside the stream — into p (ReadAt: len(p) == length) or, when p is nil,
+// to w (WriteRangeTo). It walks the overlapped blocks in windows of up to
+// `workers` blocks: each window obtains its blocks concurrently on the
+// shared pool, then emits them in order, so held memory is bounded by
+// workers × block size. The pool bounds global decode concurrency; a share
+// that finds its block in flight elsewhere blocks only on that decode,
+// which always runs inline on its winning caller, never behind this pool.
+// It returns the bytes emitted, which on error end before the failing
+// block.
+func (r *ReaderAt) walk(ctx context.Context, off, length int64, p []byte, w io.Writer) (int64, error) {
+	b0, bLast := r.src.blockOf(off), r.src.blockOf(off+length-1)
+	window := int64(parallel.Workers(int(min(bLast-b0+1, 1<<20)), r.workers))
+	slots := make([]held, window)
+	defer func() {
+		for i := range slots {
+			slots[i].release()
 		}
-		// The pool bounds global decode concurrency exactly as it does
-		// for the uncached path; a share that finds the block in flight
-		// elsewhere blocks only on that decode, which always runs
-		// inline on its winning caller, never behind this pool.
-		parallel.ForShare(int(end-start+1), r.workers, func(_, k int) {
-			defer recoverToErr(&errs[k])
-			bufs[k], errs[k] = r.cacheBlock(ctx, start+int64(k), nil)
+	}()
+	var done int64
+	for first := b0; first <= bLast; first += window {
+		n := min(window, bLast-first+1)
+		parallel.ForShare(int(n), r.workers, func(_, k int) {
+			slots[k] = r.obtain(ctx, first+int64(k), p, off)
 		})
-		for bi := start; bi <= end; bi++ {
-			k := bi - start
-			buf, err := bufs[k], errs[k]
-			bufs[k] = nil
-			if err != nil {
-				releaseAll(bufs[k+1:])
-				return written, err
+		for k := range slots[:n] {
+			h, bi := &slots[k], first+int64(k)
+			if h.err != nil {
+				return done, h.err
 			}
-			data := buf.Bytes()
-			rawStart := r.blockStart(bi)
-			lo, hi := rawStart, rawStart+int64(len(data))
-			if lo < off {
-				lo = off
+			start, _ := r.src.span(bi)
+			lo, hi := max(start, off), min(start+int64(len(h.data)), off+length)
+			part := h.data[lo-start : hi-start]
+			if p == nil {
+				m, err := w.Write(part)
+				done += int64(m)
+				if err != nil {
+					return done, err
+				}
+			} else {
+				if h.buf != nil || h.bp != nil { // else decoded in place
+					copy(p[lo-off:], part)
+				}
+				done += int64(len(part))
 			}
-			if reqHi := off + length; hi > reqHi {
-				hi = reqHi
-			}
-			n, werr := w.Write(data[lo-rawStart : hi-rawStart])
-			buf.Release()
-			written += int64(n)
-			if werr != nil {
-				releaseAll(bufs[k+1:])
-				return written, werr
-			}
-			// Early-out between blocks only: after the final write the
-			// range has been served in full, and a client that closes
-			// its connection the moment the last byte arrives must not
-			// turn a complete response into a cancellation error.
+			h.release()
+			// Early-out between blocks only: after the final block the
+			// range has been served in full, and a client that closes its
+			// connection the moment the last byte arrives must not turn a
+			// complete response into a cancellation error.
 			if bi < bLast {
 				if err := ctx.Err(); err != nil {
-					releaseAll(bufs[k+1:])
-					return written, err
+					return done, err
 				}
 			}
 		}
 	}
-	return written, nil
+	return done, nil
 }
 
-// spanHint is the typical block length used to size the direct path's
-// staging buffer: the exact block size natively, the average chunk span
-// (clamped to something sensible) for foreign indexes.
-func (r *ReaderAt) spanHint() int64 {
-	if r.fidx == nil {
-		return r.blockSpan()
+// obtain makes block bi's decoded bytes available to the walker. With a
+// cache attached they are a pinned cache buffer — a hit, a coalesced wait
+// on another request's decode, or this call's own decode left resident for
+// the next request. Without one the block decodes into the part of p (the
+// request for the stream from off) it fills entirely, or into a pooled
+// buffer when it only partly overlaps p or p is nil.
+//
+// Tracing: the cached path is a cache_lookup span; when this request's
+// closure actually decodes, that work is a block_decode child span and the
+// block counts as a cache miss for the request — blocks obtained without
+// decoding (resident or coalesced) count as hits.
+func (r *ReaderAt) obtain(ctx context.Context, bi int64, p []byte, off int64) (h held) {
+	defer recoverToErr(&h.err)
+	if h.err = ctx.Err(); h.err != nil {
+		return h
 	}
-	n := int64(r.fidx.NumChunks())
-	if n == 0 {
-		return 1
+	start, n := r.src.span(bi)
+	if r.cache != nil {
+		lctx, lsp := obs.Start(ctx, obs.StageCacheLookup)
+		lsp.SetN(bi)
+		decoded := false
+		h.buf, h.err = r.cache.GetOrDecode(ctx, blockcache.Key{Object: r.obj, Block: uint32(bi)}, int(n), func(dst []byte) error {
+			decoded = true
+			return r.decode(lctx, bi, dst)
+		})
+		lsp.End()
+		if h.err == nil {
+			obs.FromContext(ctx).CountCache(!decoded)
+			h.data = h.buf.Bytes()
+		}
+		return h
 	}
-	avg := r.fidx.RawSize / n
-	if avg < 64<<10 {
-		avg = 64 << 10
+	if start >= off && start+n <= off+int64(len(p)) {
+		h.data = p[start-off : start-off+n]
+	} else {
+		h.bp = pooledBuf(&blockBufPool, int(n))
+		h.data = *h.bp
 	}
-	if avg > 4<<20 {
-		avg = 4 << 20
-	}
-	return avg
+	h.err = r.decode(ctx, bi, h.data)
+	return h
 }
 
-// releaseAll unpins any still-held window buffers after an early exit.
-func releaseAll(bufs []*blockcache.Buf) {
-	for i, b := range bufs {
-		if b != nil {
-			b.Release()
-			bufs[i] = nil
-		}
-	}
-}
-
-// writeRangeDirect serves the range without a cache: chunks of blocks
-// decode in parallel through readAtCtx into a pooled buffer, then drain
-// to w.
-func (r *ReaderAt) writeRangeDirect(ctx context.Context, w io.Writer, off, length int64) (int64, error) {
-	chunk := 4 * r.spanHint()
-	if chunk > length {
-		chunk = length
-	}
-	bp := pooledBuf(&rangeBufPool, int(chunk))
-	defer rangeBufPool.Put(bp)
-	var written int64
-	for written < length {
-		n := chunk
-		if n > length-written {
-			n = length - written
-		}
-		m, err := r.readAtCtx(ctx, (*bp)[:n], off+written)
-		if m > 0 {
-			wn, werr := w.Write((*bp)[:m])
-			written += int64(wn)
-			if werr != nil {
-				return written, werr
-			}
-		}
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
+// decode is the one place a ReaderAt turns (object, block) into bytes:
+// block bi from the backing source into dst, as a block_decode span with
+// the source reads accrued to ctx's trace.
+func (r *ReaderAt) decode(ctx context.Context, bi int64, dst []byte) error {
+	_, sp := obs.Start(ctx, obs.StageBlockDecode)
+	sp.SetN(bi)
+	err := r.src.decodeInto(obs.SourceReaderAt(ctx, r.ra), bi, dst)
+	sp.End()
+	return err
 }

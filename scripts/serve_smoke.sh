@@ -5,7 +5,10 @@
 #
 #   - every ranged response is byte-identical to `gompresso cat -offset
 #     -length` (indexed containers) or to a slice of the original bytes
-#     (sequential fallbacks: unindexed containers, .gz),
+#     (trailer-less containers and .gz, whose first request runs the
+#     one-time discovery pass),
+#   - a trailer-less container is scanned once: its repeated range hits
+#     the block cache and sequential_decodes_total stays flat,
 #   - /healthz and the stats endpoint respond,
 #   - a repeated hot range shows cache hits > 0 in the stats,
 #   - every request produces a structured JSON access-log line with the
@@ -69,15 +72,25 @@ check_range corpus.gpz "10000-$mid"       10000          $((mid - 10000 + 1))
 check_range corpus.gpz "$((size-500))-"   "$((size-500))" 500
 check_range corpus.gpz "-1234"            "$((size-1234))" 1234
 
-# Sequential fallbacks: ranges against slices of the original bytes.
-check_seq() {
+# Objects that carry no block index: ranges against slices of the
+# original bytes. Each one's first request runs its discovery pass.
+check_slice() {
   curl -sf -H "Range: bytes=$2-$(($2+$3-1))" "http://$addr/$1" > "$work/got"
   tail -c "+$(($2+1))" "$work/corpus.txt" > "$work/tail"
   head -c "$3" "$work/tail" > "$work/want"
-  cmp "$work/got" "$work/want" || { echo "FAIL: $1 fallback range at $2+$3"; exit 1; }
+  cmp "$work/got" "$work/want" || { echo "FAIL: $1 range at $2+$3"; exit 1; }
 }
-check_seq noindex.gpz   12345 70000
-check_seq corpus.txt.gz 12345 70000
+metric() { curl -sf "http://$addr/metrics?format=json" | grep -o "\"$1\": [0-9]*" | tr -dc 0-9; }
+check_slice noindex.gpz   12345 70000
+check_slice corpus.txt.gz 12345 70000
+
+# The trailer-less container was scanned once: the same range again is
+# served from the block cache, with no second discovery pass.
+seq0=$(metric sequential_decodes_total); hits0=$(metric cache_hits_total)
+check_slice noindex.gpz   12345 70000
+seq1=$(metric sequential_decodes_total); hits1=$(metric cache_hits_total)
+[ "$seq1" = "$seq0" ] || { echo "FAIL: noindex.gpz repeat reran discovery ($seq0 -> $seq1)"; exit 1; }
+[ "$hits1" -gt "$hits0" ] || { echo "FAIL: noindex.gpz repeat did not hit the cache ($hits0 -> $hits1)"; exit 1; }
 
 # Full bodies, all three objects, against `cat`.
 for obj in corpus.gpz noindex.gpz corpus.txt.gz; do
@@ -140,8 +153,8 @@ loglines=$(wc -l < "$work/access.jsonl" | tr -d ' ')
 grep -q '"sidecar": "valid"' "$work/stat3.json"
 [ "$(grep raw_size "$work/stat3.json" | tr -dc 0-9)" = "$size" ]
 
-# Hot .gz ranges: byte-identical to gzip -dc slices, and the sequential
-# decode counter must stay flat — every range decodes covering chunks only.
+# Hot .gz ranges: byte-identical to gzip -dc slices, and the discovery
+# counter must stay flat — every range decodes covering chunks only.
 gzip -dc "$root/corpus.txt.gz" > "$work/plain"
 cmp "$work/plain" "$work/corpus.txt"
 seq_before=$(grep -o '"sequential_decodes_total": [0-9]*' "$work/metrics.json" | tr -dc 0-9)
@@ -157,10 +170,10 @@ check_gz "$addr" $((size - 2000)) 2000
 curl -sf "http://$addr/metrics?format=json" > "$work/metrics2.json"
 seq_after=$(grep -o '"sequential_decodes_total": [0-9]*' "$work/metrics2.json" | tr -dc 0-9)
 [ "${seq_after:-0}" = "${seq_before:-0}" ] || {
-  echo "FAIL: hot .gz ranges reran the sequential decode ($seq_before -> $seq_after)"; exit 1; }
+  echo "FAIL: hot .gz ranges reran the discovery pass ($seq_before -> $seq_after)"; exit 1; }
 
 # A fresh server over the same root loads the sidecar at resolve: ranged
-# .gz requests without a single sequential decode.
+# .gz requests without a single discovery pass.
 addr2=127.0.0.1:18428
 "$bin" serve -addr "$addr2" -root "$root" -cache 16 -index-dir "$root" -quiet 2>>"$work/serve.log" &
 srv2_pid=$!
@@ -172,7 +185,7 @@ check_gz "$addr2" 54321 32768
 curl -sf "http://$addr2/metrics?format=json" > "$work/metrics3.json"
 seq2=$(grep -o '"sequential_decodes_total": [0-9]*' "$work/metrics3.json" | tr -dc 0-9)
 loads2=$(grep -o '"sidecar_loads_total": [0-9]*' "$work/metrics3.json" | tr -dc 0-9)
-[ "${seq2:-1}" = "0" ] || { echo "FAIL: warm-sidecar server ran $seq2 sequential decodes"; exit 1; }
+[ "${seq2:-1}" = "0" ] || { echo "FAIL: warm-sidecar server ran $seq2 discovery passes"; exit 1; }
 [ "${loads2:-0}" -ge 1 ] || { echo "FAIL: warm-sidecar server never loaded the sidecar"; exit 1; }
 
 echo "serve smoke: OK (size=$size, cache_hits=$hits, sidecar_loads=$loads2, access_log_lines=$loglines)"

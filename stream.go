@@ -272,34 +272,39 @@ func (r *Reader) advanceSync() {
 		r.err = err
 		return
 	}
-	if cap(r.buf) < r.blk.RawLen {
-		r.buf = make([]byte, r.blk.RawLen)
-	}
-	r.buf = r.buf[:r.blk.RawLen]
 	r.off = 0
-	// Block decodes accrue cumulatively (one span per block would swamp
-	// the trace table on long streams); the clock is read only when a
-	// trace rode in on the context.
-	trace := obs.FromContext(r.ctx)
-	var t0 time.Time
-	if trace != nil {
-		t0 = time.Now()
-	}
-	if r.hdr.Variant == format.VariantByte {
-		r.err = format.DecodeByteInto(r.buf, r.blk.Payload, r.blk.NumSeqs)
-	} else {
-		bb := bitBlockView(r.hdr, &r.blk)
-		r.err = bb.DecodeBitInto(r.buf, r.sc)
-	}
-	if trace != nil {
-		trace.Cum(obs.StageBlockDecode, time.Since(t0), 1)
-	}
-	if r.err != nil {
-		r.err = fmt.Errorf("gompresso: %w", r.err)
+	if r.buf, r.err = decodeBlock(r.ctx, r.hdr, &r.blk, r.buf, r.sc); r.err != nil {
 		// Never serve a block that failed to decode: empty the window so
 		// Read/WriteTo report the error instead of undecoded bytes.
 		r.buf = r.buf[:0]
 	}
+}
+
+// decodeBlock is the Reader's per-block body, shared by the synchronous
+// loop and the pipeline's decode stage: size buf to the block (growing it
+// on first use), decode through format's single entry point, and accrue
+// the decode to ctx's trace. Accrual is cumulative — one span per block
+// would swamp the trace table on long streams — atomic, so pool workers
+// may call this concurrently, and reads the clock only when a trace rode
+// in on the context.
+func decodeBlock(ctx context.Context, hdr format.FileHeader, blk *format.Block, buf []byte, sc *format.DecodeScratch) ([]byte, error) {
+	if cap(buf) < blk.RawLen {
+		buf = make([]byte, blk.RawLen)
+	}
+	buf = buf[:blk.RawLen]
+	trace := obs.FromContext(ctx)
+	var t0 time.Time
+	if trace != nil {
+		t0 = time.Now()
+	}
+	err := hdr.DecodeBlockInto(buf, blk, sc)
+	if trace != nil {
+		trace.Cum(obs.StageBlockDecode, time.Since(t0), 1)
+	}
+	if err != nil {
+		err = fmt.Errorf("gompresso: %w", err)
+	}
+	return buf, err
 }
 
 // Read implements io.Reader.
@@ -519,19 +524,6 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// bitBlockView builds the stack BitBlock view of a parsed block.
-func bitBlockView(hdr format.FileHeader, blk *format.Block) format.BitBlock {
-	return format.BitBlock{
-		LitLenLengths: blk.LitLenLengths,
-		OffLengths:    blk.OffLengths,
-		SubBits:       blk.SubBits,
-		SubLits:       blk.SubLits,
-		Payload:       blk.Payload,
-		NumSeqs:       blk.NumSeqs,
-		SeqsPerSub:    int(hdr.SeqsPerSub),
-	}
-}
-
 // blockResult is one delivered pipeline block: its decoded bytes, or the
 // error (io.EOF at end of stream) that ends the stream at this position.
 type blockResult struct {
@@ -629,37 +621,18 @@ func (p *pipe) fetch(br *format.BlockReader) {
 // The compressed block recycles as soon as its bytes are consumed; the
 // decoded buffer travels onward to the consumer.
 func (p *pipe) decode(blk *format.Block, buf []byte) blockResult {
-	if cap(buf) < blk.RawLen {
-		buf = make([]byte, blk.RawLen)
-	}
-	buf = buf[:blk.RawLen]
-	// Cumulative accrual, as in advanceSync: pipelined decodes run on
-	// pool workers but the trace's counters are atomic, so accrual from
-	// here is safe.
-	trace := obs.FromContext(p.ctx)
-	var t0 time.Time
-	if trace != nil {
-		t0 = time.Now()
-	}
-	var err error
-	if p.hdr.Variant == format.VariantByte {
-		err = format.DecodeByteInto(buf, blk.Payload, blk.NumSeqs)
-	} else {
+	var sc *format.DecodeScratch
+	if p.scs != nil {
 		// Never blocks: Ordered admits at most nsc concurrent decodes, and
 		// each returns its scratch before releasing its concurrency slot.
-		sc := <-p.scs
-		bb := bitBlockView(p.hdr, blk)
-		err = bb.DecodeBitInto(buf, sc)
+		sc = <-p.scs
+	}
+	buf, err := decodeBlock(p.ctx, p.hdr, blk, buf, sc)
+	if sc != nil {
 		p.scs <- sc
 	}
-	if trace != nil {
-		trace.Cum(obs.StageBlockDecode, time.Since(t0), 1)
-	}
 	p.blocks <- blk
-	if err != nil {
-		return blockResult{buf: buf, err: fmt.Errorf("gompresso: %w", err)}
-	}
-	return blockResult{buf: buf}
+	return blockResult{buf: buf, err: err}
 }
 
 // shutdown stops the fetch stage, waits for every in-flight decode, and
