@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"gompresso/internal/format"
@@ -75,6 +76,18 @@ func (s *CompressStats) Accumulate(bs BlockStats) {
 	s.GroupsDep += bs.GroupsDep
 }
 
+// encodeScratch is the encode core's per-worker state: the parser's match
+// tables and token buffers and the entropy coder's histograms, code tables
+// and bit buffer. Whichever goroutine encodes a block — a pool worker under
+// the Writer or CompressContext, or the caller — borrows one for the block,
+// so steady-state encoding allocates nothing but growth of dst.
+type encodeScratch struct {
+	parser lz77.Parser
+	bit    format.EncodeScratch
+}
+
+var encodePool = sync.Pool{New: func() any { return new(encodeScratch) }}
+
 // EncodeBlockRecord compresses one raw block and appends its complete
 // container record (fixed header, trees, size lists, payload) to dst.
 // o must already be normalized (Options.Normalize) and src must be at most
@@ -83,7 +96,9 @@ func (s *CompressStats) Accumulate(bs BlockStats) {
 // byte-identical containers.
 func EncodeBlockRecord(dst, src []byte, o Options) ([]byte, BlockStats, error) {
 	var bs BlockStats
-	ts, err := lz77.Parse(src, o.lzOptions())
+	sc := encodePool.Get().(*encodeScratch)
+	defer encodePool.Put(sc)
+	ts, err := sc.parser.Parse(src, o.lzOptions())
 	if err != nil {
 		return dst, bs, err
 	}
@@ -92,7 +107,7 @@ func EncodeBlockRecord(dst, src []byte, o Options) ([]byte, BlockStats, error) {
 		blk.Payload, err = format.EncodeByte(ts)
 	} else {
 		var bb *format.BitBlock
-		bb, err = format.EncodeBit(ts, o.CWL, o.SeqsPerSub)
+		bb, err = sc.bit.EncodeBit(ts, o.CWL, o.SeqsPerSub)
 		if err == nil {
 			blk.Payload = bb.Payload
 			blk.LitLenLengths = bb.LitLenLengths

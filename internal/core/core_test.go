@@ -246,12 +246,37 @@ func TestBitBeatsByteRatio(t *testing.T) {
 	}
 }
 
+// The encode core's steady state: parser tables, token buffers, histograms,
+// code tables and bit buffer all come from the pooled scratch, so a block
+// encoded into a reused record buffer allocates next to nothing. (DEOff is
+// outside the guard: its AnalyzeMRR statistic allocates per group.)
+func TestEncodeBlockRecordAllocs(t *testing.T) {
+	for _, de := range []lz77.DEMode{lz77.DEStrict, lz77.DELit} {
+		o, err := Options{Variant: format.VariantBit, DE: de}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := corpus(o.BlockSize)
+		var rec []byte
+		encode := func() {
+			if rec, _, err = EncodeBlockRecord(rec[:0], src, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encode()
+		if allocs := testing.AllocsPerRun(10, encode); allocs > 4 {
+			t.Errorf("%v: EncodeBlockRecord made %v allocations per block, want ≤ 4", de, allocs)
+		}
+	}
+}
+
 func BenchmarkCompressBit(b *testing.B)  { benchCompress(b, format.VariantBit) }
 func BenchmarkCompressByte(b *testing.B) { benchCompress(b, format.VariantByte) }
 
 func benchCompress(b *testing.B, v format.Variant) {
 	src := corpus(4 << 20)
 	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Compress(src, Options{Variant: v, DE: lz77.DEStrict}); err != nil {

@@ -1,6 +1,7 @@
 package format
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"gompresso/internal/bitio"
@@ -26,100 +27,174 @@ type BitBlock struct {
 // sequence stream into sub-blocks that are 16 sequences long").
 const DefaultSeqsPerSub = 16
 
+// EncodeScratch holds what EncodeBit builds anew for every block — the two
+// histograms, code-length arrays and code tables, the sub-block size lists
+// and the bit buffer — so that an encoder reusing one across blocks allocates
+// none of them again. It is DecodeScratch's counterpart on the write side.
+// The zero value is ready to use.
+type EncodeScratch struct {
+	litLenFreq [LitLenSyms]int64
+	offFreq    [OffSyms]int64
+	litLenLens [LitLenSyms]uint8
+	offLens    [OffSyms]uint8
+	litCodes   [LitLenSyms]huffman.Code
+	offCodes   [OffSyms]huffman.Code
+	buf        []byte // payload plus the slack word stores may touch
+	blk        BitBlock
+}
+
+// The emitter gathers bits LSB-first in a 64-bit accumulator held in
+// registers. flushBits stores the whole word at the write position but
+// advances past its complete bytes only, so each store overwrites the
+// unfinished tail of the one before and may touch up to wordSlack bytes past
+// the payload's last byte.
+const wordSlack = 8
+
+func putCode(acc uint64, nbits uint, c huffman.Code) (uint64, uint) {
+	return acc | uint64(c.Bits)<<nbits, nbits + uint(c.Len)
+}
+
+func flushBits(buf []byte, pos int, acc uint64, nbits uint) (int, uint64, uint) {
+	binary.LittleEndian.PutUint64(buf[pos:], acc)
+	return pos + int(nbits>>3), acc >> (nbits &^ 7), nbits & 7
+}
+
 // EncodeBit Huffman-encodes a token stream into sub-blocks of seqsPerSub
 // sequences, with codeword lengths limited to cwl bits.
 func EncodeBit(ts *lz77.TokenStream, cwl, seqsPerSub int) (*BitBlock, error) {
+	return new(EncodeScratch).EncodeBit(ts, cwl, seqsPerSub)
+}
+
+// EncodeBit is the package-level EncodeBit into the scratch's own storage:
+// the returned block is valid until the next call.
+func (sc *EncodeScratch) EncodeBit(ts *lz77.TokenStream, cwl, seqsPerSub int) (*BitBlock, error) {
 	if cwl <= 0 {
 		cwl = huffman.DefaultCWL
 	}
 	if seqsPerSub <= 0 {
 		seqsPerSub = DefaultSeqsPerSub
 	}
-	// Histogram pass.
-	litLenFreq := make([]int64, LitLenSyms)
-	offFreq := make([]int64, OffSyms)
-	lit := ts.Literals
+	// Histogram pass, which also totals the extra bits so that the payload
+	// can be sized exactly.
+	sc.litLenFreq, sc.offFreq = [LitLenSyms]int64{}, [OffSyms]int64{}
+	var litTotal, extraBits int64
 	hasMatches := false
 	for i := range ts.Seqs {
 		s := ts.Seqs[i]
 		if s.MatchLen > uint32(MaxLenValue) {
 			return nil, fmt.Errorf("format: match length %d exceeds bit-encoding maximum", s.MatchLen)
 		}
-		if int(s.LitLen) > len(lit) {
-			return nil, fmt.Errorf("format: seq %d literal overrun", i)
-		}
-		for _, b := range lit[:s.LitLen] {
-			litLenFreq[b]++
-		}
-		lit = lit[s.LitLen:]
-		sym, _, _ := LenSym(s.MatchLen)
-		litLenFreq[sym]++
+		litTotal += int64(s.LitLen)
+		sym, eb, _ := LenSym(s.MatchLen)
+		sc.litLenFreq[sym]++
+		extraBits += int64(eb)
 		if s.MatchLen > 0 {
 			if s.Offset == 0 || s.Offset > uint32(MaxOffValue) {
 				return nil, fmt.Errorf("format: seq %d offset %d out of range", i, s.Offset)
 			}
-			osym, _, _ := OffSym(s.Offset)
-			offFreq[osym]++
+			osym, oeb, _ := OffSym(s.Offset)
+			sc.offFreq[osym]++
+			extraBits += int64(oeb)
 			hasMatches = true
 		}
 	}
-	if len(lit) != 0 {
-		return nil, fmt.Errorf("format: %d literal bytes not covered by sequences", len(lit))
+	if litTotal != int64(len(ts.Literals)) {
+		return nil, fmt.Errorf("format: sequences cover %d literal bytes, stream has %d", litTotal, len(ts.Literals))
+	}
+	for _, b := range ts.Literals {
+		sc.litLenFreq[b]++
 	}
 
-	litEnc, litLengths, err := huffman.NewEncoder(litLenFreq, cwl)
-	if err != nil {
-		return nil, fmt.Errorf("format: literal/length tree: %w", err)
-	}
-	var offEnc *huffman.Encoder
-	offLengths := make([]uint8, OffSyms)
-	if hasMatches {
-		offEnc, offLengths, err = huffman.NewEncoder(offFreq, cwl)
+	totalBits := extraBits
+	// buildTree fills codes (an array of the scratch, so nothing is
+	// allocated) and lengths from freq, and adds the tree's share of the
+	// payload to totalBits.
+	buildTree := func(codes []huffman.Code, lengths []uint8, freq []int64, tree string) error {
+		err := huffman.BuildLengthsInto(lengths, freq, cwl)
+		if err == nil {
+			_, err = huffman.FillCodes(codes, lengths, cwl)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("format: offset tree: %w", err)
+			return fmt.Errorf("format: %s tree: %w", tree, err)
+		}
+		for s, f := range freq {
+			if f > 0 && lengths[s] == 0 {
+				return fmt.Errorf("format: %s tree: symbol %d has no code", tree, s)
+			}
+			totalBits += f * int64(lengths[s])
+		}
+		return nil
+	}
+	if err := buildTree(sc.litCodes[:], sc.litLenLens[:], sc.litLenFreq[:], "literal/length"); err != nil {
+		return nil, err
+	}
+	sc.offLens = [OffSyms]uint8{}
+	if hasMatches {
+		if err := buildTree(sc.offCodes[:], sc.offLens[:], sc.offFreq[:], "offset"); err != nil {
+			return nil, err
 		}
 	}
 
 	// Encoding pass, recording per-sub-block bit sizes and literal counts.
-	blk := &BitBlock{
-		LitLenLengths: litLengths,
-		OffLengths:    offLengths,
+	// Between flushes at most 7 leftover bits plus three codes (3×15), or a
+	// code and its extra bits (15+20), gather in acc: under 64.
+	nbytes := int((totalBits + 7) / 8)
+	if cap(sc.buf) < nbytes+wordSlack {
+		sc.buf = make([]byte, nbytes+wordSlack)
+	}
+	buf := sc.buf[:nbytes+wordSlack]
+	var acc uint64
+	var nbits uint
+	pos := 0
+	litCodes, offCodes := &sc.litCodes, &sc.offCodes
+	lit := ts.Literals
+	subBits, subLits := sc.blk.SubBits[:0], sc.blk.SubLits[:0]
+	var startBits int64
+	for base := 0; base < len(ts.Seqs); base += seqsPerSub {
+		var subLitN int32
+		for _, s := range ts.Seqs[base:min(base+seqsPerSub, len(ts.Seqs))] {
+			run := lit[:s.LitLen]
+			lit = lit[s.LitLen:]
+			subLitN += int32(s.LitLen)
+			for ; len(run) >= 3; run = run[3:] {
+				acc, nbits = putCode(acc, nbits, litCodes[run[0]])
+				acc, nbits = putCode(acc, nbits, litCodes[run[1]])
+				acc, nbits = putCode(acc, nbits, litCodes[run[2]])
+				pos, acc, nbits = flushBits(buf, pos, acc, nbits)
+			}
+			for _, b := range run {
+				acc, nbits = putCode(acc, nbits, litCodes[b])
+			}
+			pos, acc, nbits = flushBits(buf, pos, acc, nbits)
+			sym, eb, extra := LenSym(s.MatchLen)
+			acc, nbits = putCode(acc, nbits, litCodes[sym])
+			acc, nbits = acc|uint64(extra)<<nbits, nbits+eb
+			if s.MatchLen > 0 {
+				pos, acc, nbits = flushBits(buf, pos, acc, nbits)
+				osym, oeb, oextra := OffSym(s.Offset)
+				acc, nbits = putCode(acc, nbits, offCodes[osym])
+				acc, nbits = acc|uint64(oextra)<<nbits, nbits+oeb
+			}
+			pos, acc, nbits = flushBits(buf, pos, acc, nbits)
+		}
+		endBits := int64(pos)*8 + int64(nbits)
+		subBits = append(subBits, endBits-startBits)
+		subLits = append(subLits, subLitN)
+		startBits = endBits
+	}
+	if startBits != totalBits {
+		return nil, fmt.Errorf("format: internal: wrote %d bits, code lengths promise %d", startBits, totalBits)
+	}
+	sc.blk = BitBlock{
+		LitLenLengths: sc.litLenLens[:],
+		OffLengths:    sc.offLens[:],
+		SubBits:       subBits,
+		SubLits:       subLits,
+		Payload:       buf[:nbytes],
 		NumSeqs:       len(ts.Seqs),
 		SeqsPerSub:    seqsPerSub,
 	}
-	w := bitio.NewWriter(len(ts.Literals))
-	lit = ts.Literals
-	for base := 0; base < len(ts.Seqs); base += seqsPerSub {
-		end := base + seqsPerSub
-		if end > len(ts.Seqs) {
-			end = len(ts.Seqs)
-		}
-		startBits := w.BitLen()
-		var subLits int32
-		for _, s := range ts.Seqs[base:end] {
-			for _, b := range lit[:s.LitLen] {
-				litEnc.Encode(w, int(b))
-			}
-			lit = lit[s.LitLen:]
-			subLits += int32(s.LitLen)
-			sym, eb, extra := LenSym(s.MatchLen)
-			litEnc.Encode(w, sym)
-			if eb > 0 {
-				w.WriteBits(uint64(extra), eb)
-			}
-			if s.MatchLen > 0 {
-				osym, oeb, oextra := OffSym(s.Offset)
-				offEnc.Encode(w, osym)
-				if oeb > 0 {
-					w.WriteBits(uint64(oextra), oeb)
-				}
-			}
-		}
-		blk.SubBits = append(blk.SubBits, w.BitLen()-startBits)
-		blk.SubLits = append(blk.SubLits, subLits)
-	}
-	blk.Payload = w.Bytes()
-	return blk, nil
+	return &sc.blk, nil
 }
 
 // SubDecodeStats reports the work one sub-block decode performed, for the

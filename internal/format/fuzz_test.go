@@ -3,6 +3,7 @@ package format
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"gompresso/internal/datagen"
@@ -126,6 +127,66 @@ func FuzzDecodeBlock(f *testing.F) {
 			if err == nil && !bytes.Equal(buf[:b.RawLen], want) {
 				t.Fatalf("block %d: DecodeBlockInto and the oracle decode different bytes", i)
 			}
+		}
+	})
+}
+
+// FuzzEncodeBit drives the fused emitter with token streams parsed from
+// arbitrary bytes, through one EncodeScratch for the whole run, as a worker
+// reuses it: every block must come back byte for byte from DecodeBlockInto,
+// and token for token from the sub-block-at-a-time reference decoder, which
+// reads exactly the bit windows SubBits records.
+func FuzzEncodeBit(f *testing.F) {
+	for i, src := range [][]byte{
+		nil,
+		[]byte("a"),
+		datagen.WikiXML(3<<10, 1),
+		datagen.MatrixMarket(3<<10, 2),
+		datagen.Nesting(3<<10, 4, 3),
+		datagen.Zeros(2 << 10),
+		datagen.Random(1<<10, 4),
+	} {
+		f.Add(src, uint8(i), uint8(7*i))
+	}
+	sc := new(EncodeScratch)
+	f.Fuzz(func(t *testing.T, src []byte, lzBits, bitBits uint8) {
+		if len(src) > 1<<20 {
+			t.Skip("input above the fuzz bound")
+		}
+		lz := lz77.Options{DE: lz77.DEMode(lzBits % 3), MinMatch: 3 + int(lzBits>>2&1)}
+		if lzBits&8 != 0 {
+			lz.MaxMatch, lz.Window = 1<<16, 1<<20 // long matches and far offsets: the extra-bit buckets
+		}
+		ts, err := lz77.Parse(src, lz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cwl := []int{9, 10, 12, 15}[bitBits&3]
+		seqsPerSub := []int{1, 3, 16, 1000}[bitBits>>2&3]
+		bb, err := sc.EncodeBit(ts, cwl, seqsPerSub)
+		if err != nil {
+			t.Fatalf("cwl %d, %d seqs/sub: %v", cwl, seqsPerSub, err)
+		}
+		if fresh, err := EncodeBit(ts, cwl, seqsPerSub); err != nil || !bytes.Equal(fresh.Payload, bb.Payload) ||
+			!bytes.Equal(fresh.LitLenLengths, bb.LitLenLengths) || !bytes.Equal(fresh.OffLengths, bb.OffLengths) {
+			t.Fatalf("reused scratch and fresh scratch disagree (err %v)", err)
+		}
+		back, err := bb.DecodeBit(len(src))
+		if err != nil {
+			t.Fatalf("reference decode: %v", err)
+		}
+		if !bytes.Equal(back.Literals, ts.Literals) || !slices.Equal(back.Seqs, ts.Seqs) {
+			t.Fatal("reference decode returned different tokens")
+		}
+		h := FileHeader{Variant: VariantBit, CWL: uint8(cwl), SeqsPerSub: uint16(seqsPerSub)}
+		blk := Block{RawLen: len(src), NumSeqs: bb.NumSeqs, Payload: bb.Payload,
+			LitLenLengths: bb.LitLenLengths, OffLengths: bb.OffLengths, SubBits: bb.SubBits, SubLits: bb.SubLits}
+		dst := make([]byte, len(src))
+		if err := h.DecodeBlockInto(dst, &blk, nil); err != nil {
+			t.Fatalf("DecodeBlockInto: %v", err)
+		}
+		if !bytes.Equal(dst, src) {
+			t.Fatal("DecodeBlockInto returned different bytes")
 		}
 	})
 }

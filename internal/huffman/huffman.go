@@ -15,9 +15,12 @@
 package huffman
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"sync"
 )
 
 // MaxCodeLen is the largest supported codeword length. Serialization packs
@@ -41,91 +44,117 @@ var (
 // length 0 (no code). maxLen must be in [1, MaxCodeLen] and large enough for
 // the number of used symbols (2^maxLen ≥ used).
 func BuildLengths(freqs []int64, maxLen int) ([]uint8, error) {
+	lengths := make([]uint8, len(freqs))
+	if err := BuildLengthsInto(lengths, freqs, maxLen); err != nil {
+		return nil, err
+	}
+	return lengths, nil
+}
+
+type leaf struct {
+	sym  int
+	freq int64
+}
+
+// mergeScratch is package-merge's working storage, pooled so that a block
+// encoder building two trees per block allocates nothing for them.
+type mergeScratch struct {
+	leaves  []leaf  // used symbols by (freq, sym)
+	weights []int64 // two lists of item weights: the level below, this level
+	isLeaf  []uint8 // per level, per item of its list: 1 leaf, 0 package
+}
+
+var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
+
+// BuildLengthsInto is BuildLengths into caller storage: lengths must be as
+// long as freqs.
+func BuildLengthsInto(lengths []uint8, freqs []int64, maxLen int) error {
 	if maxLen < 1 || maxLen > MaxCodeLen {
-		return nil, fmt.Errorf("huffman: maxLen %d out of range", maxLen)
+		return fmt.Errorf("huffman: maxLen %d out of range", maxLen)
 	}
-	type leaf struct {
-		sym  int
-		freq int64
+	if len(lengths) != len(freqs) {
+		return fmt.Errorf("huffman: %d lengths for %d frequencies", len(lengths), len(freqs))
 	}
-	var leaves []leaf
+	sc := mergePool.Get().(*mergeScratch)
+	defer mergePool.Put(sc)
+	leaves := sc.leaves[:0]
 	for s, f := range freqs {
 		if f < 0 {
-			return nil, fmt.Errorf("huffman: negative frequency for symbol %d", s)
+			return fmt.Errorf("huffman: negative frequency for symbol %d", s)
 		}
 		if f > 0 {
 			leaves = append(leaves, leaf{s, f})
 		}
 	}
-	lengths := make([]uint8, len(freqs))
-	switch len(leaves) {
-	case 0:
-		return nil, ErrEmptyAlphabet
-	case 1:
+	sc.leaves = leaves
+	clear(lengths)
+	n := len(leaves)
+	switch {
+	case n == 0:
+		return ErrEmptyAlphabet
+	case n == 1:
 		// A single symbol still needs one bit on the wire so the decoder can
 		// count symbols.
 		lengths[leaves[0].sym] = 1
-		return lengths, nil
+		return nil
+	case n > 1<<maxLen:
+		return fmt.Errorf("huffman: %d symbols cannot fit in %d-bit codes", n, maxLen)
 	}
-	if len(leaves) > 1<<maxLen {
-		return nil, fmt.Errorf("huffman: %d symbols cannot fit in %d-bit codes", len(leaves), maxLen)
-	}
-	sort.Slice(leaves, func(i, j int) bool {
-		if leaves[i].freq != leaves[j].freq {
-			return leaves[i].freq < leaves[j].freq
+	slices.SortFunc(leaves, func(a, b leaf) int {
+		if c := cmp.Compare(a.freq, b.freq); c != 0 {
+			return c
 		}
-		return leaves[i].sym < leaves[j].sym
+		return a.sym - b.sym
 	})
 
-	// Package-merge. Each item is a weight plus the multiset of leaves it
-	// covers; a leaf's final code length is the number of times it appears in
-	// the first 2n-2 items of the level-1 list.
-	type item struct {
-		weight int64
-		leaves []int32 // indices into the sorted leaves slice
-	}
-	makeLeafItems := func() []item {
-		out := make([]item, len(leaves))
-		for i, lf := range leaves {
-			out[i] = item{weight: lf.freq, leaves: []int32{int32(i)}}
-		}
-		return out
-	}
-	var prev []item
+	// Package-merge. A level's list is the sorted leaves merged with the
+	// packages (consecutive pairs) of the level below, by weight, leaves first
+	// on ties, which keeps shorter codes on earlier symbols; a leaf's code
+	// length is the number of times it occurs, packages expanded, in the first
+	// 2n-2 items of the top list. Both inputs are sorted, so the leaves in any
+	// prefix of a list are a prefix of the leaves: recording which items are
+	// leaves is enough to count occurrences top-down, and no item needs the
+	// multiset of leaves under it. Lists stay shorter than 2n.
+	stride := 2 * n
+	sc.weights = slices.Grow(sc.weights[:0], 2*stride)[:2*stride]
+	sc.isLeaf = slices.Grow(sc.isLeaf[:0], maxLen*stride)[:maxLen*stride]
+	below, cur := sc.weights[:0:stride], sc.weights[stride:stride]
 	for level := 0; level < maxLen; level++ {
-		// Package pairs from the previous (deeper) level.
-		var packages []item
-		for i := 0; i+1 < len(prev); i += 2 {
-			merged := item{
-				weight: prev[i].weight + prev[i+1].weight,
-				leaves: append(append([]int32{}, prev[i].leaves...), prev[i+1].leaves...),
+		isLeaf := sc.isLeaf[level*stride : (level+1)*stride]
+		cur = cur[:0]
+		for li, pi := 0, 0; li < n || pi+1 < len(below); {
+			if pi+1 >= len(below) || (li < n && leaves[li].freq <= below[pi]+below[pi+1]) {
+				isLeaf[len(cur)] = 1
+				cur = append(cur, leaves[li].freq)
+				li++
+			} else {
+				isLeaf[len(cur)] = 0
+				cur = append(cur, below[pi]+below[pi+1])
+				pi += 2
 			}
-			packages = append(packages, merged)
 		}
-		// Merge leaves and packages, sorted by weight (stable: leaves first on
-		// ties, which keeps shorter codes on earlier symbols).
-		cur := makeLeafItems()
-		cur = append(cur, packages...)
-		sort.SliceStable(cur, func(i, j int) bool { return cur[i].weight < cur[j].weight })
-		prev = cur
+		below, cur = cur, below
 	}
-	take := 2*len(leaves) - 2
-	if take > len(prev) {
-		return nil, fmt.Errorf("huffman: internal: package-merge produced %d items, need %d", len(prev), take)
+	take := 2*n - 2
+	if take > len(below) {
+		return fmt.Errorf("huffman: internal: package-merge produced %d items, need %d", len(below), take)
 	}
-	counts := make([]int, len(leaves))
-	for _, it := range prev[:take] {
-		for _, li := range it.leaves {
-			counts[li]++
+	for level := maxLen - 1; level >= 0 && take > 0; level-- {
+		k := 0
+		for _, f := range sc.isLeaf[level*stride:][:take] {
+			k += int(f)
+		}
+		for _, lf := range leaves[:k] {
+			lengths[lf.sym]++
+		}
+		take = 2 * (take - k) // the packages among them, as items of the level below
+	}
+	for _, lf := range leaves {
+		if l := lengths[lf.sym]; l < 1 || int(l) > maxLen {
+			return fmt.Errorf("huffman: internal: symbol %d got length %d", lf.sym, l)
 		}
 	}
-	for i, lf := range leaves {
-		if counts[i] < 1 || counts[i] > maxLen {
-			return nil, fmt.Errorf("huffman: internal: symbol %d got length %d", lf.sym, counts[i])
-		}
-		lengths[lf.sym] = uint8(counts[i])
-	}
-	return lengths, nil
+	return nil
 }
 
 // ValidateLengths checks that a code-length array describes a complete or
@@ -160,25 +189,24 @@ func ValidateLengths(lengths []uint8, maxLen int) error {
 
 // Code is a canonical Huffman codeword prepared for an LSB-first bitstream:
 // Bits holds the bit-reversed codeword so it can be written directly with
-// bitio.Writer.WriteBits.
+// bitio.Writer.WriteBits. A zero Len means the symbol is not part of the
+// tree.
 type Code struct {
 	Bits uint16
 	Len  uint8
 }
 
-// reverseBits reverses the low n bits of v.
-func reverseBits(v uint16, n uint8) uint16 {
-	var r uint16
-	for i := uint8(0); i < n; i++ {
-		r = r<<1 | (v & 1)
-		v >>= 1
-	}
-	return r
-}
+// reverseBits reverses the low n ≥ 1 bits of v.
+func reverseBits(v uint16, n uint8) uint16 { return bits.Reverse16(v) >> (16 - n) }
 
 // CanonicalCodes assigns canonical codes (increasing by length, then symbol)
 // for a code-length array and returns them pre-reversed for LSB-first output.
 func CanonicalCodes(lengths []uint8, maxLen int) ([]Code, error) {
+	return FillCodes(nil, lengths, maxLen)
+}
+
+// FillCodes is CanonicalCodes reusing codes' storage when it is large enough.
+func FillCodes(codes []Code, lengths []uint8, maxLen int) ([]Code, error) {
 	if err := ValidateLengths(lengths, maxLen); err != nil {
 		return nil, err
 	}
@@ -195,7 +223,11 @@ func CanonicalCodes(lengths []uint8, maxLen int) ([]Code, error) {
 		code = (code + uint32(lenCount[l-1])) << 1
 		nextCode[l] = code
 	}
-	codes := make([]Code, len(lengths))
+	if cap(codes) < len(lengths) {
+		codes = make([]Code, len(lengths))
+	}
+	codes = codes[:len(lengths)]
+	clear(codes)
 	for s, l := range lengths {
 		if l == 0 {
 			continue
@@ -208,48 +240,4 @@ func CanonicalCodes(lengths []uint8, maxLen int) ([]Code, error) {
 		codes[s] = Code{Bits: reverseBits(uint16(c), l), Len: l}
 	}
 	return codes, nil
-}
-
-// Encoder holds the per-symbol codes of one canonical tree.
-type Encoder struct {
-	codes []Code
-}
-
-// NewEncoder builds an Encoder from frequencies, limiting codes to maxLen.
-func NewEncoder(freqs []int64, maxLen int) (*Encoder, []uint8, error) {
-	lengths, err := BuildLengths(freqs, maxLen)
-	if err != nil {
-		return nil, nil, err
-	}
-	enc, err := NewEncoderFromLengths(lengths, maxLen)
-	return enc, lengths, err
-}
-
-// NewEncoderFromLengths builds an Encoder from an existing code-length array.
-func NewEncoderFromLengths(lengths []uint8, maxLen int) (*Encoder, error) {
-	codes, err := CanonicalCodes(lengths, maxLen)
-	if err != nil {
-		return nil, err
-	}
-	return &Encoder{codes: codes}, nil
-}
-
-// Code returns the prepared code for symbol s. A zero-length code means the
-// symbol is not part of the tree.
-func (e *Encoder) Code(s int) Code { return e.codes[s] }
-
-// BitWriter is the subset of bitio.Writer the encoder needs; declared here to
-// avoid an import cycle in tests that stub it.
-type BitWriter interface {
-	WriteBits(v uint64, n uint)
-}
-
-// Encode writes symbol s to w. It panics if s has no code, which indicates a
-// histogram/encoder mismatch — a programming error, not an input error.
-func (e *Encoder) Encode(w BitWriter, s int) {
-	c := e.codes[s]
-	if c.Len == 0 {
-		panic(fmt.Sprintf("huffman: encoding symbol %d with no code", s))
-	}
-	w.WriteBits(uint64(c.Bits), uint(c.Len))
 }

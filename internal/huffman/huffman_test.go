@@ -1,13 +1,35 @@
 package huffman
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"gompresso/internal/bitio"
 )
+
+// testEncoder writes symbols with a tree's canonical codes, the way
+// format.EncodeBit does.
+type testEncoder []Code
+
+func newTestEncoder(freqs []int64, maxLen int) (testEncoder, []uint8, error) {
+	lengths, err := BuildLengths(freqs, maxLen)
+	if err != nil {
+		return nil, nil, err
+	}
+	codes, err := CanonicalCodes(lengths, maxLen)
+	return codes, lengths, err
+}
+
+func (e testEncoder) Encode(w *bitio.Writer, s int) {
+	if e[s].Len == 0 {
+		panic("encoding a symbol with no code")
+	}
+	w.WriteBits(uint64(e[s].Bits), uint(e[s].Len))
+}
 
 func kraftSum(lengths []uint8) float64 {
 	s := 0.0
@@ -80,7 +102,7 @@ func TestSingleSymbol(t *testing.T) {
 	if lengths[7] != 1 {
 		t.Fatalf("single symbol should get length 1, got %d", lengths[7])
 	}
-	enc, err := NewEncoderFromLengths(lengths, 10)
+	codes, err := CanonicalCodes(lengths, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +112,7 @@ func TestSingleSymbol(t *testing.T) {
 	}
 	w := bitio.NewWriter(8)
 	for i := 0; i < 5; i++ {
-		enc.Encode(w, 7)
+		testEncoder(codes).Encode(w, 7)
 	}
 	r := bitio.NewReaderBits(w.Bytes(), w.BitLen())
 	for i := 0; i < 5; i++ {
@@ -114,7 +136,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		freqs[i] = int64(rng.Intn(1000))
 	}
 	freqs[0] = 100000 // a very frequent symbol
-	enc, lengths, err := NewEncoder(freqs, DefaultCWL)
+	enc, lengths, err := newTestEncoder(freqs, DefaultCWL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +236,7 @@ func TestQuickRoundtrip(t *testing.T) {
 		if used < 2 {
 			freqs[0], freqs[n-1] = 5, 9
 		}
-		enc, lengths, err := NewEncoder(freqs, maxLen)
+		enc, lengths, err := newTestEncoder(freqs, maxLen)
 		if err != nil {
 			return false
 		}
@@ -278,6 +300,103 @@ func TestQuickOptimalCost(t *testing.T) {
 	}
 }
 
+// buildLengthsOracle is package-merge as this package first shipped it: every
+// item carries the multiset of leaves under it. Emitted containers store the
+// lengths, so BuildLengths must reproduce these exactly — ties included — not
+// merely match their cost.
+func buildLengthsOracle(freqs []int64, maxLen int) []uint8 {
+	type leaf struct {
+		sym  int
+		freq int64
+	}
+	var leaves []leaf
+	for s, f := range freqs {
+		if f > 0 {
+			leaves = append(leaves, leaf{s, f})
+		}
+	}
+	lengths := make([]uint8, len(freqs))
+	if len(leaves) == 1 {
+		lengths[leaves[0].sym] = 1
+		return lengths
+	}
+	sort.Slice(leaves, func(i, j int) bool {
+		if leaves[i].freq != leaves[j].freq {
+			return leaves[i].freq < leaves[j].freq
+		}
+		return leaves[i].sym < leaves[j].sym
+	})
+	type item struct {
+		weight int64
+		leaves []int32
+	}
+	var prev []item
+	for level := 0; level < maxLen; level++ {
+		cur := make([]item, len(leaves))
+		for i, lf := range leaves {
+			cur[i] = item{weight: lf.freq, leaves: []int32{int32(i)}}
+		}
+		for i := 0; i+1 < len(prev); i += 2 {
+			cur = append(cur, item{
+				weight: prev[i].weight + prev[i+1].weight,
+				leaves: append(append([]int32{}, prev[i].leaves...), prev[i+1].leaves...),
+			})
+		}
+		sort.SliceStable(cur, func(i, j int) bool { return cur[i].weight < cur[j].weight })
+		prev = cur
+	}
+	for _, it := range prev[:2*len(leaves)-2] {
+		for _, li := range it.leaves {
+			lengths[leaves[li].sym]++
+		}
+	}
+	return lengths
+}
+
+func TestBuildLengthsMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(300)
+		maxLen := 1 + rng.Intn(MaxCodeLen)
+		freqs := make([]int64, n)
+		span := []int{2, 7, 1000, 1 << 30}[trial%4] // small spans force ties
+		used := 0
+		for i := range freqs {
+			if rng.Intn(4) > 0 {
+				freqs[i] = int64(1 + rng.Intn(span))
+				used++
+			}
+		}
+		if used == 0 || used > 1<<maxLen {
+			continue
+		}
+		got, err := BuildLengths(freqs, maxLen)
+		if err != nil {
+			t.Fatalf("trial %d (n %d, maxLen %d): %v", trial, n, maxLen, err)
+		}
+		if want := buildLengthsOracle(freqs, maxLen); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d (n %d, maxLen %d):\n got %v\nwant %v", trial, n, maxLen, got, want)
+		}
+	}
+}
+
+// One allocation — the returned lengths — once the pooled scratch is warm.
+func TestBuildLengthsAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	freqs := make([]int64, 278)
+	for i := range freqs {
+		freqs[i] = int64(rng.Intn(5000))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := BuildLengths(freqs, DefaultCWL); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("BuildLengths made %v allocations, want ≤ 2", allocs)
+	}
+}
+
 // huffmanCostRef computes the optimal (unlimited) Huffman total cost with a
 // simple O(n^2) pairing, as an independent oracle.
 func huffmanCostRef(freqs []int64) int64 {
@@ -324,6 +443,7 @@ func BenchmarkBuildLengths256(b *testing.B) {
 	for i := range freqs {
 		freqs[i] = int64(rng.Intn(100000))
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildLengths(freqs, DefaultCWL); err != nil {
 			b.Fatal(err)
@@ -337,7 +457,7 @@ func BenchmarkDecode(b *testing.B) {
 	for i := range freqs {
 		freqs[i] = int64(1 + rng.Intn(1000))
 	}
-	enc, lengths, err := NewEncoder(freqs, DefaultCWL)
+	enc, lengths, err := newTestEncoder(freqs, DefaultCWL)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -334,6 +334,7 @@ func BenchmarkParseSingleHash(b *testing.B) {
 func benchParse(b *testing.B, opts Options) {
 	src := []byte(strings.Repeat("the quick brown fox jumps over the lazy dog. ", 3000))
 	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Parse(src, opts); err != nil {
 			b.Fatal(err)

@@ -5,38 +5,24 @@ import (
 	"math/bits"
 )
 
-// A matcher finds the longest match for the bytes at src[pos:] whose source
-// interval lies within [pos-window, srcEndLimit). srcEndLimit is the key DE
-// hook: the normal parse passes the block length (matches may even overlap
-// their own output, which the reference and MRR decoders both handle), while
-// the DE parse passes the warp high-water mark so the match is fully
-// available before the group's back-reference phase (paper Fig. 7,
-// find_match_below_hwm).
-type matcher interface {
-	// insert registers position pos in the dictionary.
-	insert(src []byte, pos int)
-	// find returns the best match (offset, length) for src[pos:], with
-	// length ≤ maxLen and the source interval ending at or before
-	// srcEndLimit. length 0 means no acceptable match.
-	find(src []byte, pos, srcEndLimit, maxLen int) (offset, length int)
+// A hasher hashes the MinMatch (3 or 4) bytes at the low end of a
+// little-endian word: Fibonacci hashing, the three-byte form shifting the
+// fourth byte out first.
+type hasher struct {
+	shift uint
+	mul   uint32
 }
 
-func hash4(v uint32, bits uint) uint32 {
-	// Fibonacci hashing on the next four bytes.
-	return (v * 2654435761) >> (32 - bits)
+func newHasher(minMatch int) hasher {
+	if minMatch >= 4 {
+		return hasher{0, 2654435761}
+	}
+	return hasher{8, 506832829}
 }
 
-func hash3(v uint32, bits uint) uint32 {
-	return ((v << 8) * 506832829) >> (32 - bits)
-}
+func (h hasher) hash(v uint32, bits uint) uint32 { return ((v << h.shift) * h.mul) >> (32 - bits) }
 
-func load32(src []byte, pos int) uint32 {
-	return uint32(src[pos]) | uint32(src[pos+1])<<8 | uint32(src[pos+2])<<16 | uint32(src[pos+3])<<24
-}
-
-func load24(src []byte, pos int) uint32 {
-	return uint32(src[pos]) | uint32(src[pos+1])<<8 | uint32(src[pos+2])<<16
-}
+func load32(src []byte, pos int) uint32 { return binary.LittleEndian.Uint32(src[pos:]) }
 
 // matchLen counts equal bytes between src[a:] and src[b:], up to max, and
 // not past len(src). a < b; reading src[a+i] for i < max requires only that
@@ -64,87 +50,6 @@ func matchLen(src []byte, a, b, max int) int {
 	return n
 }
 
-// chainMatcher is a zlib-style head/prev hash-chain matcher: best ratio,
-// used by the default Gompresso compressor.
-type chainMatcher struct {
-	opts     Options
-	hashBits uint
-	head     []int32
-	prev     []int32
-	minPos   func([]byte, int) uint32
-}
-
-func newChainMatcher(opts Options, srcLen int) *chainMatcher {
-	m := &chainMatcher{opts: opts, hashBits: 15}
-	m.head = make([]int32, 1<<m.hashBits)
-	for i := range m.head {
-		m.head[i] = -1
-	}
-	m.prev = make([]int32, srcLen)
-	return m
-}
-
-func (m *chainMatcher) hash(src []byte, pos int) uint32 {
-	if m.opts.MinMatch >= 4 {
-		return hash4(load32(src, pos), m.hashBits)
-	}
-	return hash3(load24(src, pos), m.hashBits)
-}
-
-func (m *chainMatcher) insert(src []byte, pos int) {
-	if pos+m.opts.MinMatch > len(src) || pos+4 > len(src) {
-		return
-	}
-	h := m.hash(src, pos)
-	m.prev[pos] = m.head[h]
-	m.head[h] = int32(pos)
-}
-
-func (m *chainMatcher) find(src []byte, pos, srcEndLimit, maxLen int) (int, int) {
-	if pos+m.opts.MinMatch > len(src) || pos+4 > len(src) {
-		return 0, 0
-	}
-	if maxLen > len(src)-pos {
-		maxLen = len(src) - pos
-	}
-	if maxLen < m.opts.MinMatch {
-		return 0, 0
-	}
-	lo := pos - m.opts.Window
-	if lo < 0 {
-		lo = 0
-	}
-	bestLen, bestOff := 0, 0
-	cand := m.head[m.hash(src, pos)]
-	// Candidates above the source-end limit (recent positions the DE rule
-	// forbids) do not count against the chain depth — this plays the role of
-	// the paper's match-finder modification for find_match_below_hwm, which
-	// otherwise starves on recent entries. A hard traversal cap bounds the
-	// walk on degenerate chains.
-	depth := 0
-	for walked := 0; depth < m.opts.MaxChain && walked < 16*m.opts.MaxChain && cand >= 0; walked++ {
-		c := int(cand)
-		if c < lo {
-			break // chains are position-ordered; older entries only get older
-		}
-		// Cap the length so the source interval ends within the limit.
-		max := maxLen
-		if c+max > srcEndLimit {
-			max = srcEndLimit - c
-		}
-		if max >= m.opts.MinMatch {
-			depth++
-			if max > bestLen {
-				if l := matchLen(src, c, pos, max); l >= m.opts.MinMatch && l > bestLen {
-					bestLen, bestOff = l, pos-c
-				}
-			}
-		}
-		cand = m.prev[c]
-	}
-	return bestOff, bestLen
-}
-
 // singleMatcher is the LZ4-style single-entry hash table with the paper's
 // "minimal staleness" replacement policy (§IV-B): an entry is replaced by a
 // more recent occurrence only once it is more than Staleness bytes behind the
@@ -152,12 +57,13 @@ func (m *chainMatcher) find(src []byte, pos, srcEndLimit, maxLen int) (int, int)
 // high-water mark, which is what lets the DE parse keep finding matches.
 type singleMatcher struct {
 	opts     Options
+	hasher   hasher
 	hashBits uint
 	table    []int32
 }
 
 func newSingleMatcher(opts Options) *singleMatcher {
-	m := &singleMatcher{opts: opts, hashBits: 14}
+	m := &singleMatcher{opts: opts, hasher: newHasher(opts.MinMatch), hashBits: 14}
 	m.table = make([]int32, 1<<m.hashBits)
 	for i := range m.table {
 		m.table[i] = -1
@@ -166,10 +72,7 @@ func newSingleMatcher(opts Options) *singleMatcher {
 }
 
 func (m *singleMatcher) hash(src []byte, pos int) uint32 {
-	if m.opts.MinMatch >= 4 {
-		return hash4(load32(src, pos), m.hashBits)
-	}
-	return hash3(load24(src, pos), m.hashBits)
+	return m.hasher.hash(load32(src, pos), m.hashBits)
 }
 
 func (m *singleMatcher) insert(src []byte, pos int) {
@@ -213,11 +116,4 @@ func (m *singleMatcher) find(src []byte, pos, srcEndLimit, maxLen int) (int, int
 		return 0, 0
 	}
 	return pos - c, l
-}
-
-func newMatcher(opts Options, srcLen int) matcher {
-	if opts.Staleness > 0 {
-		return newSingleMatcher(opts)
-	}
-	return newChainMatcher(opts, srcLen)
 }

@@ -5,6 +5,8 @@
 #
 #   ./scripts/loc.sh                  # every package, then the total
 #   ./scripts/loc.sh . internal/core  # only the named package directories
+#   ./scripts/loc.sh . internal/core internal/format internal/lz77 internal/huffman
+#                                     # the codec: what an encoder or decoder PR nets
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -62,7 +62,6 @@ type Writer struct {
 	// Parallel pipeline, nil until the first block completes:
 	ord     *parallel.Ordered[writeResult]
 	free    chan []byte   // recycled raw block buffers
-	recs    sync.Pool     // recycled record buffers
 	drained chan struct{} // drain goroutine exited
 	failed  chan struct{} // closed by drain after setting derr
 	derr    error         // drain-side error; read after failed or drained
@@ -93,6 +92,13 @@ type writeResult struct {
 }
 
 var errWriterClosed = errors.New("gompresso: writer closed")
+
+// recPool recycles encoded-record buffers across every Writer's parallel
+// pipeline. It is deliberately not a field of Writer: the runtime's pool
+// registry references each sync.Pool it has seen for two collection cycles,
+// and a Pool embedded in a Writer would keep the whole closed Writer — spool,
+// block buffers and all — reachable that long.
+var recPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func newWriter(ctx context.Context, w io.Writer, opt core.Options, pipe core.Pipeline) *Writer {
 	wr := &Writer{dst: w, opt: opt, pipe: pipe, ctx: ctx, begin: time.Now()}
@@ -249,7 +255,6 @@ func (w *Writer) ensurePipeline() {
 	for i := 0; i < ra; i++ {
 		w.free <- nil // grown to BlockSize on first use
 	}
-	w.recs.New = func() any { return new([]byte) }
 	w.drained = make(chan struct{})
 	w.failed = make(chan struct{})
 	if w.ctx.Done() != nil {
@@ -273,7 +278,7 @@ func (w *Writer) encode(raw []byte) writeResult {
 	if err := w.ctx.Err(); err != nil {
 		res.err = err
 	} else {
-		rp := w.recs.Get().(*[]byte)
+		rp := recPool.Get().(*[]byte)
 		rec, bs, err := core.EncodeBlockRecord((*rp)[:0], raw, w.opt)
 		*rp = rec
 		res.rec, res.bs, res.err = rec, bs, err
@@ -306,7 +311,7 @@ func (w *Writer) drain() {
 		}
 		if res.rec != nil {
 			rec := res.rec
-			w.recs.Put(&rec)
+			recPool.Put(&rec)
 		}
 	}
 }
@@ -402,6 +407,11 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	w.closeErr = w.finalize()
+	// A closed Writer only answers Stats: drop the block buffers and the
+	// spool so a caller holding on to it does not hold on to them. No encode
+	// task can still reach them — finalize returned after the drain goroutine
+	// consumed every task's result.
+	w.cur, w.rec, w.free, w.spool = nil, nil, nil, bytes.Buffer{}
 	if w.err == nil && w.closeErr != nil {
 		w.err = w.closeErr
 	}

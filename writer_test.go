@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -479,5 +480,46 @@ func TestWriterIndexTrailerSeek(t *testing.T) {
 	}
 	if !bytes.Equal(got, src[123_456:133_456]) {
 		t.Fatal("post-seek bytes differ")
+	}
+}
+
+// A closed Writer must be garbage at once. Its record-buffer pool used to be
+// a field of the Writer, and the runtime's registry of pools kept every
+// closed Writer — spool, block buffers and all — reachable for two collection
+// cycles, so an encode loop carried a dozen dead Writers at each mark. With
+// the collector held off during the cycles and run once after them, the heap
+// must come back to where it started however many Writers there were.
+func TestWriterClosedIsNotRetained(t *testing.T) {
+	c, err := gompresso.New(gompresso.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := datagen.WikiXML(1<<20, 3)
+	cycles := func(n int) int64 {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			w := c.NewWriter(io.Discard)
+			if _, err := w.Write(raw); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	cycles(2) // fill the pools
+	// A retained Writer held 2 MiB — spool and block buffers; what legitimately
+	// stays behind is what the scratch pools hold, under 2 MiB in all.
+	const bound = 4 << 20
+	for _, n := range []int{8, 32} {
+		if grew := cycles(n); grew > bound {
+			t.Errorf("%d open/write/close cycles left %d KiB of heap behind, want ≤ %d KiB", n, grew>>10, bound>>10)
+		}
 	}
 }
