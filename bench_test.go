@@ -13,6 +13,7 @@ import (
 
 	"gompresso"
 	"gompresso/internal/baseline"
+	"gompresso/internal/core"
 	"gompresso/internal/datagen"
 	"gompresso/internal/figures"
 	"gompresso/internal/lz77"
@@ -67,22 +68,20 @@ func compressFor(b *testing.B, data []byte, variant gompresso.Variant, de gompre
 	if v, ok := compCache.Load(k); ok {
 		return v.([]byte)
 	}
-	comp, _, err := gompresso.Compress(data, gompresso.Options{Variant: variant, DE: de})
-	if err != nil {
-		b.Fatal(err)
-	}
+	comp := compress(b, data, gompresso.WithVariant(variant), gompresso.WithDE(de))
 	compCache.Store(k, comp)
 	return comp
 }
 
 // benchDevice times simulated-device decompression and reports the modeled
-// throughput.
+// throughput. It calls internal/core for TileTo, which keeps the modelled
+// device as full as the paper's 1 GB inputs do and is not a Codec option.
 func benchDevice(b *testing.B, comp []byte, raw []byte, strat gompresso.Strategy, pcie gompresso.PCIeMode) {
 	b.Helper()
 	b.SetBytes(int64(len(raw)))
 	var sim float64
 	for i := 0; i < b.N; i++ {
-		out, ds, err := gompresso.Decompress(comp, gompresso.DecompressOptions{
+		out, ds, err := core.Decompress(comp, core.DecompressOptions{
 			Engine: gompresso.EngineDevice, Strategy: strat, PCIe: pcie, TileTo: 1 << 30,
 		})
 		if err != nil {
@@ -126,12 +125,11 @@ func BenchmarkFig09a_Matrix_DE(b *testing.B) {
 func BenchmarkFig09b_Rounds(b *testing.B) {
 	w, _ := corpora()
 	comp := compressFor(b, w, gompresso.VariantByte, gompresso.DEOff)
+	codec := newCodec(b, gompresso.WithEngine(gompresso.EngineDevice), gompresso.WithStrategy(gompresso.MRR))
 	b.SetBytes(int64(len(w)))
 	var rounds float64
 	for i := 0; i < b.N; i++ {
-		_, ds, err := gompresso.Decompress(comp, gompresso.DecompressOptions{
-			Engine: gompresso.EngineDevice, Strategy: gompresso.MRR,
-		})
+		_, ds, err := codec.Decompress(comp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,12 +144,7 @@ func BenchmarkFig09c_Depth32(b *testing.B) { benchNesting(b, 1) }
 
 func benchNesting(b *testing.B, families int) {
 	data := datagen.Nesting(benchSize, families, 7)
-	comp, _, err := gompresso.Compress(data, gompresso.Options{
-		Variant: gompresso.VariantByte, DE: gompresso.DEOff, Window: datagen.NestingWindow,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	comp := compress(b, data, byteVariant, gompresso.WithDE(gompresso.DEOff), gompresso.WithWindow(datagen.NestingWindow))
 	benchDevice(b, comp, data, gompresso.MRR, gompresso.PCIeNone)
 }
 
@@ -179,12 +172,7 @@ func BenchmarkFig12_Block256KB(b *testing.B) { benchFig12(b, 256<<10) }
 
 func benchFig12(b *testing.B, blockSize int) {
 	w, _ := corpora()
-	comp, _, err := gompresso.Compress(w, gompresso.Options{
-		Variant: gompresso.VariantBit, DE: gompresso.DEStrict, BlockSize: blockSize,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	comp := compress(b, w, gompresso.WithDE(gompresso.DEStrict), gompresso.WithBlockSize(blockSize))
 	benchDevice(b, comp, w, gompresso.DE, gompresso.PCIeInOut)
 }
 
@@ -236,11 +224,10 @@ func BenchmarkFig14_Energy(b *testing.B) {
 func BenchmarkHostEngine_Bit(b *testing.B) {
 	w, _ := corpora()
 	comp := compressFor(b, w, gompresso.VariantBit, gompresso.DEStrict)
+	codec := newCodec(b, gompresso.WithEngine(gompresso.EngineHost))
 	b.SetBytes(int64(len(w)))
 	for i := 0; i < b.N; i++ {
-		if _, _, err := gompresso.Decompress(comp, gompresso.DecompressOptions{
-			Engine: gompresso.EngineHost,
-		}); err != nil {
+		if _, _, err := codec.Decompress(comp); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -250,23 +237,23 @@ func BenchmarkHostEngine_Bit(b *testing.B) {
 func BenchmarkHostEngine_Byte(b *testing.B) {
 	w, _ := corpora()
 	comp := compressFor(b, w, gompresso.VariantByte, gompresso.DEStrict)
+	codec := newCodec(b, gompresso.WithEngine(gompresso.EngineHost))
 	b.SetBytes(int64(len(w)))
 	for i := 0; i < b.N; i++ {
-		if _, _, err := gompresso.Decompress(comp, gompresso.DecompressOptions{
-			Engine: gompresso.EngineHost,
-		}); err != nil {
+		if _, _, err := codec.Decompress(comp); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// Streaming decompression through gompresso.NewReader.
+// Streaming decompression through Codec.NewReader at the default budget.
 func BenchmarkStreamReader_Bit(b *testing.B) {
 	w, _ := corpora()
 	comp := compressFor(b, w, gompresso.VariantBit, gompresso.DEStrict)
+	codec := newCodec(b)
 	b.SetBytes(int64(len(w)))
 	for i := 0; i < b.N; i++ {
-		r, err := gompresso.NewReader(bytes.NewReader(comp))
+		r, err := codec.NewReader(bytes.NewReader(comp))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -284,9 +271,10 @@ func BenchmarkStreamReader_Bit(b *testing.B) {
 func benchStreamWorkers(b *testing.B, workers int) {
 	w, _ := corpora()
 	comp := compressFor(b, w, gompresso.VariantBit, gompresso.DEStrict)
+	codec := newCodec(b, gompresso.WithWorkers(workers))
 	b.SetBytes(int64(len(w)))
 	for i := 0; i < b.N; i++ {
-		r, err := gompresso.NewReaderWith(bytes.NewReader(comp), gompresso.ReaderOptions{Workers: workers})
+		r, err := codec.NewReader(bytes.NewReader(comp))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -308,7 +296,7 @@ func BenchmarkStreamReader_Bit_WMax(b *testing.B) {
 func BenchmarkReaderAt_Bit(b *testing.B) {
 	w, _ := corpora()
 	comp := compressFor(b, w, gompresso.VariantBit, gompresso.DEStrict)
-	ra, err := gompresso.NewReaderAt(bytes.NewReader(comp), int64(len(comp)))
+	ra, err := newCodec(b).NewReaderAt(bytes.NewReader(comp), int64(len(comp)))
 	if err != nil {
 		b.Fatal(err)
 	}

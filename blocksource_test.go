@@ -30,10 +30,7 @@ func blockFixtures(t *testing.T) []blockFixture {
 	const blockSize = 16 << 10
 	raw := datagen.WikiXML(1<<20, 1234)
 	native := func(name string, variant gompresso.Variant, index bool) blockFixture {
-		comp, _, err := gompresso.Compress(raw, gompresso.Options{Variant: variant, BlockSize: blockSize, Index: index})
-		if err != nil {
-			t.Fatal(err)
-		}
+		comp := compress(t, raw, gompresso.WithVariant(variant), gompresso.WithBlockSize(blockSize), gompresso.WithIndex(index))
 		return blockFixture{
 			name: name, comp: comp, raw: raw,
 			open: func(t *testing.T, c *gompresso.Codec, src io.ReaderAt) *gompresso.ReaderAt {
@@ -262,12 +259,9 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 func TestReaderAtEagerEOFSource(t *testing.T) {
 	raw := datagen.WikiXML(200<<10, 77)
 	for _, index := range []bool{true, false} {
-		comp, _, err := gompresso.Compress(raw, gompresso.Options{Variant: gompresso.VariantBit, BlockSize: 16 << 10, Index: index})
-		if err != nil {
-			t.Fatal(err)
-		}
+		comp := compress(t, raw, gompresso.WithBlockSize(16<<10), gompresso.WithIndex(index))
 		src := &countingReaderAt{ReaderAt: eagerEOF{comp}}
-		ra, err := gompresso.NewReaderAt(src, int64(len(comp)))
+		ra, err := newCodec(t).NewReaderAt(src, int64(len(comp)))
 		if err != nil {
 			t.Fatalf("index=%v: NewReaderAt: %v", index, err)
 		}

@@ -70,11 +70,22 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: gompresso {compress|decompress|cat|info|stat|verify|index|serve|loadtest} [flags] <in> [out]")
+	fmt.Fprintln(os.Stderr, "usage: gompresso {compress|decompress|cat|info|stat|verify|index|serve|loadtest|version} [flags] <in> [out]")
 	os.Exit(2)
 }
 
-func compressFlags(fs *flag.FlagSet) func() (gompresso.Options, error) {
+// Flag spellings of the codec's enumerations.
+var (
+	variants = map[string]gompresso.Variant{"bit": gompresso.VariantBit, "byte": gompresso.VariantByte}
+	deModes  = map[string]gompresso.DEMode{"off": gompresso.DEOff, "strict": gompresso.DEStrict, "lit": gompresso.DELit}
+	engines  = map[string]gompresso.Engine{"device": gompresso.EngineDevice, "host": gompresso.EngineHost}
+	pcies    = map[string]gompresso.PCIeMode{"none": gompresso.PCIeNone, "in": gompresso.PCIeIn, "inout": gompresso.PCIeInOut}
+)
+
+// compressFlags registers the compression flags on fs and returns the
+// constructor, for use after fs.Parse, of the codec they describe with any
+// extra options applied on top.
+func compressFlags(fs *flag.FlagSet) func(extra ...gompresso.Option) (*gompresso.Codec, error) {
 	variant := fs.String("variant", "bit", "entropy coding: bit (Huffman) or byte (LZ4-style)")
 	blockKB := fs.Int("block", 256, "data block size in KiB")
 	window := fs.Int("window", 8<<10, "LZ77 sliding window in bytes")
@@ -82,71 +93,52 @@ func compressFlags(fs *flag.FlagSet) func() (gompresso.Options, error) {
 	cwl := fs.Int("cwl", 10, "Huffman codeword length limit (bit variant)")
 	subSeqs := fs.Int("subseqs", 16, "sequences per sub-block (bit variant)")
 	index := fs.Bool("index", false, "append an index trailer for fast seeking")
-	return func() (gompresso.Options, error) {
-		o := gompresso.Options{
-			BlockSize:  *blockKB << 10,
-			Window:     *window,
-			CWL:        *cwl,
-			SeqsPerSub: *subSeqs,
-			Index:      *index,
+	return func(extra ...gompresso.Option) (*gompresso.Codec, error) {
+		v, ok := variants[*variant]
+		if !ok {
+			return nil, fmt.Errorf("unknown variant %q", *variant)
 		}
-		switch *variant {
-		case "bit":
-			o.Variant = gompresso.VariantBit
-		case "byte":
-			o.Variant = gompresso.VariantByte
-		default:
-			return o, fmt.Errorf("unknown variant %q", *variant)
+		m, ok := deModes[*de]
+		if !ok {
+			return nil, fmt.Errorf("unknown DE mode %q", *de)
 		}
-		switch *de {
-		case "off":
-			o.DE = gompresso.DEOff
-		case "strict":
-			o.DE = gompresso.DEStrict
-		case "lit":
-			o.DE = gompresso.DELit
-		default:
-			return o, fmt.Errorf("unknown DE mode %q", *de)
-		}
-		return o, nil
+		return gompresso.New(append([]gompresso.Option{
+			gompresso.WithVariant(v),
+			gompresso.WithDE(m),
+			gompresso.WithBlockSize(*blockKB << 10),
+			gompresso.WithWindow(*window),
+			gompresso.WithCWL(*cwl),
+			gompresso.WithSeqsPerSub(*subSeqs),
+			gompresso.WithIndex(*index),
+		}, extra...)...)
 	}
 }
 
-func decompressFlags(fs *flag.FlagSet) func() (gompresso.DecompressOptions, error) {
+// decompressFlags is compressFlags' counterpart for the engine flags.
+func decompressFlags(fs *flag.FlagSet) func(extra ...gompresso.Option) (*gompresso.Codec, error) {
 	engine := fs.String("engine", "device", "engine: device (simulated GPU) or host")
 	strategy := fs.String("strategy", "auto", "back-reference strategy: auto, sc, mrr, de")
 	pcie := fs.String("pcie", "none", "transfer accounting: none, in, inout")
-	return func() (gompresso.DecompressOptions, error) {
-		var o gompresso.DecompressOptions
-		switch *engine {
-		case "device":
-			o.Engine = gompresso.EngineDevice
-		case "host":
-			o.Engine = gompresso.EngineHost
-		default:
-			return o, fmt.Errorf("unknown engine %q", *engine)
+	return func(extra ...gompresso.Option) (*gompresso.Codec, error) {
+		e, ok := engines[*engine]
+		if !ok {
+			return nil, fmt.Errorf("unknown engine %q", *engine)
 		}
+		m, ok := pcies[*pcie]
+		if !ok {
+			return nil, fmt.Errorf("unknown pcie mode %q", *pcie)
+		}
+		o := []gompresso.Option{gompresso.WithEngine(e), gompresso.WithPCIe(m)}
 		switch *strategy {
-		case "auto", "mrr":
-			o.Strategy = gompresso.MRR
+		case "auto", "mrr": // unpinned: the codec picks DE for DE-parsed streams, MRR otherwise
 		case "sc":
-			o.Strategy = gompresso.SC
+			o = append(o, gompresso.WithStrategy(gompresso.SC))
 		case "de":
-			o.Strategy = gompresso.DE
+			o = append(o, gompresso.WithStrategy(gompresso.DE))
 		default:
-			return o, fmt.Errorf("unknown strategy %q", *strategy)
+			return nil, fmt.Errorf("unknown strategy %q", *strategy)
 		}
-		switch *pcie {
-		case "none":
-			o.PCIe = gompresso.PCIeNone
-		case "in":
-			o.PCIe = gompresso.PCIeIn
-		case "inout":
-			o.PCIe = gompresso.PCIeInOut
-		default:
-			return o, fmt.Errorf("unknown pcie mode %q", *pcie)
-		}
-		return o, nil
+		return gompresso.New(append(o, extra...)...)
 	}
 }
 
@@ -156,17 +148,13 @@ func decompressFlags(fs *flag.FlagSet) func() (gompresso.DecompressOptions, erro
 // the header backpatched at the end.
 func compressCmd(args []string) error {
 	fs := flag.NewFlagSet("compress", flag.ExitOnError)
-	opts := compressFlags(fs)
+	codec := compressFlags(fs)
 	workers := fs.Int("workers", 0, "concurrent block compressions (0 = GOMAXPROCS)")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		return fmt.Errorf("compress needs <in> <out>")
 	}
-	o, err := opts()
-	if err != nil {
-		return err
-	}
-	c, err := gompresso.New(gompresso.WithCompressOptions(o), gompresso.WithWorkers(*workers))
+	c, err := codec(gompresso.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -224,47 +212,28 @@ func compressCmd(args []string) error {
 	return nil
 }
 
+// decompressCmd hands the whole input to one Codec.Decompress: the codec
+// routes by magic bytes (not by parse success, so a corrupt native
+// container still surfaces its own error under the flags the user
+// selected), decodes foreign gzip/zlib input on the host whatever -engine
+// says, and picks the device strategy for an unpinned -strategy.
 func decompressCmd(args []string) error {
 	fs := flag.NewFlagSet("decompress", flag.ExitOnError)
-	opts := decompressFlags(fs)
-	workers := fs.Int("workers", 0, "concurrent decodes for foreign formats (0 = GOMAXPROCS)")
+	codec := decompressFlags(fs)
+	workers := fs.Int("workers", 0, "concurrent host block decodes (0 = GOMAXPROCS)")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		return fmt.Errorf("decompress needs <in> <out>")
+	}
+	c, err := codec(gompresso.WithWorkers(*workers))
+	if err != nil {
+		return err
 	}
 	comp, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	// Foreign inputs (gzip/zlib, sniffed by magic) decode through the
-	// codec's parallel host pipeline; only native containers reach the
-	// engine/strategy machinery below. Routing is by magic bytes, not by
-	// parse success, so a corrupt native container still surfaces its own
-	// error under the flags the user selected.
-	if gompresso.DetectFormat(comp) != gompresso.FormatGompresso {
-		c, err := gompresso.New(gompresso.WithWorkers(*workers))
-		if err != nil {
-			return err
-		}
-		out, stats, err := c.Decompress(comp)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(fs.Arg(1), out, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("%d bytes  host %.3f ms\n", stats.RawSize, stats.HostSeconds*1e3)
-		return nil
-	}
-	o, err := opts()
-	if err != nil {
-		return err
-	}
-	// auto strategy: DE streams can use the single-round strategy.
-	if h, err := gompresso.Info(comp); err == nil && h.DEMode != gompresso.DEOff && o.Strategy == gompresso.MRR {
-		o.Strategy = gompresso.DE
-	}
-	out, stats, err := gompresso.Decompress(comp, o)
+	out, stats, err := c.Decompress(comp)
 	if err != nil {
 		return err
 	}
@@ -302,7 +271,11 @@ func catCmd(args []string) error {
 		return err
 	}
 	defer f.Close()
-	r, err := gompresso.NewReaderWith(f, gompresso.ReaderOptions{Workers: *workers, Readahead: *readahead})
+	c, err := gompresso.New(gompresso.WithWorkers(*workers), gompresso.WithReadahead(*readahead))
+	if err != nil {
+		return err
+	}
+	r, err := c.NewReader(f)
 	if err != nil {
 		return err
 	}
@@ -349,7 +322,7 @@ func infoCmd(args []string) error {
 
 func verifyCmd(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	opts := compressFlags(fs)
+	codec := compressFlags(fs)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("verify needs <in>")
@@ -358,26 +331,25 @@ func verifyCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	o, err := opts()
+	host, err := codec()
 	if err != nil {
 		return err
 	}
-	comp, cs, err := gompresso.Compress(src, o)
+	// The device codec's unpinned strategy follows the stream: DE for a
+	// DE parse, MRR otherwise.
+	device, err := codec(gompresso.WithEngine(gompresso.EngineDevice))
 	if err != nil {
 		return err
 	}
-	strat := gompresso.MRR
-	if o.DE != gompresso.DEOff {
-		strat = gompresso.DE
+	comp, cs, err := host.Compress(src)
+	if err != nil {
+		return err
 	}
 	for _, eng := range []struct {
 		name string
-		o    gompresso.DecompressOptions
-	}{
-		{"host", gompresso.DecompressOptions{Engine: gompresso.EngineHost}},
-		{"device", gompresso.DecompressOptions{Engine: gompresso.EngineDevice, Strategy: strat}},
-	} {
-		out, _, err := gompresso.Decompress(comp, eng.o)
+		c    *gompresso.Codec
+	}{{"host", host}, {"device", device}} {
+		out, _, err := eng.c.Decompress(comp)
 		if err != nil {
 			return fmt.Errorf("%s engine: %w", eng.name, err)
 		}

@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 
 	"gompresso/internal/blockcache"
 	"gompresso/internal/core"
+	"gompresso/internal/format"
 )
 
 // errForeignReaderAt rejects random access over foreign formats: DEFLATE
@@ -17,8 +17,8 @@ var errForeignReaderAt = errors.New("gompresso: random access requires the nativ
 
 // ErrInvalidOption reports a configuration value outside its domain (a
 // negative worker count, a block size out of range, an unknown variant).
-// New, NewReaderWith, and every Codec constructor wrap it, so callers can
-// separate configuration mistakes from data errors with errors.Is.
+// New wraps it, so callers can separate configuration mistakes from data
+// errors with errors.Is.
 var ErrInvalidOption = core.ErrInvalidOption
 
 // Codec is a reusable, validated Gompresso configuration — the single
@@ -94,8 +94,8 @@ func WithWorkers(n int) Option {
 func WithReadahead(n int) Option { return func(c *Codec) { c.pipe.Readahead = n } }
 
 // WithEngine selects the decompression engine for Codec.Decompress. New's
-// default is EngineHost — the production fast path — unlike the top-level
-// Decompress, whose zero options select the paper's simulated device.
+// default is EngineHost, the production fast path; EngineDevice is the
+// paper's simulated GPU.
 func WithEngine(e Engine) Option { return func(c *Codec) { c.dopt.Engine = e } }
 
 // WithStrategy pins the device engine's back-reference resolution
@@ -133,21 +133,15 @@ func WithFormat(f Format) Option { return func(c *Codec) { c.form = f } }
 // block); a block larger than its shard's budget is served but not
 // retained, so size the cache at a multiple of the block size. 0 (the
 // default) disables caching — reads then take exactly the uncached
-// decode path — and negative sizes are rejected with ErrInvalidOption. Sequential Readers and one-shot Decompress are
-// unaffected: the cache exists for the random-access serving path,
-// where ranges revisit blocks.
+// decode path — and negative sizes are rejected with ErrInvalidOption.
+// Sequential Readers and one-shot Decompress are unaffected: the cache
+// exists for the random-access serving path, where ranges revisit blocks.
 func WithCache(bytes int64) Option { return func(c *Codec) { c.cacheBytes = bytes } }
 
 // WithContext attaches a context to every operation the codec performs.
 // Cancelling it makes in-flight calls fail with ctx.Err() and drains the
 // streaming pipelines' workers without leaking goroutines.
 func WithContext(ctx context.Context) Option { return func(c *Codec) { c.ctx = ctx } }
-
-// WithCompressOptions seeds the whole compression-option struct at once —
-// the escape hatch for knobs without a dedicated functional option
-// (MinMatch, MaxChain, Staleness, ...). Later options still override
-// individual fields.
-func WithCompressOptions(o Options) Option { return func(c *Codec) { c.copt = o } }
 
 // New builds a Codec. With no options it selects the paper's defaults:
 // Gompresso/Bit, 256 KiB blocks, 8 KiB window, unrestricted parse, host
@@ -187,27 +181,12 @@ func New(opts ...Option) (*Codec, error) {
 }
 
 // CacheStats reports the decoded-block cache's effectiveness counters —
-// the raw material for a server's metrics endpoint. It mirrors the
-// cache's snapshot; Enabled is false (and everything else zero) for a
+// the raw material for a server's metrics endpoint: the cache's own
+// snapshot plus Enabled, which is false (and everything else zero) for a
 // codec built without WithCache.
 type CacheStats struct {
-	Enabled   bool
-	Hits      int64 // requests served from a resident block
-	Misses    int64 // requests that ran or joined a decode
-	Coalesced int64 // misses that joined another request's in-flight decode
-	Evictions int64 // blocks dropped to fit the byte budget
-	Entries   int64 // resident blocks now
-	Bytes     int64 // resident decoded bytes now
-	MaxBytes  int64 // configured budget
-	InFlight  int64 // block decodes running now
-}
-
-// HitRate returns Hits/(Hits+Misses), or 0 before any traffic.
-func (s CacheStats) HitRate() float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
+	Enabled bool
+	blockcache.Stats
 }
 
 // CacheStats snapshots the codec's decoded-block cache counters.
@@ -215,23 +194,14 @@ func (c *Codec) CacheStats() CacheStats {
 	if c.cache == nil {
 		return CacheStats{}
 	}
-	s := c.cache.Stats()
-	return CacheStats{
-		Enabled:   true,
-		Hits:      s.Hits,
-		Misses:    s.Misses,
-		Coalesced: s.Coalesced,
-		Evictions: s.Evictions,
-		Entries:   s.Entries,
-		Bytes:     s.Bytes,
-		MaxBytes:  s.MaxBytes,
-		InFlight:  s.InFlight,
-	}
+	return CacheStats{Enabled: true, Stats: c.cache.Stats()}
 }
 
 // Options returns the codec's resolved compression options — defaults
-// filled, as Compress and NewWriter run them.
-func (c *Codec) Options() Options { return c.copt }
+// filled, as Compress and NewWriter run them. The struct is internal: it
+// is readable here for in-module instrumentation (the benchmark's encode
+// probes), not a configuration surface.
+func (c *Codec) Options() core.Options { return c.copt }
 
 // Workers returns the codec's resolved worker budget.
 func (c *Codec) Workers() int { return c.pipe.Workers }
@@ -263,66 +233,9 @@ func (c *Codec) Decompress(data []byte) ([]byte, *DecompressStats, error) {
 	o := c.dopt
 	if o.Engine == EngineDevice && !c.stratSet {
 		o.Strategy = MRR
-		if h, err := core.Info(data); err == nil && h.DEMode != DEOff {
+		if h, err := format.ParseHeader(data); err == nil && h.DEMode != DEOff {
 			o.Strategy = DE
 		}
 	}
 	return core.DecompressContext(c.ctx, data, o)
-}
-
-// Info parses and returns a container's header without decompressing.
-func (c *Codec) Info(data []byte) (FileHeader, error) { return core.Info(data) }
-
-// NewWriter returns a parallel streaming compressor writing a Gompresso
-// container to w with the codec's configuration; see Writer for the
-// pipeline and output-mode details. The container's bytes are identical to
-// what Codec.Compress would produce for the concatenated input.
-func (c *Codec) NewWriter(w io.Writer) *Writer {
-	return newWriter(c.ctx, w, c.copt, c.pipe)
-}
-
-// NewReader returns a streaming decompressor for r running on the codec's
-// worker budget and context. The input format follows WithFormat (see
-// Decompress); foreign formats stream through the parallel two-pass
-// deflate pipeline, with the whole compressed input buffered in memory (it
-// needs random access for boundary scanning) and Seek unsupported.
-func (c *Codec) NewReader(r io.Reader) (*Reader, error) {
-	return c.NewReaderContext(c.ctx, r)
-}
-
-// NewReaderContext is NewReader under an explicit context, overriding
-// the codec's own for this one stream — the shape a server needs, where
-// cancellation is per request while the codec (worker budget, cache) is
-// shared by all of them. A nil ctx selects the codec's context.
-func (c *Codec) NewReaderContext(ctx context.Context, r io.Reader) (*Reader, error) {
-	if ctx == nil {
-		ctx = c.ctx
-	}
-	return newReader(ctx, r, ReaderOptions{Workers: c.pipe.Workers, Readahead: c.pipe.Readahead}, c.form)
-}
-
-// NewReaderAt opens a container stored in the first size bytes of ra for
-// concurrent positioned reads on the codec's worker budget and context.
-// Random access needs the native container's block index, so foreign
-// formats are rejected up front (pinned via WithFormat or sniffed from
-// the magic bytes) and unrecognized input fails with an error wrapping
-// ErrUnknownFormat — the same classification Decompress and NewReader
-// give.
-// With WithCache, every ReaderAt from this codec shares the codec's
-// decoded-block cache (each under its own object identity).
-func (c *Codec) NewReaderAt(ra io.ReaderAt, size int64) (*ReaderAt, error) {
-	return newReaderAt(c.ctx, ra, size, c.pipe.Workers, c.form, c.cache)
-}
-
-// NewReaderAtWithIndex opens a foreign compressed stream (gzip/zlib —
-// the first size bytes of ra) for the same concurrent positioned reads,
-// random access coming from a seek index built over exactly those bytes
-// (Reader.CollectIndex during a full decode, or a persisted sidecar via
-// internal gzidx tooling / `gompresso index`). Checkpointed chunks play
-// the role native blocks do: they key into the shared decoded-block
-// cache and feed WriteRangeTo's window-parallel send path unchanged.
-// The index is validated against size; keeping it fresh against a
-// mutable source is the caller's job, as with any cached resolution.
-func (c *Codec) NewReaderAtWithIndex(ra io.ReaderAt, size int64, idx *SeekIndex) (*ReaderAt, error) {
-	return newForeignReaderAt(c.ctx, ra, size, idx, c.pipe.Workers, c.cache)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gompresso"
+	"gompresso/internal/core"
 	"gompresso/internal/datagen"
 )
 
@@ -32,8 +33,9 @@ func TestCodecDefaults(t *testing.T) {
 	}
 }
 
-// Every constructor must reject negative tuning values with the shared
-// typed error.
+// New must reject every out-of-domain value with the shared typed error.
+// It is the only place a configuration is validated: readers, writers and
+// whole-buffer calls all run on a codec that passed it.
 func TestInvalidOptionsRejected(t *testing.T) {
 	bad := [][]gompresso.Option{
 		{gompresso.WithWorkers(-1)},
@@ -44,28 +46,12 @@ func TestInvalidOptionsRejected(t *testing.T) {
 		{gompresso.WithCWL(1)},
 		{gompresso.WithSeqsPerSub(-1)},
 		{gompresso.WithCache(-1)},
+		{gompresso.WithEngine(gompresso.Engine(7))},
 	}
 	for i, opts := range bad {
 		if _, err := gompresso.New(opts...); !errors.Is(err, gompresso.ErrInvalidOption) {
 			t.Errorf("case %d: want ErrInvalidOption, got %v", i, err)
 		}
-	}
-	// Reader validation shares the same error.
-	comp, _, err := gompresso.Compress([]byte("some data"), gompresso.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opt := range []gompresso.ReaderOptions{{Workers: -1}, {Readahead: -1}} {
-		if _, err := gompresso.NewReaderWith(bytes.NewReader(comp), opt); !errors.Is(err, gompresso.ErrInvalidOption) {
-			t.Errorf("ReaderOptions %+v: want ErrInvalidOption, got %v", opt, err)
-		}
-	}
-	// Legacy whole-buffer calls too.
-	if _, _, err := gompresso.Compress(nil, gompresso.Options{Variant: gompresso.VariantBit, Workers: -3}); !errors.Is(err, gompresso.ErrInvalidOption) {
-		t.Errorf("Compress negative workers: got %v", err)
-	}
-	if _, _, err := gompresso.Decompress(comp, gompresso.DecompressOptions{Workers: -3}); !errors.Is(err, gompresso.ErrInvalidOption) {
-		t.Errorf("Decompress negative workers: got %v", err)
 	}
 }
 
@@ -89,8 +75,9 @@ func TestCacheStats(t *testing.T) {
 	}
 }
 
-// Codec round trip: Compress/Decompress produce the same bytes as the
-// top-level calls with equivalent options, on both engines.
+// Codec round trip: the functional options resolve to the core options of
+// the same names (Compress emits core.Compress's bytes), and both engines
+// decompress them.
 func TestCodecRoundTrip(t *testing.T) {
 	src := datagen.WikiXML(300_000, 5)
 	c, err := gompresso.New(gompresso.WithDE(gompresso.DEStrict), gompresso.WithIndex(true))
@@ -104,14 +91,14 @@ func TestCodecRoundTrip(t *testing.T) {
 	if cs.Ratio <= 1 {
 		t.Fatalf("ratio %.2f", cs.Ratio)
 	}
-	want, _, err := gompresso.Compress(src, gompresso.Options{
+	want, _, err := core.Compress(src, core.Options{
 		Variant: gompresso.VariantBit, DE: gompresso.DEStrict, Index: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(comp, want) {
-		t.Fatal("codec Compress differs from top-level Compress")
+		t.Fatal("codec Compress differs from core.Compress")
 	}
 	out, _, err := c.Decompress(comp)
 	if err != nil || !bytes.Equal(out, src) {
@@ -143,10 +130,7 @@ func TestCodecContextCancelled(t *testing.T) {
 	if _, _, err := c.Compress(src); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Compress: want context.Canceled, got %v", err)
 	}
-	comp, _, err := gompresso.Compress(src, gompresso.Options{Variant: gompresso.VariantBit})
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := compress(t, src)
 	if _, _, err := c.Decompress(comp); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Decompress: want context.Canceled, got %v", err)
 	}
@@ -156,12 +140,7 @@ func TestCodecContextCancelled(t *testing.T) {
 // Read instead of hanging or leaking, in both pipeline and sync modes.
 func TestCodecReaderContextCancelled(t *testing.T) {
 	src := datagen.WikiXML(512<<10, 29)
-	comp, _, err := gompresso.Compress(src, gompresso.Options{
-		Variant: gompresso.VariantBit, BlockSize: 32 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := compress(t, src, gompresso.WithBlockSize(32<<10))
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		c, err := gompresso.New(gompresso.WithWorkers(workers), gompresso.WithContext(ctx))

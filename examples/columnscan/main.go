@@ -22,15 +22,28 @@ func main() {
 	data := datagen.MatrixMarket(16<<20, 42)
 	fmt.Printf("loaded %d bytes of Matrix Market data\n", len(data))
 
-	normal, _, err := gompresso.Compress(data, gompresso.Options{
-		Variant: gompresso.VariantByte, DE: gompresso.DEOff,
-	})
+	// One codec per (parse, strategy) pair: the device engine with the
+	// compressed input's PCIe transfer charged to every scan.
+	codec := func(de gompresso.DEMode, strat gompresso.Strategy) *gompresso.Codec {
+		c, err := gompresso.New(
+			gompresso.WithVariant(gompresso.VariantByte),
+			gompresso.WithDE(de),
+			gompresso.WithEngine(gompresso.EngineDevice),
+			gompresso.WithStrategy(strat),
+			gompresso.WithPCIe(gompresso.PCIeIn),
+		)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return c
+	}
+	sc := codec(gompresso.DEOff, gompresso.SC)
+	normal, _, err := sc.Compress(data)
 	if err != nil {
 		log.Fatal(err)
 	}
-	deStream, deStats, err := gompresso.Compress(data, gompresso.Options{
-		Variant: gompresso.VariantByte, DE: gompresso.DEStrict,
-	})
+	de := codec(gompresso.DEStrict, gompresso.DE)
+	deStream, deStats, err := de.Compress(data)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,17 +53,15 @@ func main() {
 	queries := []struct {
 		name   string
 		stream []byte
-		strat  gompresso.Strategy
+		codec  *gompresso.Codec
 	}{
-		{"sequential copying (SC)", normal, gompresso.SC},
-		{"multi-round resolution (MRR)", normal, gompresso.MRR},
-		{"dependency elimination (DE)", deStream, gompresso.DE},
+		{"sequential copying (SC)", normal, sc},
+		{"multi-round resolution (MRR)", normal, codec(gompresso.DEOff, gompresso.MRR)},
+		{"dependency elimination (DE)", deStream, de},
 	}
 	fmt.Println("query: count edges incident to vertices < 100000")
 	for _, q := range queries {
-		out, ds, err := gompresso.Decompress(q.stream, gompresso.DecompressOptions{
-			Engine: gompresso.EngineDevice, Strategy: q.strat, PCIe: gompresso.PCIeIn,
-		})
+		out, ds, err := q.codec.Decompress(q.stream)
 		if err != nil {
 			log.Fatal(q.name, ": ", err)
 		}

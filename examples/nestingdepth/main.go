@@ -19,19 +19,28 @@ func main() {
 	fmt.Println("designed depth vs measured MRR rounds and simulated time (8 MiB per point)")
 	fmt.Println()
 	fmt.Printf("%-10s %-15s %-12s %-14s %s\n", "families", "designed depth", "avg rounds", "MRR time (ms)", "bar")
-	for _, families := range []int{32, 16, 8, 4, 2, 1} {
-		data := datagen.Nesting(size, families, 7)
-		comp, _, err := gompresso.Compress(data, gompresso.Options{
-			Variant: gompresso.VariantByte,
-			DE:      gompresso.DEOff,
-			Window:  datagen.NestingWindow,
-		})
+	// One device codec per parse mode. Its strategy is left unpinned, so it
+	// follows the stream: MRR for an unrestricted parse, DE for a DE parse.
+	codec := func(de gompresso.DEMode) *gompresso.Codec {
+		c, err := gompresso.New(
+			gompresso.WithVariant(gompresso.VariantByte),
+			gompresso.WithDE(de),
+			gompresso.WithWindow(datagen.NestingWindow),
+			gompresso.WithEngine(gompresso.EngineDevice),
+		)
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, ds, err := gompresso.Decompress(comp, gompresso.DecompressOptions{
-			Engine: gompresso.EngineDevice, Strategy: gompresso.MRR,
-		})
+		return c
+	}
+	mrr := codec(gompresso.DEOff)
+	for _, families := range []int{32, 16, 8, 4, 2, 1} {
+		data := datagen.Nesting(size, families, 7)
+		comp, _, err := mrr.Compress(data)
+		if err != nil {
+			log.Fatal(err)
+		}
+		out, ds, err := mrr.Decompress(comp)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,17 +55,12 @@ func main() {
 	fmt.Println()
 	fmt.Println("the same data decompressed after a Dependency-Elimination parse:")
 	data := datagen.Nesting(size, 1, 7)
-	comp, cs, err := gompresso.Compress(data, gompresso.Options{
-		Variant: gompresso.VariantByte,
-		DE:      gompresso.DEStrict,
-		Window:  datagen.NestingWindow,
-	})
+	de := codec(gompresso.DEStrict)
+	comp, cs, err := de.Compress(data)
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, ds, err := gompresso.Decompress(comp, gompresso.DecompressOptions{
-		Engine: gompresso.EngineDevice, Strategy: gompresso.DE,
-	})
+	_, ds, err := de.Decompress(comp)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func TestUnknownFormat(t *testing.T) {
 		if _, _, err := c.Decompress(data); !errors.Is(err, gompresso.ErrUnknownFormat) {
 			t.Fatalf("Decompress(% x): got %v, want ErrUnknownFormat", data, err)
 		}
-		if _, err := gompresso.NewReader(bytes.NewReader(data)); !errors.Is(err, gompresso.ErrUnknownFormat) {
+		if _, err := c.NewReader(bytes.NewReader(data)); !errors.Is(err, gompresso.ErrUnknownFormat) {
 			t.Fatalf("NewReader(% x): got %v, want ErrUnknownFormat", data, err)
 		}
 	}
@@ -127,13 +127,6 @@ func TestFormatValidation(t *testing.T) {
 	}
 	if _, err := c.NewReaderAt(bytes.NewReader([]byte("PK\x03\x04zip")), 7); !errors.Is(err, gompresso.ErrUnknownFormat) {
 		t.Fatalf("NewReaderAt(zip): got %v, want ErrUnknownFormat", err)
-	}
-	// The top-level constructor classifies identically.
-	if _, err := gompresso.NewReaderAt(bytes.NewReader(gz), int64(len(gz))); err == nil || errors.Is(err, gompresso.ErrUnknownFormat) {
-		t.Fatalf("top-level NewReaderAt(gzip): got %v, want a foreign-format rejection", err)
-	}
-	if _, err := gompresso.NewReaderAt(bytes.NewReader([]byte("PK\x03\x04zip")), 7); !errors.Is(err, gompresso.ErrUnknownFormat) {
-		t.Fatalf("top-level NewReaderAt(zip): got %v, want ErrUnknownFormat", err)
 	}
 }
 
@@ -168,14 +161,14 @@ func TestForeignErrorsExported(t *testing.T) {
 	}
 }
 
-// gompresso.NewReader serves .gz streams — seekable or not — with output
+// Codec.NewReader serves .gz streams — seekable or not — with output
 // identical to stdlib gzip; Seek on a foreign stream fails cleanly.
 func TestReaderForeign(t *testing.T) {
 	raw := datagen.WikiXML(256<<10, 33)
 	gz := gzipBytes(t, raw)
 
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		r, err := gompresso.NewReaderWith(bytes.NewReader(gz), gompresso.ReaderOptions{Workers: workers})
+		r, err := newCodec(t, gompresso.WithWorkers(workers)).NewReader(bytes.NewReader(gz))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +187,7 @@ func TestReaderForeign(t *testing.T) {
 
 	// Non-seekable source: the sniffed bytes must be spliced back.
 	pr := io.NopCloser(bytes.NewReader(gz))
-	r, err := gompresso.NewReader(struct{ io.Reader }{pr})
+	r, err := newCodec(t).NewReader(struct{ io.Reader }{pr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +205,8 @@ func TestReaderForeign(t *testing.T) {
 // after the sniffing read consumed its magic.
 func TestReaderContainerNonSeekable(t *testing.T) {
 	raw := datagen.WikiXML(64<<10, 41)
-	comp, _, err := gompresso.Compress(raw, gompresso.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := gompresso.NewReader(struct{ io.Reader }{bytes.NewReader(comp)})
+	comp := compress(t, raw, byteVariant)
+	r, err := newCodec(t).NewReader(struct{ io.Reader }{bytes.NewReader(comp)})
 	if err != nil {
 		t.Fatal(err)
 	}

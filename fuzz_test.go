@@ -28,14 +28,15 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		de := []gompresso.DEMode{gompresso.DEOff, gompresso.DEStrict, gompresso.DELit}[deSel%3]
 
-		comp, _, err := gompresso.Compress(data, gompresso.Options{
-			Variant: variant, DE: de, BlockSize: 8 << 10, // small blocks: more block boundaries per input
-		})
+		codec := newCodec(t, gompresso.WithVariant(variant), gompresso.WithDE(de),
+			gompresso.WithBlockSize(8<<10), // small blocks: more block boundaries per input
+			gompresso.WithEngine(gompresso.EngineHost))
+		comp, _, err := codec.Compress(data)
 		if err != nil {
 			t.Fatalf("compress: %v", err)
 		}
 
-		fast, _, err := gompresso.Decompress(comp, gompresso.DecompressOptions{Engine: gompresso.EngineHost})
+		fast, _, err := codec.Decompress(comp)
 		if err != nil {
 			t.Fatalf("fast path: %v", err)
 		}
@@ -51,7 +52,7 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("reference path mismatch")
 		}
 
-		r, err := gompresso.NewReader(bytes.NewReader(comp))
+		r, err := codec.NewReader(bytes.NewReader(comp))
 		if err != nil {
 			t.Fatalf("stream: %v", err)
 		}

@@ -36,14 +36,10 @@
 // ErrInvalidOption, and WithContext threads cancellation through every
 // pipeline.
 //
-// Compress, Decompress, NewReader, and NewReaderAt remain as thin per-call
-// wrappers over the same machinery for callers that don't need a reusable
-// codec. Note one historical wart the Codec fixes: the zero Options value
-// selects Gompresso/Byte (the Variant type's zero value), while New
-// defaults to Gompresso/Bit, the paper's headline configuration. The zero
-// DecompressOptions value selects the simulated device engine; New
-// defaults to the host engine. See DESIGN.md for the system inventory and
-// EXPERIMENTS.md for the reproduced evaluation.
+// Codec is the only entry point and its With* options the only
+// configuration surface, so the defaults above are the only defaults. See
+// DESIGN.md for the system inventory and EXPERIMENTS.md for the reproduced
+// evaluation.
 package gompresso
 
 import (
@@ -57,10 +53,6 @@ import (
 // Re-exported configuration and result types. Aliases keep the public API
 // thin while the implementation lives in internal packages.
 type (
-	// Options configures Compress.
-	Options = core.Options
-	// DecompressOptions configures Decompress.
-	DecompressOptions = core.DecompressOptions
 	// CompressStats reports compression results.
 	CompressStats = core.CompressStats
 	// DecompressStats reports decompression results, including simulated
@@ -112,20 +104,6 @@ const (
 	PCIeIn       = core.PCIeIn
 	PCIeInOut    = core.PCIeInOut
 )
-
-// Compress compresses src into a Gompresso container — the per-call
-// equivalent of building a Codec with these options and calling
-// Codec.Compress.
-func Compress(src []byte, o Options) ([]byte, *CompressStats, error) {
-	return core.Compress(src, o)
-}
-
-// Decompress expands a Gompresso container. With the zero options it runs
-// on a simulated Tesla K40; Codec.Decompress defaults to the host engine
-// instead.
-func Decompress(data []byte, o DecompressOptions) ([]byte, *DecompressStats, error) {
-	return core.Decompress(data, o)
-}
 
 // Info parses and returns a container's header without decompressing.
 func Info(data []byte) (FileHeader, error) { return core.Info(data) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gompresso"
+	"gompresso/internal/core"
 	"gompresso/internal/datagen"
 )
 
@@ -12,9 +13,7 @@ import (
 func TestFacadeRoundtrip(t *testing.T) {
 	src := datagen.WikiXML(2<<20, 5)
 	for _, variant := range []gompresso.Variant{gompresso.VariantBit, gompresso.VariantByte} {
-		comp, cs, err := gompresso.Compress(src, gompresso.Options{
-			Variant: variant, DE: gompresso.DEStrict,
-		})
+		comp, cs, err := newCodec(t, gompresso.WithVariant(variant), gompresso.WithDE(gompresso.DEStrict)).Compress(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,19 +27,20 @@ func TestFacadeRoundtrip(t *testing.T) {
 		if h.Variant != variant || h.RawSize != uint64(len(src)) {
 			t.Fatalf("%v: header %+v", variant, h)
 		}
-		for _, tc := range []gompresso.DecompressOptions{
-			{Engine: gompresso.EngineHost},
-			{Engine: gompresso.EngineDevice, Strategy: gompresso.DE},
-			{Engine: gompresso.EngineDevice, Strategy: gompresso.MRR, PCIe: gompresso.PCIeInOut},
+		device := gompresso.WithEngine(gompresso.EngineDevice)
+		for i, tc := range [][]gompresso.Option{
+			{gompresso.WithEngine(gompresso.EngineHost)},
+			{device, gompresso.WithStrategy(gompresso.DE)},
+			{device, gompresso.WithStrategy(gompresso.MRR), gompresso.WithPCIe(gompresso.PCIeInOut)},
 		} {
-			out, ds, err := gompresso.Decompress(comp, tc)
+			out, ds, err := newCodec(t, tc...).Decompress(comp)
 			if err != nil {
-				t.Fatalf("%v engine %v: %v", variant, tc.Engine, err)
+				t.Fatalf("%v case %d: %v", variant, i, err)
 			}
 			if !bytes.Equal(out, src) {
-				t.Fatalf("%v engine %v: mismatch", variant, tc.Engine)
+				t.Fatalf("%v case %d: mismatch", variant, i)
 			}
-			if tc.Engine == gompresso.EngineDevice && ds.Throughput() <= 0 {
+			if i > 0 && ds.Throughput() <= 0 {
 				t.Fatalf("%v: no throughput", variant)
 			}
 		}
@@ -55,19 +55,16 @@ func TestFacadeCustomDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := datagen.MatrixMarket(2<<20, 5)
-	comp, _, err := gompresso.Compress(src, gompresso.Options{
-		Variant: gompresso.VariantByte, DE: gompresso.DEStrict,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, big, err := gompresso.Decompress(comp, gompresso.DecompressOptions{
+	comp := compress(t, src, byteVariant, gompresso.WithDE(gompresso.DEStrict))
+	// TileTo (keep the modelled device full, as the paper's 1 GB inputs do)
+	// is an evaluation knob of internal/core, not of the Codec.
+	_, big, err := core.Decompress(comp, core.DecompressOptions{
 		Engine: gompresso.EngineDevice, Strategy: gompresso.DE, Device: dev, TileTo: 1 << 30,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, k40, err := gompresso.Decompress(comp, gompresso.DecompressOptions{
+	_, k40, err := core.Decompress(comp, core.DecompressOptions{
 		Engine: gompresso.EngineDevice, Strategy: gompresso.DE, TileTo: 1 << 30,
 	})
 	if err != nil {

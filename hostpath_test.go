@@ -23,15 +23,14 @@ func TestHostFastPathMatchesReference(t *testing.T) {
 	for _, c := range corpora {
 		for _, variant := range []gompresso.Variant{gompresso.VariantBit, gompresso.VariantByte} {
 			for _, de := range []gompresso.DEMode{gompresso.DEOff, gompresso.DEStrict} {
-				comp, _, err := gompresso.Compress(c.data, gompresso.Options{
-					Variant: variant, DE: de, Window: c.window, BlockSize: 128 << 10,
-				})
+				codec := newCodec(t, gompresso.WithVariant(variant), gompresso.WithDE(de),
+					gompresso.WithWindow(c.window), gompresso.WithBlockSize(128<<10),
+					gompresso.WithEngine(gompresso.EngineHost))
+				comp, _, err := codec.Compress(c.data)
 				if err != nil {
 					t.Fatalf("%s/%v/%v: compress: %v", c.name, variant, de, err)
 				}
-				fast, _, err := gompresso.Decompress(comp, gompresso.DecompressOptions{
-					Engine: gompresso.EngineHost,
-				})
+				fast, _, err := codec.Decompress(comp)
 				if err != nil {
 					t.Fatalf("%s/%v/%v: fast: %v", c.name, variant, de, err)
 				}

@@ -178,7 +178,7 @@ func TestIndexStaleSource(t *testing.T) {
 
 // TestUseParallel pins the effective-parallelism gate: Workers>1 with a
 // single-slot pool (GOMAXPROCS=1) must take the sequential engine — the
-// BENCH_5 Gzip_Bit_W2 regression — while real parallelism still starts
+// PR 5 Gzip_Bit_W2 regression — while real parallelism still starts
 // the scanner.
 func TestUseParallel(t *testing.T) {
 	opt := Options{Workers: 2}.normalize()

@@ -130,8 +130,8 @@ func NewReaderBytes(ctx context.Context, data []byte, form Format, opt Options) 
 // starting: the caller asked for more than one worker, the shared pool can
 // actually run more than one share at once, and the input is long enough
 // to split. On a GOMAXPROCS=1 box Workers>1 used to start the scanner
-// anyway and pay scan+marker overhead with zero concurrency (BENCH_5
-// Gzip_Bit_W2: 0.138 GB/s vs 0.213 sequential); now effective parallelism
+// anyway and pay scan+marker overhead with zero concurrency (PR 5's
+// Gzip_Bit_W2 row: 0.138 GB/s vs 0.213 sequential); now effective parallelism
 // of 1 degrades to the sequential engine.
 func useParallel(dataLen int, opt Options, poolWorkers int) bool {
 	return opt.Workers > 1 && poolWorkers > 1 && dataLen >= opt.ChunkSize+minChunkSize

@@ -34,11 +34,6 @@ var tablesPool = sync.Pool{New: func() any { return new(tables) }}
 func getTables() *tables  { return tablesPool.Get().(*tables) }
 func putTables(t *tables) { tablesPool.Put(t) }
 
-// emptyTab is the decode table of an empty tree: every window is invalid.
-// DEFLATE permits an empty distance tree (a block with no matches); using
-// it is the error, not declaring it — the same rule as compress/flate.
-var emptyTab = []uint32{0, 0}
-
 // buildTab constructs a packed decode table for a canonical code described
 // by its code-length array, mirroring compress/flate's validity rules
 // exactly (the differential fuzz harness holds this equivalence): a code
@@ -55,7 +50,13 @@ func buildTab(store []uint32, lengths []uint8) (tab []uint32, mask uint64, err e
 		}
 	}
 	if used == 0 {
-		return emptyTab, 1, nil
+		// The table of an empty tree: every window is invalid. DEFLATE
+		// permits an empty distance tree (a block with no matches); using it
+		// is the error, not declaring it — the same rule as compress/flate.
+		// It is built in the caller's store like any other table: the caller
+		// hands the result back as the next block's store, so a table shared
+		// between callers would be overwritten by that block's code.
+		return append(store[:0], 0, 0), 1, nil
 	}
 	if used == 1 && lengths[one] != 1 {
 		return nil, 0, huffman.ErrBadLengths

@@ -71,33 +71,63 @@ func SpecObjects(spec CorpusSpec) []Object {
 
 // BuildCorpus materializes the spec's objects under dir as indexed
 // Gompresso containers (the primary random-access serving path) filled
-// with compressible WikiXML text, and returns the object list. Existing
-// files of the right size are reused — re-running against a warm root
-// only pays generation for what's missing.
+// with compressible WikiXML text, and returns the object list. Files an
+// earlier run of the same spec left behind are reused — re-running
+// against a warm root only pays generation and compression for what's
+// missing.
 func BuildCorpus(dir string, spec CorpusSpec) ([]Object, error) {
 	spec.normalize()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("loadgen: corpus dir: %w", err)
 	}
+	codec, err := gompresso.New(
+		gompresso.WithVariant(gompresso.VariantBit),
+		gompresso.WithDE(gompresso.DEStrict),
+		gompresso.WithBlockSize(spec.BlockKB<<10),
+		gompresso.WithIndex(true),
+	)
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: corpus codec: %w", err)
+	}
 	objs := SpecObjects(spec)
 	for i, o := range objs {
 		path := filepath.Join(dir, o.Name)
+		if materialized(codec, path, o, spec) {
+			continue
+		}
 		raw := datagen.WikiXML(int(o.Size), spec.Seed+uint64(i)*0x9e37+1)
-		comp, _, err := gompresso.Compress(raw, gompresso.Options{
-			Variant:   gompresso.VariantBit,
-			DE:        gompresso.DEStrict,
-			BlockSize: spec.BlockKB << 10,
-			Index:     true,
-		})
+		comp, _, err := codec.Compress(raw)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: compress %s: %w", o.Name, err)
-		}
-		if st, err := os.Stat(path); err == nil && st.Size() == int64(len(comp)) {
-			continue // already materialized by an earlier run of this spec
 		}
 		if err := os.WriteFile(path, comp, 0o644); err != nil {
 			return nil, fmt.Errorf("loadgen: write %s: %w", o.Name, err)
 		}
 	}
 	return objs, nil
+}
+
+// materialized reports whether path already holds the container
+// BuildCorpus would write for o: it opens for random access — a header and
+// an index trailer that agree with the file size, which a write an earlier
+// run did not finish cannot show — and its header carries o's size and the
+// spec's encoding. Opening an intact object reads its two ends, not its
+// blocks.
+func materialized(codec *gompresso.Codec, path string, o Object, spec CorpusSpec) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return false
+	}
+	ra, err := codec.NewReaderAt(f, st.Size())
+	if err != nil {
+		return false
+	}
+	h := ra.Header()
+	return int64(h.RawSize) == o.Size && h.Variant == gompresso.VariantBit &&
+		h.DEMode == gompresso.DEStrict && int(h.BlockSize) == spec.BlockKB<<10
 }

@@ -116,21 +116,6 @@ func bucketUpper(i int) int64 {
 	return int64(base << e)
 }
 
-// BucketIndex exposes the bucket mapping so external recorders (the
-// load harness) can check agreement with a scraped quantile in units of
-// sub-buckets.
-func BucketIndex(v int64) int { return bucketFor(v) }
-
-// BucketBounds returns the [lo, hi) value range of the bucket holding v.
-func BucketBounds(v int64) (lo, hi int64) {
-	i := bucketFor(v)
-	if i < subBuckets {
-		return int64(i), int64(i) + 1
-	}
-	e := i>>subBucketBits - 1
-	return int64(subBuckets+i&(subBuckets-1)) << e, bucketUpper(i)
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

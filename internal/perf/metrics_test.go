@@ -160,21 +160,25 @@ func TestBucketMapping(t *testing.T) {
 	prev := -1
 	for _, v := range []int64{0, 1, 2, 3, 4, 5, 7, 8, 11, 15, 16, 31, 32, 63,
 		1000, 1023, 1024, 1<<20 - 1, 1 << 20, 1<<62 - 1, 1 << 62, 1<<63 - 1} {
-		i := BucketIndex(v)
+		i := bucketFor(v)
 		if i < prev {
 			t.Fatalf("bucket index not monotone at %d: %d < %d", v, i, prev)
 		}
 		prev = i
-		lo, hi := BucketBounds(v)
-		// The top bucket's bound saturates at MaxInt64 (inclusive).
-		if v < lo || (v >= hi && hi != math.MaxInt64) {
+		if i < subBuckets {
+			continue // exact buckets, checked below
+		}
+		// The bucket below ends where this one starts (the abutment loop
+		// below); the top bucket's bound saturates at MaxInt64 (inclusive).
+		lo, hi := bucketUpper(i-1), bucketUpper(i)
+		if (i > subBuckets && v < lo) || (v >= hi && hi != math.MaxInt64) {
 			t.Fatalf("value %d outside its bucket bounds [%d,%d)", v, lo, hi)
 		}
 	}
 	// Exact small buckets: one value per bucket below subBuckets.
 	for v := int64(0); v < subBuckets; v++ {
-		if got := BucketIndex(v); got != int(v) {
-			t.Fatalf("BucketIndex(%d) = %d, want exact", v, got)
+		if got := bucketFor(v); got != int(v) {
+			t.Fatalf("bucketFor(%d) = %d, want exact", v, got)
 		}
 	}
 	// Adjacent buckets abut: each log-linear bucket's upper bound is the

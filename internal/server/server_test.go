@@ -19,6 +19,20 @@ import (
 	"gompresso/internal/datagen"
 )
 
+// compress returns src as a Gompresso/Byte container made with opts.
+func compress(t *testing.T, src []byte, opts ...gompresso.Option) []byte {
+	t.Helper()
+	c, err := gompresso.New(append(opts, gompresso.WithVariant(gompresso.VariantByte))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, _, err := c.Compress(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp
+}
+
 // fixture builds a served root: the same corpus as an indexed container,
 // an unindexed container, a .gz, and a .zz, plus junk that must 415.
 type fixture struct {
@@ -37,16 +51,9 @@ func newFixture(t *testing.T) *fixture {
 			t.Fatal(err)
 		}
 	}
-	comp, _, err := gompresso.Compress(src, gompresso.Options{BlockSize: 64 << 10, Index: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := compress(t, src, gompresso.WithBlockSize(64<<10), gompresso.WithIndex(true))
 	write("corpus.txt.gpz", comp)
-	plain, _, err := gompresso.Compress(src, gompresso.Options{BlockSize: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	write("noindex.gpz", plain)
+	write("noindex.gpz", compress(t, src, gompresso.WithBlockSize(64<<10)))
 
 	var gz bytes.Buffer
 	zw := gzip.NewWriter(&gz)
@@ -482,10 +489,7 @@ func TestObjectInvalidation(t *testing.T) {
 	oldObj := s.objects["corpus.txt.gpz"]
 	s.mu.Unlock()
 	src2 := datagen.WikiXML(100<<10, 99)
-	comp2, _, err := gompresso.Compress(src2, gompresso.Options{BlockSize: 64 << 10, Index: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp2 := compress(t, src2, gompresso.WithBlockSize(64<<10), gompresso.WithIndex(true))
 	p := filepath.Join(fx.root, "corpus.txt.gpz")
 	if err := os.WriteFile(p, comp2, 0o644); err != nil {
 		t.Fatal(err)
@@ -545,11 +549,7 @@ func (f *eagerEOFFile) ReadAt(p []byte, off int64) (int, error) {
 // trailer load of an indexed one, the last block of a trailer-less one.
 func TestEagerEOFSource(t *testing.T) {
 	fx := newFixture(t)
-	empty, _, err := gompresso.Compress(nil, gompresso.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(fx.root, "empty.gpz"), empty, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(fx.root, "empty.gpz"), compress(t, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, ts := startServer(t, Options{Root: fx.root, CacheBytes: 8 << 20, Source: eagerEOFSource{NewDirSource(fx.root)}})

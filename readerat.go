@@ -23,14 +23,14 @@ import (
 // scratch drawn from pools.
 //
 // The block index comes from the container's optional index trailer
-// (Options.Index) when present; otherwise construction scans the block
+// (WithIndex) when present; otherwise construction scans the block
 // section once. For a sequential view of a sub-range, wrap a ReaderAt in an
 // io.SectionReader.
 type ReaderAt struct {
 	ra      io.ReaderAt
 	hdr     format.FileHeader // foreign streams: only RawSize is set
 	src     blockSource
-	workers int // per-call decode concurrency; 0 selects GOMAXPROCS
+	workers int // per-call decode concurrency: the codec's worker budget
 	ctx     context.Context
 
 	// Optional shared decoded-block cache (Codec.WithCache). Blocks are
@@ -117,15 +117,16 @@ func (s foreignSource) decodeInto(src io.ReaderAt, i int64, dst []byte) error {
 	return nil
 }
 
-// NewReaderAt opens a Gompresso container stored in the first size bytes
-// of ra for random access. Codec.NewReaderAt is the same, bound to a
-// codec's worker budget and context.
-func NewReaderAt(ra io.ReaderAt, size int64) (*ReaderAt, error) {
-	//lint:allow ctxguard NewReaderAt is the context-free API; Codec.NewReaderAt threads a real ctx
-	return newReaderAt(context.Background(), ra, size, 0, FormatAuto, nil)
-}
-
-func newReaderAt(ctx context.Context, ra io.ReaderAt, size int64, workers int, form Format, cache *blockcache.Cache) (*ReaderAt, error) {
+// NewReaderAt opens a container stored in the first size bytes of ra for
+// concurrent positioned reads on the codec's worker budget and context.
+// Random access needs the native container's block index, so foreign
+// formats are rejected up front (pinned via WithFormat or sniffed from
+// the magic bytes) and unrecognized input fails with an error wrapping
+// ErrUnknownFormat — the same classification Decompress and NewReader
+// give.
+// With WithCache, every ReaderAt from this codec shares the codec's
+// decoded-block cache (each under its own object identity).
+func (c *Codec) NewReaderAt(ra io.ReaderAt, size int64) (*ReaderAt, error) {
 	head := make([]byte, format.HeaderSize)
 	n, err := ra.ReadAt(head, 0)
 	if err != nil && err != io.EOF {
@@ -137,6 +138,7 @@ func newReaderAt(ctx context.Context, ra io.ReaderAt, size int64, workers int, f
 	// needs the native container's block structure. A format pinned to
 	// FormatGompresso skips the sniff (mismatched input surfaces as a
 	// native parse error, as in NewReader).
+	form := c.form
 	if form == FormatAuto {
 		if form = sniffFormat(head); form == FormatAuto {
 			return nil, unknownFormat(head)
@@ -157,15 +159,19 @@ func newReaderAt(ctx context.Context, ra io.ReaderAt, size int64, workers int, f
 			return nil, err
 		}
 	}
-	return openReaderAt(ctx, ra, hdr, &nativeSource{hdr: hdr, idx: idx}, workers, cache), nil
+	return c.openReaderAt(ra, hdr, &nativeSource{hdr: hdr, idx: idx}), nil
 }
 
-// newForeignReaderAt opens a foreign compressed stream (gzip/zlib/raw
-// deflate, the first size bytes of ra) for random access through a seek
-// index built over exactly those bytes. The index is validated against
-// size here; staleness against the live source (mtime) is the caller's
-// responsibility, as with any cached resolution.
-func newForeignReaderAt(ctx context.Context, ra io.ReaderAt, size int64, idx *deflate.Index, workers int, cache *blockcache.Cache) (*ReaderAt, error) {
+// NewReaderAtWithIndex opens a foreign compressed stream (gzip/zlib —
+// the first size bytes of ra) for the same concurrent positioned reads,
+// random access coming from a seek index built over exactly those bytes
+// (Reader.CollectIndex during a full decode, or a persisted sidecar via
+// internal gzidx tooling / `gompresso index`). Checkpointed chunks play
+// the role native blocks do: they key into the shared decoded-block
+// cache and feed WriteRangeTo's window-parallel send path unchanged.
+// The index is validated against size; keeping it fresh against a
+// mutable source is the caller's job, as with any cached resolution.
+func (c *Codec) NewReaderAtWithIndex(ra io.ReaderAt, size int64, idx *SeekIndex) (*ReaderAt, error) {
 	if idx == nil {
 		return nil, errors.New("gompresso: nil seek index")
 	}
@@ -173,12 +179,12 @@ func newForeignReaderAt(ctx context.Context, ra io.ReaderAt, size int64, idx *de
 		return nil, err
 	}
 	hdr := format.FileHeader{RawSize: uint64(idx.RawSize)}
-	return openReaderAt(ctx, ra, hdr, foreignSource{idx}, workers, cache), nil
+	return c.openReaderAt(ra, hdr, foreignSource{idx}), nil
 }
 
-func openReaderAt(ctx context.Context, ra io.ReaderAt, hdr format.FileHeader, src blockSource, workers int, cache *blockcache.Cache) *ReaderAt {
-	r := &ReaderAt{ra: ra, hdr: hdr, src: src, workers: workers, ctx: ctx, cache: cache}
-	if cache != nil {
+func (c *Codec) openReaderAt(ra io.ReaderAt, hdr format.FileHeader, src blockSource) *ReaderAt {
+	r := &ReaderAt{ra: ra, hdr: hdr, src: src, workers: c.pipe.Workers, ctx: c.ctx, cache: c.cache}
+	if c.cache != nil {
 		r.obj = blockcache.NextObject()
 	}
 	return r

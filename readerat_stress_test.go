@@ -21,14 +21,9 @@ func TestReaderAtStress(t *testing.T) {
 	const blockSize = 32 << 10
 	src := datagen.WikiXML(768<<10, 41)
 	for _, variant := range []gompresso.Variant{gompresso.VariantBit, gompresso.VariantByte} {
-		comp, _, err := gompresso.Compress(src, gompresso.Options{
-			Variant: variant, BlockSize: blockSize, Index: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		comp := compress(t, src, gompresso.WithVariant(variant), gompresso.WithBlockSize(blockSize), gompresso.WithIndex(true))
 		// Oracle: the whole stream via the one-shot host engine.
-		oracle, _, err := gompresso.Decompress(comp, gompresso.DecompressOptions{Engine: gompresso.EngineHost})
+		oracle, _, err := newCodec(t).Decompress(comp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,10 +119,7 @@ func TestReaderAtCacheIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	open := func(src []byte) *gompresso.ReaderAt {
-		comp, _, err := gompresso.Compress(src, gompresso.Options{BlockSize: blockSize, Index: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		comp := compress(t, src, byteVariant, gompresso.WithBlockSize(blockSize), gompresso.WithIndex(true))
 		ra, err := codec.NewReaderAt(bytes.NewReader(comp), int64(len(comp)))
 		if err != nil {
 			t.Fatal(err)
@@ -155,10 +147,7 @@ func TestReaderAtCacheIsolation(t *testing.T) {
 // WriteRangeTo must propagate per-request context cancellation.
 func TestWriteRangeToCancelled(t *testing.T) {
 	src := datagen.WikiXML(256<<10, 3)
-	comp, _, err := gompresso.Compress(src, gompresso.Options{BlockSize: 16 << 10, Index: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := compress(t, src, byteVariant, gompresso.WithBlockSize(16<<10), gompresso.WithIndex(true))
 	for _, cacheBytes := range []int64{0, 8 << 20} {
 		codec, err := gompresso.New(gompresso.WithCache(cacheBytes))
 		if err != nil {

@@ -18,13 +18,8 @@ func TestReaderAt(t *testing.T) {
 	src := datagen.WikiXML(1<<20, 31)
 	for _, variant := range []gompresso.Variant{gompresso.VariantBit, gompresso.VariantByte} {
 		for _, withIndex := range []bool{false, true} {
-			comp, _, err := gompresso.Compress(src, gompresso.Options{
-				Variant: variant, BlockSize: blockSize, Index: withIndex,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ra, err := gompresso.NewReaderAt(bytes.NewReader(comp), int64(len(comp)))
+			comp := compress(t, src, gompresso.WithVariant(variant), gompresso.WithBlockSize(blockSize), gompresso.WithIndex(withIndex))
+			ra, err := newCodec(t).NewReaderAt(bytes.NewReader(comp), int64(len(comp)))
 			if err != nil {
 				t.Fatalf("variant=%v index=%v: %v", variant, withIndex, err)
 			}
@@ -71,11 +66,8 @@ func TestReaderAt(t *testing.T) {
 func TestReaderAtConcurrent(t *testing.T) {
 	const blockSize = 32 << 10
 	src := datagen.WikiXML(1<<20, 37)
-	comp, _, err := gompresso.Compress(src, gompresso.Options{BlockSize: blockSize, Index: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, err := gompresso.NewReaderAt(bytes.NewReader(comp), int64(len(comp)))
+	comp := compress(t, src, byteVariant, gompresso.WithBlockSize(blockSize), gompresso.WithIndex(true))
+	ra, err := newCodec(t).NewReaderAt(bytes.NewReader(comp), int64(len(comp)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +108,8 @@ func TestReaderAtConcurrent(t *testing.T) {
 // the documented way to stream a sub-range.
 func TestReaderAtSectionReader(t *testing.T) {
 	src := datagen.WikiXML(512<<10, 41)
-	comp, _, err := gompresso.Compress(src, gompresso.Options{BlockSize: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, err := gompresso.NewReaderAt(bytes.NewReader(comp), int64(len(comp)))
+	comp := compress(t, src, byteVariant, gompresso.WithBlockSize(64<<10))
+	ra, err := newCodec(t).NewReaderAt(bytes.NewReader(comp), int64(len(comp)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,16 +128,13 @@ func TestReaderAtSectionReader(t *testing.T) {
 func TestReaderAtCorruptBlock(t *testing.T) {
 	const blockSize = 64 << 10
 	src := datagen.WikiXML(512<<10, 43)
-	comp, _, err := gompresso.Compress(src, gompresso.Options{BlockSize: blockSize})
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := compress(t, src, byteVariant, gompresso.WithBlockSize(blockSize))
 	const k = 2
 	mut, ok := corruptBlock(t, comp, k)
 	if !ok {
 		t.Skip("block layout does not allow the mutation")
 	}
-	ra, err := gompresso.NewReaderAt(bytes.NewReader(mut), int64(len(mut)))
+	ra, err := newCodec(t).NewReaderAt(bytes.NewReader(mut), int64(len(mut)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,14 +33,14 @@ import (
 // Reader implements io.Reader and io.WriterTo; io.Copy uses WriteTo
 // automatically. When the underlying reader is an io.Seeker, Reader also
 // implements io.Seeker over the *decompressed* stream, using a block index
-// read from the container's optional index trailer (Options.Index) or
+// read from the container's optional index trailer (WithIndex) or
 // reconstructed by a one-time scan. A Reader is not safe for concurrent
 // use; for concurrent random access see ReaderAt.
 type Reader struct {
 	src  io.Reader
 	base int64 // container start offset within src; -1 if src cannot seek
 	hdr  format.FileHeader
-	opt  ReaderOptions
+	pipe core.Pipeline // normalized by the codec
 	ctx  context.Context
 	idx  *format.Index
 
@@ -65,41 +65,23 @@ type Reader struct {
 	closed bool
 }
 
-// ReaderOptions tunes the streaming pipeline.
-type ReaderOptions struct {
-	// Workers is the number of blocks decoded concurrently. 0 selects
-	// GOMAXPROCS; 1 selects the synchronous single-goroutine path; negative
-	// values are rejected with ErrInvalidOption. Values above the shared
-	// pool's size (GOMAXPROCS) keep their readahead buffering but gain no
-	// additional decode concurrency.
-	Workers int
-	// Readahead is the maximum number of decoded blocks buffered ahead of
-	// the consumer (the pipeline's back-pressure bound). 0 selects
-	// 2×Workers; values below Workers are raised to Workers; negative
-	// values are rejected with ErrInvalidOption.
-	Readahead int
+// NewReader returns a streaming decompressor for r running on the codec's
+// worker budget and context. The input format follows WithFormat (see
+// Decompress); foreign formats stream through the parallel two-pass
+// deflate pipeline, with the whole compressed input buffered in memory (it
+// needs random access for boundary scanning) and Seek unsupported.
+func (c *Codec) NewReader(r io.Reader) (*Reader, error) {
+	return c.NewReaderContext(c.ctx, r)
 }
 
-// NewReader returns a streaming decompressor for r with default options.
-// The input format is sniffed from the magic bytes: Gompresso containers
-// stream block-parallel as before, and gzip/zlib streams decode through
-// the parallel two-pass deflate pipeline (buffering the compressed input
-// in memory; Seek unsupported). Unrecognized input fails with an error
-// wrapping ErrUnknownFormat.
-func NewReader(r io.Reader) (*Reader, error) { return NewReaderWith(r, ReaderOptions{}) }
-
-// NewReaderWith is NewReader with explicit pipeline options.
-func NewReaderWith(r io.Reader, opt ReaderOptions) (*Reader, error) {
-	//lint:allow ctxguard NewReaderWith is the context-free API; Codec.NewReader threads a real ctx
-	return newReader(context.Background(), r, opt, FormatAuto)
-}
-
-func newReader(ctx context.Context, r io.Reader, opt ReaderOptions, form Format) (*Reader, error) {
-	pl, err := core.Pipeline{Workers: opt.Workers, Readahead: opt.Readahead}.Normalize()
-	if err != nil {
-		return nil, err
+// NewReaderContext is NewReader under an explicit context, overriding
+// the codec's own for this one stream — the shape a server needs, where
+// cancellation is per request while the codec (worker budget, cache) is
+// shared by all of them. A nil ctx selects the codec's context.
+func (c *Codec) NewReaderContext(ctx context.Context, r io.Reader) (*Reader, error) {
+	if ctx == nil {
+		ctx = c.ctx
 	}
-	opt.Workers, opt.Readahead = pl.Workers, pl.Readahead
 	base := int64(-1)
 	if s, ok := r.(io.Seeker); ok {
 		if p, err := s.Seek(0, io.SeekCurrent); err == nil {
@@ -116,6 +98,7 @@ func newReader(ctx context.Context, r io.Reader, opt ReaderOptions, form Format)
 	if rerr != nil && rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
 		return nil, rerr
 	}
+	form := c.form
 	if form == FormatAuto {
 		if form = sniffFormat(head); form == FormatAuto {
 			return nil, unknownFormat(head)
@@ -131,12 +114,12 @@ func newReader(ctx context.Context, r io.Reader, opt ReaderOptions, form Format)
 		}
 		data := buf.Bytes()
 		fr, err := deflate.NewReaderBytes(ctx, data, foreignForm(form), deflate.Options{
-			Workers: opt.Workers, Readahead: opt.Readahead,
+			Workers: c.pipe.Workers, Readahead: c.pipe.Readahead,
 		})
 		if err != nil {
 			return nil, err
 		}
-		return &Reader{src: r, base: -1, opt: opt, ctx: ctx, fr: fr,
+		return &Reader{src: r, base: -1, pipe: c.pipe, ctx: ctx, fr: fr,
 			hdr: format.FileHeader{Window: 32768}}, nil
 	}
 	// Native container: rewind seekable sources so the block reader owns
@@ -155,7 +138,7 @@ func newReader(ctx context.Context, r io.Reader, opt ReaderOptions, form Format)
 	if err != nil {
 		return nil, err
 	}
-	rd := &Reader{src: src, base: base, hdr: br.Header(), opt: opt, ctx: ctx}
+	rd := &Reader{src: src, base: base, hdr: br.Header(), pipe: c.pipe, ctx: ctx}
 	rd.start(br, 0)
 	return rd, nil
 }
@@ -196,13 +179,12 @@ func (r *Reader) ForeignIndex() *SeekIndex {
 }
 
 // workersFor returns the decode concurrency for a stream starting at block
-// first: the reader's normalized worker budget (newReader ran
-// core.Pipeline.Normalize, the shared defaulting), clamped to the blocks
+// first: the reader's normalized worker budget, clamped to the blocks
 // that remain. Requests above the shared pool's size keep their pipeline
 // shape (buffering, readahead) but gain no extra concurrency — the ordered
 // queue clamps execution to the pool.
 func (r *Reader) workersFor(first uint32) int {
-	w := r.opt.Workers
+	w := r.pipe.Workers
 	if rem := int(r.hdr.NumBlocks) - int(first); w > rem {
 		w = rem
 	}
@@ -223,7 +205,7 @@ func (r *Reader) start(br *format.BlockReader, first uint32) {
 		}
 		return
 	}
-	r.pl = newPipe(r.ctx, r.hdr, w, r.opt.Readahead)
+	r.pl = newPipe(r.ctx, r.hdr, w, r.pipe.Readahead)
 	go r.pl.fetch(br)
 }
 

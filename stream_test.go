@@ -17,15 +17,10 @@ import (
 func TestStreamingReader(t *testing.T) {
 	src := datagen.WikiXML(1<<20, 3)
 	for _, variant := range []gompresso.Variant{gompresso.VariantBit, gompresso.VariantByte} {
-		comp, _, err := gompresso.Compress(src, gompresso.Options{
-			Variant: variant, DE: gompresso.DEStrict, BlockSize: 128 << 10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		comp := compress(t, src, gompresso.WithVariant(variant), gompresso.WithDE(gompresso.DEStrict), gompresso.WithBlockSize(128<<10))
 
 		// Odd-sized Read calls exercise the intra-block offset logic.
-		r, err := gompresso.NewReader(bytes.NewReader(comp))
+		r, err := newCodec(t).NewReader(bytes.NewReader(comp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +45,7 @@ func TestStreamingReader(t *testing.T) {
 		r.Close()
 
 		// io.Copy takes the WriteTo path.
-		r2, err := gompresso.NewReader(bytes.NewReader(comp))
+		r2, err := newCodec(t).NewReader(bytes.NewReader(comp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +64,8 @@ func TestStreamingReader(t *testing.T) {
 func TestStreamingReaderTinyInputs(t *testing.T) {
 	for _, size := range []int{0, 1, 3, 100} {
 		src := datagen.WikiXML(1<<12, 9)[:size]
-		comp, _, err := gompresso.Compress(src, gompresso.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := gompresso.NewReader(bytes.NewReader(comp))
+		comp := compress(t, src, byteVariant)
+		r, err := newCodec(t).NewReader(bytes.NewReader(comp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,10 +86,7 @@ func TestStreamingReaderTinyInputs(t *testing.T) {
 // zero bytes served, not a buffer of undecoded garbage.
 func TestStreamingReaderFailedBlockNotServed(t *testing.T) {
 	src := datagen.WikiXML(256<<10, 5)
-	comp, _, err := gompresso.Compress(src, gompresso.Options{BlockSize: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := compress(t, src, byteVariant, gompresso.WithBlockSize(64<<10))
 	h, err := gompresso.Info(comp)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +105,7 @@ func TestStreamingReaderFailedBlockNotServed(t *testing.T) {
 	mut[numSeqsOff+2] = byte(mutated >> 16)
 	mut[numSeqsOff+3] = byte(mutated >> 24)
 
-	r, err := gompresso.NewReader(bytes.NewReader(mut))
+	r, err := newCodec(t).NewReader(bytes.NewReader(mut))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +120,9 @@ func TestStreamingReaderFailedBlockNotServed(t *testing.T) {
 
 func TestStreamingReaderTruncated(t *testing.T) {
 	src := datagen.WikiXML(256<<10, 4)
-	comp, _, err := gompresso.Compress(src, gompresso.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := compress(t, src, byteVariant)
 	for _, cut := range []int{10, 40, len(comp) / 2, len(comp) - 1} {
-		r, err := gompresso.NewReader(bytes.NewReader(comp[:cut]))
+		r, err := newCodec(t).NewReader(bytes.NewReader(comp[:cut]))
 		if err != nil {
 			continue // truncated header rejected at construction: fine
 		}
@@ -152,20 +138,16 @@ func TestStreamingReaderTruncated(t *testing.T) {
 func TestStreamingReaderParallel(t *testing.T) {
 	src := datagen.WikiXML(1<<20, 13)
 	for _, variant := range []gompresso.Variant{gompresso.VariantBit, gompresso.VariantByte} {
-		comp, _, err := gompresso.Compress(src, gompresso.Options{
-			Variant: variant, DE: gompresso.DEStrict, BlockSize: 64 << 10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, opt := range []gompresso.ReaderOptions{
+		comp := compress(t, src, gompresso.WithVariant(variant), gompresso.WithDE(gompresso.DEStrict), gompresso.WithBlockSize(64<<10))
+		for _, opt := range []struct{ Workers, Readahead int }{
 			{Workers: 2},
 			{Workers: 4},
 			{Workers: 4, Readahead: 1}, // raised to Workers
 			{Workers: 4, Readahead: 16},
 			{Workers: 64}, // clamped to the block count
 		} {
-			r, err := gompresso.NewReaderWith(bytes.NewReader(comp), opt)
+			codec := newCodec(t, gompresso.WithWorkers(opt.Workers), gompresso.WithReadahead(opt.Readahead))
+			r, err := codec.NewReader(bytes.NewReader(comp))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +168,7 @@ func TestStreamingReaderParallel(t *testing.T) {
 			}
 			r.Close()
 
-			r2, err := gompresso.NewReaderWith(bytes.NewReader(comp), opt)
+			r2, err := codec.NewReader(bytes.NewReader(comp))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,12 +188,9 @@ func TestStreamingReaderParallel(t *testing.T) {
 // touching the pipeline.
 func TestStreamingReaderZeroLengthRead(t *testing.T) {
 	src := datagen.WikiXML(256<<10, 17)
-	comp, _, err := gompresso.Compress(src, gompresso.Options{BlockSize: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := compress(t, src, byteVariant, gompresso.WithBlockSize(64<<10))
 	for _, workers := range []int{1, 4} {
-		r, err := gompresso.NewReaderWith(bytes.NewReader(comp), gompresso.ReaderOptions{Workers: workers})
+		r, err := newCodec(t, gompresso.WithWorkers(workers)).NewReader(bytes.NewReader(comp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,17 +248,14 @@ func TestStreamingReaderMidStreamError(t *testing.T) {
 	const blockSize = 64 << 10
 	src := datagen.WikiXML(512<<10, 19)
 	for _, variant := range []gompresso.Variant{gompresso.VariantBit, gompresso.VariantByte} {
-		comp, _, err := gompresso.Compress(src, gompresso.Options{Variant: variant, BlockSize: blockSize})
-		if err != nil {
-			t.Fatal(err)
-		}
+		comp := compress(t, src, gompresso.WithVariant(variant), gompresso.WithBlockSize(blockSize))
 		const k = 3
 		mut, ok := corruptBlock(t, comp, k)
 		if !ok {
 			t.Skipf("%v: block %d layout does not allow the mutation", variant, k)
 		}
 		for _, workers := range []int{1, 4} {
-			r, err := gompresso.NewReaderWith(bytes.NewReader(mut), gompresso.ReaderOptions{Workers: workers})
+			r, err := newCodec(t, gompresso.WithWorkers(workers)).NewReader(bytes.NewReader(mut))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,11 +280,8 @@ func TestStreamingReaderMidStreamError(t *testing.T) {
 // shared pool's persistent workers are part of the warmed baseline).
 func TestStreamingReaderCloseMidStreamNoLeak(t *testing.T) {
 	src := datagen.WikiXML(1<<20, 23)
-	comp, _, err := gompresso.Compress(src, gompresso.Options{BlockSize: 32 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := gompresso.NewReaderWith(bytes.NewReader(comp), gompresso.ReaderOptions{Workers: 4})
+	comp := compress(t, src, byteVariant, gompresso.WithBlockSize(32<<10))
+	warm, err := newCodec(t, gompresso.WithWorkers(4)).NewReader(bytes.NewReader(comp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +293,7 @@ func TestStreamingReaderCloseMidStreamNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	for i := 0; i < 10; i++ {
-		r, err := gompresso.NewReaderWith(bytes.NewReader(comp), gompresso.ReaderOptions{Workers: 4})
+		r, err := newCodec(t, gompresso.WithWorkers(4)).NewReader(bytes.NewReader(comp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,12 +324,9 @@ func TestStreamingReaderSeek(t *testing.T) {
 	const blockSize = 64 << 10
 	src := datagen.WikiXML(1<<20, 29)
 	for _, withIndex := range []bool{false, true} {
-		comp, _, err := gompresso.Compress(src, gompresso.Options{BlockSize: blockSize, Index: withIndex})
-		if err != nil {
-			t.Fatal(err)
-		}
+		comp := compress(t, src, byteVariant, gompresso.WithBlockSize(blockSize), gompresso.WithIndex(withIndex))
 		for _, workers := range []int{1, 4} {
-			r, err := gompresso.NewReaderWith(bytes.NewReader(comp), gompresso.ReaderOptions{Workers: workers})
+			r, err := newCodec(t, gompresso.WithWorkers(workers)).NewReader(bytes.NewReader(comp))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -432,11 +402,8 @@ func TestStreamingReaderSeek(t *testing.T) {
 	}
 
 	// A non-seekable source rejects Seek but still streams.
-	comp, _, err := gompresso.Compress(src, gompresso.Options{BlockSize: blockSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := gompresso.NewReader(io.MultiReader(bytes.NewReader(comp)))
+	comp := compress(t, src, byteVariant, gompresso.WithBlockSize(blockSize))
+	r, err := newCodec(t).NewReader(io.MultiReader(bytes.NewReader(comp)))
 	if err != nil {
 		t.Fatal(err)
 	}

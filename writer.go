@@ -100,8 +100,12 @@ var errWriterClosed = errors.New("gompresso: writer closed")
 // block buffers and all — reachable that long.
 var recPool = sync.Pool{New: func() any { return new([]byte) }}
 
-func newWriter(ctx context.Context, w io.Writer, opt core.Options, pipe core.Pipeline) *Writer {
-	wr := &Writer{dst: w, opt: opt, pipe: pipe, ctx: ctx, begin: time.Now()}
+// NewWriter returns a parallel streaming compressor writing a Gompresso
+// container to w with the codec's configuration; see Writer for the
+// pipeline and output-mode details. The container's bytes are identical to
+// what Codec.Compress would produce for the concatenated input.
+func (c *Codec) NewWriter(w io.Writer) *Writer {
+	wr := &Writer{dst: w, opt: c.copt, pipe: c.pipe, ctx: c.ctx, begin: time.Now()}
 	if ws, ok := w.(io.WriteSeeker); ok {
 		// Probe: a pipe or terminal satisfies the interface but cannot
 		// actually seek; fall back to the spool for those.
@@ -109,7 +113,7 @@ func newWriter(ctx context.Context, w io.Writer, opt core.Options, pipe core.Pip
 			wr.ws, wr.wsBase = ws, base
 		}
 	}
-	wr.cur = make([]byte, 0, opt.BlockSize)
+	wr.cur = make([]byte, 0, c.copt.BlockSize)
 	return wr
 }
 

@@ -45,12 +45,8 @@ func TestWriterMatchesCompress(t *testing.T) {
 				for _, index := range []bool{false, true} {
 					for _, workers := range []int{1, 2, 0} {
 						name := fmt.Sprintf("v%d_de%d_b%dK_idx%v_w%d", variant, de, blockKB, index, workers)
-						want, _, err := gompresso.Compress(src, gompresso.Options{
-							Variant: variant, DE: de, BlockSize: blockKB << 10, Index: index,
-						})
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
+						want := compress(t, src, gompresso.WithVariant(variant), gompresso.WithDE(de),
+							gompresso.WithBlockSize(blockKB<<10), gompresso.WithIndex(index))
 						c, err := gompresso.New(
 							gompresso.WithVariant(variant),
 							gompresso.WithDE(de),
@@ -85,12 +81,7 @@ func TestWriterMatchesCompress(t *testing.T) {
 // file must still be byte-identical to Compress.
 func TestWriterSeekableBackpatch(t *testing.T) {
 	src := datagen.WikiXML(300_000, 9)
-	want, _, err := gompresso.Compress(src, gompresso.Options{
-		Variant: gompresso.VariantBit, BlockSize: 32 << 10, Index: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := compress(t, src, gompresso.WithVariant(gompresso.VariantBit), gompresso.WithBlockSize(32<<10), gompresso.WithIndex(true))
 	c, err := gompresso.New(
 		gompresso.WithBlockSize(32<<10),
 		gompresso.WithIndex(true),
@@ -198,12 +189,7 @@ func TestWriterFlushBlockBoundary(t *testing.T) {
 	}
 	// After Flush the two full blocks are on disk; re-encoding them alone
 	// predicts the exact file size (header + 2 records, no trailer yet).
-	twoBlocks, _, err := gompresso.Compress(src[:2*bs], gompresso.Options{
-		Variant: gompresso.VariantBit, BlockSize: bs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	twoBlocks := compress(t, src[:2*bs], gompresso.WithVariant(gompresso.VariantBit), gompresso.WithBlockSize(bs))
 	st, err := f.Stat()
 	if err != nil {
 		t.Fatal(err)
@@ -216,12 +202,7 @@ func TestWriterFlushBlockBoundary(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := gompresso.Compress(src, gompresso.Options{
-		Variant: gompresso.VariantBit, BlockSize: bs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := compress(t, src, gompresso.WithVariant(gompresso.VariantBit), gompresso.WithBlockSize(bs))
 	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -253,12 +234,7 @@ func TestWriterFlushExactBoundary(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := gompresso.Compress(src, gompresso.Options{
-			Variant: gompresso.VariantBit, BlockSize: bs,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := compress(t, src, gompresso.WithVariant(gompresso.VariantBit), gompresso.WithBlockSize(bs))
 		st, err := f.Stat()
 		if err != nil {
 			t.Fatal(err)
@@ -316,12 +292,7 @@ func TestWriterEmpty(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := gompresso.Compress(nil, gompresso.Options{
-			Variant: gompresso.VariantBit, Index: index,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := compress(t, nil, gompresso.WithVariant(gompresso.VariantBit), gompresso.WithIndex(index))
 		if !bytes.Equal(buf.Bytes(), want) {
 			t.Fatalf("index=%v: empty container differs from Compress", index)
 		}
