@@ -1,7 +1,6 @@
 package gompresso
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -148,15 +147,10 @@ func decompressForeign(data []byte, f Format, c *Codec) ([]byte, *DecompressStat
 		return nil, nil, err
 	}
 	defer r.Close()
-	var buf bytes.Buffer
-	// Output is at least ~input-sized for any stream worth decompressing;
-	// growth beyond that is geometric anyway, and a ratio-based pre-grow
-	// would triple peak memory on incompressible input.
-	buf.Grow(len(data))
-	if _, err := r.WriteTo(&buf); err != nil {
+	out, err := r.ReadAll()
+	if err != nil {
 		return nil, nil, err
 	}
-	out := buf.Bytes()
 	return out, &DecompressStats{
 		RawSize:     int64(len(out)),
 		CompSize:    int64(len(data)),

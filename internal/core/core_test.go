@@ -10,6 +10,7 @@ import (
 	"gompresso/internal/format"
 	"gompresso/internal/kernels"
 	"gompresso/internal/lz77"
+	"gompresso/internal/race"
 )
 
 func corpus(n int) []byte {
@@ -264,7 +265,7 @@ func TestEncodeBlockRecordAllocs(t *testing.T) {
 			}
 		}
 		encode()
-		if allocs := testing.AllocsPerRun(10, encode); allocs > 4 {
+		if allocs := testing.AllocsPerRun(10, encode); allocs > 4 && !race.Enabled {
 			t.Errorf("%v: EncodeBlockRecord made %v allocations per block, want ≤ 4", de, allocs)
 		}
 	}

@@ -14,6 +14,10 @@ import (
 // markers propagate through nested back-references and remain exact; the
 // in-order resolution stage later replaces each marker with one window
 // lookup. This is rapidgzip's two-pass window-resolution scheme.
+//
+// The encoding doubles as the index of the resolver's table: lut[b] = b for
+// literals and lut[markerBit|i] = window byte i, so resolution is one
+// unconditional load per cell (resolveCells).
 const markerBit = 0x8000
 
 // cell output growth/size policy. A chunk's decompressed size is unknown in
@@ -23,6 +27,11 @@ const markerBit = 0x8000
 const (
 	cellSlack    = maxMatch + 8
 	maxCellChunk = 8 << 20 // cells per chunk before giving up speculation
+	// cellRefill bounds the cells cellHuffLoop can emit between two refills
+	// of its bit cursor: a refill leaves ≤ 64 bits and the next one comes
+	// once < huffWorst remain, so at most 17 symbols start in between, each
+	// worth at most one maximal match.
+	cellRefill = 17*maxMatch + cellSlack
 )
 
 var errOversize = corruptAt(0, "speculative chunk output too large") // internal; never surfaces
@@ -45,15 +54,19 @@ func putCells(c []uint16) {
 // chunkResult is one speculative chunk's outcome, delivered in submission
 // order to the resolver. The chunk decoded the bit range [start, end) into
 // cells; sawEOS reports that the member's final block completed inside the
-// chunk. err records a speculative decode failure — the resolver never
-// trusts it directly, it re-decodes sequentially to obtain the
-// authoritative error (or to discover the chunk start was a misprediction
-// and the "failure" was garbage).
+// chunk. minSrc is the most negative source position any back-reference
+// reached, relative to the chunk start (0: the chunk is marker-free) — the
+// one number the resolver needs to know every marker lands inside the
+// member's real history. err records a speculative decode failure — the
+// resolver never trusts it directly, it re-decodes sequentially to obtain
+// the authoritative error (or to discover the chunk start was a
+// misprediction and the "failure" was garbage).
 type chunkResult struct {
 	start  int64
 	end    int64
 	sawEOS bool
 	cells  []uint16
+	minSrc int
 	err    error
 }
 
@@ -92,7 +105,9 @@ func decodeChunk(data []byte, start, endTarget int64) chunkResult {
 				}
 			}
 		case 1, 2:
-			cells, bit, err = cellHuffLoop(data, h.bit, t, h.kind == 1, cells)
+			var low int
+			cells, bit, low, err = cellHuffLoop(data, h.bit, t, h.kind == 1, cells)
+			c.minSrc = min(c.minSrc, low)
 			c.err = err
 		}
 		if c.err != nil {
@@ -135,10 +150,20 @@ func ensureCells(cells []uint16, n int) ([]uint16, error) {
 	return grown, nil
 }
 
+// spanCells returns cells[:pos] stretched over its whole capacity, with room
+// past pos for everything one cursor refill can decode.
+func spanCells(cells []uint16, pos int) ([]uint16, error) {
+	cells, err := ensureCells(cells[:pos], cellRefill)
+	return cells[:cap(cells)], err
+}
+
 // cellHuffLoop is huffLoop's speculative twin: same symbol decode on the
 // same packed tables, but emitting cells and representing back-references
-// into the unseen pre-chunk window as markers.
-func cellHuffLoop(data []byte, bit int64, t *tables, useFixed bool, cells []uint16) ([]uint16, int64, error) {
+// into the unseen pre-chunk window as markers. It also returns the most
+// negative source position a match reached (≤ 0): copies only replicate
+// markers that already exist, so tracking at synthesis is exact. Room for
+// output is checked once per cursor refill, not per symbol.
+func cellHuffLoop(data []byte, bit int64, t *tables, useFixed bool, cells []uint16) ([]uint16, int64, int, error) {
 	if useFixed {
 		t = fixed()
 	}
@@ -147,27 +172,30 @@ func cellHuffLoop(data []byte, bit int64, t *tables, useFixed bool, cells []uint
 	cur := bitio.NewCursor(data, bit)
 	base := bit
 	tail := false
-	pos := len(cells)
-	fail := func(msg string) ([]uint16, int64, error) {
+	pos, low := len(cells), 0
+	fail := func(msg string) ([]uint16, int64, int, error) {
 		if cur.Overrun() {
-			return cells, 0, truncatedAt(int64(len(data)), "compressed data past end of input")
+			return cells, 0, 0, truncatedAt(int64(len(data)), "compressed data past end of input")
 		}
-		return cells, 0, corruptAt((base+cur.Consumed())>>3, msg)
+		return cells, 0, 0, corruptAt((base+cur.Consumed())>>3, msg)
+	}
+	// The cursor may start with enough bits to skip its first refill.
+	cells, err := spanCells(cells, pos)
+	if err != nil {
+		return cells, 0, 0, err
 	}
 	for {
-		if pos+cellSlack > cap(cells) {
-			var err error
-			if cells, err = ensureCells(cells[:pos], cellSlack); err != nil {
-				return cells, 0, err
-			}
-		}
-		cells = cells[:pos+cellSlack]
 		if cur.Buffered() < huffWorst {
 			cur.Refill()
 			if cur.Overrun() {
 				return fail("")
 			}
 			tail = cur.Buffered() < huffWorst
+			if pos+cellRefill > len(cells) {
+				if cells, err = spanCells(cells, pos); err != nil {
+					return cells, 0, 0, err
+				}
+			}
 		}
 		posIter := pos
 		eL := lit[cur.Window(litMask)]
@@ -190,7 +218,7 @@ func cellHuffLoop(data []byte, bit int64, t *tables, useFixed bool, cells []uint
 			if tail && cur.Overrun() {
 				return fail("")
 			}
-			return cells[:pos], base + cur.Consumed(), nil
+			return cells[:pos], base + cur.Consumed(), low, nil
 		}
 		if sym >= maxLitLen {
 			return fail("invalid length symbol")
@@ -214,6 +242,7 @@ func cellHuffLoop(data []byte, bit int64, t *tables, useFixed bool, cells []uint
 		}
 		// d ≤ 32768 by construction, so every source position is either an
 		// in-chunk cell or a window marker; no distance can escape both.
+		low = min(low, pos-d)
 		pos = copyCells(cells, pos, d, length)
 	}
 }
@@ -250,24 +279,14 @@ func copyCells(cells []uint16, pos, d, length int) int {
 	return end
 }
 
-// resolveCells converts a speculative chunk's cells to bytes, patching
-// window markers against win — the up-to-32768 bytes of member output
-// preceding the chunk. ok is false when a marker reaches past the output
-// that actually exists (the stream is corrupt, or the splice was wrong);
-// the caller falls back to the sequential engine for the authoritative
-// error offset.
-func resolveCells(dst []byte, cells []uint16, win []byte) bool {
-	short := winSize - len(win)
+// resolveCells converts cells to bytes through lut, whose upper half holds
+// the 32 KiB window preceding the chunk (lut[markerBit|i] = window byte i;
+// a shorter window fills the top end, and the resolver has already checked
+// that no marker points below it). A uint16 index into a 1<<16 array needs
+// no bounds check and no branch.
+func resolveCells(dst []byte, cells []uint16, lut *[1 << 16]byte) {
+	dst = dst[:len(cells)]
 	for i, c := range cells {
-		if c < 256 {
-			dst[i] = byte(c)
-			continue
-		}
-		w := int(c&^markerBit) - short
-		if w < 0 {
-			return false
-		}
-		dst[i] = win[w]
+		dst[i] = lut[c]
 	}
-	return true
 }

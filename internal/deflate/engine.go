@@ -85,10 +85,10 @@ type engine struct {
 type state uint8
 
 const (
-	stBlock state = iota // expecting a block header at e.bit
-	stStored             // inside a stored block
-	stHuff               // inside a Huffman-coded block
-	stEOS                // final block complete
+	stBlock  state = iota // expecting a block header at e.bit
+	stStored              // inside a stored block
+	stHuff                // inside a Huffman-coded block
+	stEOS                 // final block complete
 )
 
 // reset points the engine at a deflate stream starting at bit within data.

@@ -71,7 +71,8 @@ func FuzzDeflateParity(f *testing.F) {
 }
 
 // FuzzGzipParity is the same differential harness over full gzip framing
-// (headers, checksums, multistream), against compress/gzip.
+// (headers, checksums, multistream), against compress/gzip, through both
+// the one-shot and the streaming entry point.
 func FuzzGzipParity(f *testing.F) {
 	for _, gz := range corpus.Files() {
 		f.Add(gz)
@@ -85,12 +86,17 @@ func FuzzGzipParity(f *testing.F) {
 		if werr == nil {
 			want, werr = io.ReadAll(zr)
 		}
-		got, gerr := Decompress(data, FormatGzip, Options{Workers: 2, ChunkSize: minChunkSize})
+		opt := Options{Workers: 2, ChunkSize: minChunkSize}
+		got, gerr := Decompress(data, FormatGzip, opt)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("error parity: stdlib=%v ours=%v", werr, gerr)
 		}
 		if werr == nil && !bytes.Equal(got, want) {
 			t.Fatalf("output parity: stdlib %d bytes, ours %d bytes", len(want), len(got))
 		}
+		// Decompress is the one-shot entry point (ReadAll into the final
+		// slice); the streaming Reader runs the same primitive over its
+		// sliding buffer and must end the same way after the same bytes.
+		sameOutcome(t, "one-shot vs streaming", oneShot(t, data, FormatGzip, opt), streamed(t, data, FormatGzip, opt))
 	})
 }

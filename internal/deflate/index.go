@@ -166,7 +166,7 @@ func (x *Index) DecodeChunkInto(dst []byte, src io.ReaderAt, i int) error {
 	}
 	hist := len(cp.Window)
 	limit := hist + len(dst)
-	buf := getIdxBuf(&idxOutPool, limit+maxMatch+8)
+	buf := getIdxBuf(&idxOutPool, limit+runSlack)
 	defer putIdxBuf(&idxOutPool, buf)
 	copy(buf, cp.Window)
 	var e engine
@@ -245,8 +245,8 @@ func (r *Reader) CollectIndex(every int64) error {
 	if every <= 0 {
 		every = DefaultCheckpointSpacing
 	}
-	if r.closed || r.err != nil || r.members != 1 || r.winLen != 0 || len(r.seg) != 0 || r.ms != msBlocks {
-		return errors.New("deflate: CollectIndex requires an unread Reader")
+	if !r.unread() {
+		return errNotNew
 	}
 	r.collect = &collector{every: every}
 	// NewReaderBytes already parsed the first member's header; record its

@@ -1,12 +1,12 @@
 package deflate
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 
@@ -20,7 +20,11 @@ const DefaultChunkSize = 512 << 10
 
 const (
 	minChunkSize = 4 << 10
-	segSize      = 256 << 10 // sequential-path output segment granularity
+	segSize      = 256 << 10 // output granule: one sequential run, one checksum fold
+	// runSlack is the room a decode route needs past the last byte it may
+	// produce: a match copy runs to completion (maxMatch) and
+	// lz77.CopyWithin's wild path may scribble 7 bytes more.
+	runSlack = maxMatch + 8
 )
 
 // Options tunes the decoder.
@@ -75,6 +79,11 @@ const (
 // mispredicted gaps, member boundaries, and error regions. Output bytes,
 // checksums, and error offsets are identical at every worker count.
 //
+// Every byte comes out of one primitive, next: "append the next run of
+// member output to dst, whose own tail is the history". ReadAll runs it over
+// the final, exactly-sized slice; Read and WriteTo run it over one reusable
+// buffer that keeps a window of history in front of the run being served.
+//
 // A Reader is not safe for concurrent use.
 type Reader struct {
 	data []byte
@@ -87,25 +96,39 @@ type Reader struct {
 	bytePos int64 // next member's byte offset (ms == msHeader)
 	members int
 
-	win    [winSize]byte // last ≤32768 bytes of member output
-	winLen int
-	sum    uint32 // running CRC-32 (gzip) or Adler-32 (zlib)
-	msize  uint32 // member output size mod 2^32
+	sum  uint32 // running CRC-32 (gzip) or Adler-32 (zlib)
+	mout int64  // member output so far (see hist)
 
-	sbuf   []byte // sequential decode buffer: window + segment + slack
-	segbuf []byte // resolved speculative chunk output
-
-	seg     []byte // current segment being served
-	segOff  int
-	err     error // sticky; io.EOF after the last byte
-	pendErr error // error to surface after the current segment drains
-	closed  bool
+	buf    []byte // Read/WriteTo only: history window, then the run being served
+	segOff int    // next unserved byte of buf
+	err    error  // sticky; io.EOF after the last byte
+	closed bool
 
 	par     *parRun
+	lut     *[1 << 16]byte // cell → byte, see resolveCells; nil unless par != nil
+	stats   Stats
 	collect *collector // seek-index capture; nil unless CollectIndex enabled
 }
 
-var errClosed = errors.New("deflate: reader closed")
+// Stats counts the resolver's speculation decisions: what became of every
+// chunk result it looked at, and which route the output bytes took.
+type Stats struct {
+	ChunksSpliced  int   // start matched the verified position; resolved in place
+	ChunksStale    int   // start already passed by sequential progress
+	ChunksFailed   int   // speculative decode failed; region re-decoded sequentially
+	ChunksRejected int   // a marker reached before the member's history
+	BytesSpliced   int64 // output delivered by spliced chunks
+	BytesSeq       int64 // output delivered by the sequential engine
+}
+
+// Stats reports the speculation counters so far. Workers: 1 leaves every
+// chunk counter at zero.
+func (r *Reader) Stats() Stats { return r.stats }
+
+var (
+	errClosed = errors.New("deflate: reader closed")
+	errNotNew = errors.New("deflate: CollectIndex and ReadAll require an unread Reader")
+)
 
 // NewReaderBytes returns a Reader over an in-memory compressed stream.
 // The framing header of the first member is parsed eagerly, so garbage
@@ -122,6 +145,10 @@ func NewReaderBytes(ctx context.Context, data []byte, form Format, opt Options) 
 	}
 	if useParallel(len(data), opt, parallel.Workers(opt.Workers, opt.Workers)) {
 		r.par = startScan(ctx, data, r.eng.bit, opt)
+		r.lut = new([1 << 16]byte)
+		for b := 0; b < 256; b++ {
+			r.lut[b] = byte(b)
+		}
 	}
 	return r, nil
 }
@@ -156,11 +183,58 @@ func Decompress(data []byte, form Format, opt Options) ([]byte, error) {
 		return nil, err
 	}
 	defer r.Close()
-	var buf bytes.Buffer
-	if _, err := r.WriteTo(&buf); err != nil {
+	out, err := r.ReadAll()
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return out, nil
+}
+
+// maxExpansion is DEFLATE's ceiling on output per input byte: a 258-byte
+// match can cost as little as two bits.
+const maxExpansion = 1032
+
+// sizeHint guesses the decompressed size for ReadAll's one allocation: the
+// gzip ISIZE trailer when a stream of this length could really expand that
+// far — so a lying trailer reserves no more than a genuine stream of the same
+// size could make us allocate anyway — else the compressed size, from which
+// next grows geometrically (zlib, raw; a multi-member trailer describes only
+// the last member and simply undershoots).
+func (r *Reader) sizeHint() int {
+	n := uint64(len(r.data))
+	if r.form == FormatGzip && n >= 4 {
+		isize := uint64(binary.LittleEndian.Uint32(r.data[n-4:]))
+		if isize <= maxExpansion*n && isize <= math.MaxInt-runSlack-1 {
+			return int(isize)
+		}
+	}
+	return len(r.data)
+}
+
+// ReadAll decodes the whole stream into one slice, sized up front from
+// sizeHint so a truthful gzip trailer costs exactly one allocation and no
+// copy. Like io.ReadAll it returns what decoded cleanly alongside any error.
+// It replaces Read/WriteTo rather than following them: the Reader must be
+// unread.
+func (r *Reader) ReadAll() ([]byte, error) {
+	if !r.unread() {
+		return nil, errNotNew
+	}
+	// One byte beyond the hint lets the engine see the end-of-block symbol
+	// that follows the last output byte without asking for more room.
+	dst := make([]byte, 0, r.sizeHint()+runSlack+1)
+	for r.err == nil {
+		dst, r.err = r.next(dst)
+	}
+	if r.err != io.EOF {
+		return dst, r.err
+	}
+	return dst, nil
+}
+
+// unread reports whether no output has been produced or requested yet.
+func (r *Reader) unread() bool {
+	return !r.closed && r.err == nil && r.members == 1 && r.mout == 0 && r.ms == msBlocks
 }
 
 // Members reports how many framing members have been started so far.
@@ -171,23 +245,23 @@ func (r *Reader) Read(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	for r.segOff == len(r.seg) {
+	for r.segOff == len(r.buf) {
 		if r.err != nil {
 			return 0, r.err
 		}
 		r.fill()
 	}
-	n := copy(p, r.seg[r.segOff:])
+	n := copy(p, r.buf[r.segOff:])
 	r.segOff += n
 	return n, nil
 }
 
-// WriteTo implements io.WriterTo, streaming whole decoded segments to w.
+// WriteTo implements io.WriterTo, streaming whole decoded runs to w.
 func (r *Reader) WriteTo(w io.Writer) (int64, error) {
 	var total int64
 	for {
-		if r.segOff < len(r.seg) {
-			n, err := w.Write(r.seg[r.segOff:])
+		if r.segOff < len(r.buf) {
+			n, err := w.Write(r.buf[r.segOff:])
 			r.segOff += n
 			total += int64(n)
 			if err != nil {
@@ -217,61 +291,64 @@ func (r *Reader) Close() error {
 		r.par = nil
 	}
 	r.eng.release()
-	r.seg = nil
+	r.buf, r.segOff = nil, 0
 	if r.err == nil {
 		r.err = errClosed
 	}
 	return nil
 }
 
+// fill decodes the next run into the streaming buffer. All of buf has been
+// served by now and only its history window still matters, so that slides
+// to the front first: buf is never more than a window and one run. A run
+// that comes with an error is served first; Read and WriteTo surface r.err
+// after it.
 func (r *Reader) fill() {
-	seg, err := r.nextSegment()
-	r.seg, r.segOff = seg, 0
-	if err != nil {
-		r.err = err
-		return
+	if r.buf == nil {
+		r.buf = make([]byte, 0, winSize+segSize+runSlack)
 	}
-	// Checkpoint capture: after a segment lands with the engine parked at
-	// a block boundary mid-member, r.win holds exactly the history visible
-	// at r.eng.bit — both the spliced-parallel and sequential paths leave
-	// this invariant.
-	if r.collect != nil && r.pendErr == nil && r.ms == msBlocks && r.eng.st == stBlock {
-		r.collect.maybeAdd(r.eng.bit, r.win[:r.winLen])
+	if n := len(r.buf); n > winSize {
+		r.buf = r.buf[:copy(r.buf, r.buf[n-winSize:])]
 	}
+	r.segOff = len(r.buf)
+	r.buf, r.err = r.next(r.buf)
 }
 
-// nextSegment advances the framing state machine until it produces output
-// bytes or a terminal condition.
-func (r *Reader) nextSegment() ([]byte, error) {
-	if r.pendErr != nil {
-		return nil, r.pendErr
-	}
+// next appends the next run of decompressed output to dst — a spliced
+// speculative chunk or at most one sequential segment — advancing the
+// framing state machine until there is output or a terminal condition
+// (io.EOF after the last member). The caller passes back what next returned
+// last: the final r.hist() bytes of dst must be the member's most recent
+// output, which is all the history either decode route reads. Output that
+// precedes an error is still appended and returned with it.
+func (r *Reader) next(dst []byte) ([]byte, error) {
 	for {
 		if err := r.ctx.Err(); err != nil {
-			return nil, err
+			return dst, err
 		}
 		switch r.ms {
 		case msDone:
-			return nil, io.EOF
+			return dst, io.EOF
 		case msHeader:
 			if err := r.beginMember(); err != nil {
-				return nil, err
+				return dst, err
 			}
 		case msFooter:
 			if err := r.checkFooter(); err != nil {
-				return nil, err
+				return dst, err
 			}
 		default: // msBlocks
-			seg, err := r.decodeSome()
-			if err != nil || len(seg) > 0 {
-				return seg, err
+			n := len(dst)
+			var err error
+			if dst, err = r.decodeSome(dst); err != nil || len(dst) > n {
+				return dst, err
 			}
 		}
 	}
 }
 
 // beginMember parses the framing header at r.bytePos and resets the
-// per-member state (engine position, history window, checksum).
+// per-member state (engine position, history length, checksum).
 func (r *Reader) beginMember() error {
 	var start int64
 	var err error
@@ -288,8 +365,7 @@ func (r *Reader) beginMember() error {
 	}
 	r.eng.reset(r.data, start*8)
 	r.ms = msBlocks
-	r.winLen = 0
-	r.msize = 0
+	r.mout = 0
 	r.sum = 0
 	if r.form == FormatZlib {
 		r.sum = 1
@@ -319,7 +395,7 @@ func (r *Reader) checkFooter() error {
 		if crc != r.sum {
 			return &Error{Off: off, Kind: ErrChecksum, Msg: "gzip CRC-32 mismatch"}
 		}
-		if isize != r.msize {
+		if isize != uint32(r.mout) {
 			return &Error{Off: off + 4, Kind: ErrChecksum, Msg: "gzip ISIZE mismatch"}
 		}
 		off += 8
@@ -346,101 +422,122 @@ func (r *Reader) checkFooter() error {
 	return nil
 }
 
-// decodeSome produces the next run of output bytes within a member: a
-// spliced speculative chunk when the next pending result starts exactly at
-// the verified stream position, otherwise a sequentially decoded segment.
-func (r *Reader) decodeSome() ([]byte, error) {
-	if r.par != nil && r.eng.st == stBlock {
-		for {
-			c := r.par.peek()
-			if c == nil || c.start > r.eng.bit {
-				break
-			}
-			if c.start < r.eng.bit {
-				r.par.drop() // stale: superseded by sequential progress
-				continue
-			}
-			if c.err != nil {
-				if !isDecodeErr(c.err) {
-					return nil, c.err // context cancellation
-				}
-				// The chunk start is verified, so the failure is real —
-				// but re-derive it sequentially for the authoritative
-				// offset and the exact served prefix.
-				r.par.drop()
-				break
-			}
-			c = r.par.take()
-			seg, ok := r.splice(c)
-			putCells(c.cells)
-			if ok {
-				return seg, nil
-			}
-			break // marker out of range: the sequential engine will explain
-		}
+// decodeSome appends the next run of output within a member: a spliced
+// speculative chunk when the next pending result starts exactly at the
+// verified stream position, otherwise a sequentially decoded segment.
+func (r *Reader) decodeSome(dst []byte) ([]byte, error) {
+	hist := r.hist()
+	c, err := r.spliceable(hist)
+	if err != nil {
+		return dst, err
 	}
-	return r.decodeSeq()
+	if c != nil {
+		dst = r.splice(dst, c, hist)
+		putCells(c.cells)
+	} else if dst, err = r.decodeSeq(dst, hist); err != nil {
+		return dst, err
+	}
+	// Checkpoint capture: with the engine parked at a block boundary
+	// mid-member, dst's tail is exactly the history visible at r.eng.bit —
+	// both routes leave this invariant.
+	if r.collect != nil && r.ms == msBlocks && r.eng.st == stBlock {
+		r.collect.maybeAdd(r.eng.bit, dst[len(dst)-r.hist():])
+	}
+	return dst, nil
 }
 
-// splice applies a verified speculative chunk: resolve its cells against
-// the live window, advance the engine past the chunk, and account the
-// output. ok is false when a marker reaches beyond the member's actual
-// history (corrupt stream; caller re-decodes sequentially).
-func (r *Reader) splice(c *chunkResult) ([]byte, bool) {
+// hist is how much of the member's output back-references can still reach:
+// that many bytes must end the dst handed to next.
+func (r *Reader) hist() int { return int(min(r.mout, winSize)) }
+
+// spliceable takes the pending chunk result off the queue if it can be
+// spliced at the verified position and discards results that never can; a
+// nil chunk sends the caller to the sequential engine. It is the one place
+// chunk results are judged, so it keeps their Stats.
+func (r *Reader) spliceable(hist int) (*chunkResult, error) {
+	if r.par == nil || r.eng.st != stBlock {
+		return nil, nil
+	}
+	for {
+		c := r.par.peek()
+		switch {
+		case c == nil || c.start > r.eng.bit:
+			return nil, nil
+		case c.start < r.eng.bit:
+			r.stats.ChunksStale++ // superseded by sequential progress
+			r.par.drop()
+			continue
+		case c.err != nil && !isDecodeErr(c.err):
+			return nil, c.err // context cancellation
+		case c.err != nil:
+			// The chunk start is verified, so the failure is real — but
+			// re-derive it sequentially for the authoritative offset and
+			// the exact served prefix.
+			r.stats.ChunksFailed++
+		case -c.minSrc > hist:
+			// A marker reaches before the member's history: the stream is
+			// corrupt, and the sequential engine will say where.
+			r.stats.ChunksRejected++
+		default:
+			r.stats.ChunksSpliced++
+			return r.par.take(), nil
+		}
+		r.par.drop()
+		return nil, nil
+	}
+}
+
+// splice resolves a verified speculative chunk straight into dst's spare
+// capacity and advances the engine past it. The checksum is folded a
+// segment behind the resolve, while those bytes are still in cache.
+func (r *Reader) splice(dst []byte, c *chunkResult, hist int) []byte {
 	n := len(c.cells)
-	if cap(r.segbuf) < n {
-		r.segbuf = make([]byte, n)
+	dst = grow(dst, n)
+	at := len(dst)
+	copy(r.lut[markerBit+winSize-hist:], dst[at-hist:])
+	dst = dst[:at+n]
+	for off := 0; off < n; off += segSize {
+		end := min(off+segSize, n)
+		resolveCells(dst[at+off:at+end], c.cells[off:end], r.lut)
+		r.fold(dst[at+off : at+end])
 	}
-	out := r.segbuf[:n]
-	if !resolveCells(out, c.cells, r.win[:r.winLen]) {
-		return nil, false
-	}
+	r.stats.BytesSpliced += int64(n)
 	r.eng.bit = c.end
+	r.eng.st = stBlock
 	if c.sawEOS {
 		r.eng.st = stEOS
 		r.ms = msFooter
-	} else {
-		r.eng.st = stBlock
 	}
-	r.account(out)
-	return out, true
+	return dst
 }
 
-// decodeSeq decodes sequentially into the window-prefixed segment buffer
-// until the segment fills, the member ends, an error occurs, or (in
-// parallel mode) the stream position reaches the next pending chunk.
-func (r *Reader) decodeSeq() ([]byte, error) {
-	if r.sbuf == nil {
-		r.sbuf = make([]byte, winSize+segSize+maxMatch+8)
+// decodeSeq decodes sequentially onto the end of dst until a segment is
+// done, dst's capacity runs out, the member ends, an error occurs, or (in
+// parallel mode) the stream position reaches the next pending chunk. The
+// engine works on dst[len-hist:], so the history is read where it lies.
+func (r *Reader) decodeSeq(dst []byte, hist int) ([]byte, error) {
+	if cap(dst)-len(dst) <= runSlack {
+		dst = grow(dst, segSize)
 	}
-	hist := r.winLen
-	copy(r.sbuf, r.win[:hist])
-	start, pos := hist, hist
-	limit := winSize + segSize
+	base := len(dst) - hist
+	win := dst[base:cap(dst)]
+	pos, limit := hist, min(hist+segSize, len(win)-runSlack)
+	var err error
 	for {
-		npos, ev, err := r.eng.decodeInto(r.sbuf, pos, limit)
-		pos = npos
-		if err != nil {
-			seg := r.emit(start, pos)
-			if len(seg) > 0 {
-				r.pendErr = err // serve the valid prefix first
-				return seg, nil
-			}
-			return nil, err
+		var ev event
+		if pos, ev, err = r.eng.decodeInto(win, pos, limit); err != nil || ev == evSpace {
+			break
 		}
 		if ev == evEOS {
 			r.ms = msFooter
 			break
 		}
-		if ev == evSpace {
-			break
-		}
 		// evBoundary: stop here if the next speculative chunk can splice,
-		// or if index capture owes a checkpoint — ending the segment lets
-		// fill() snapshot the window at this boundary, giving checkpoints
-		// at the requested spacing rather than segment (256 KiB)
-		// granularity.
-		if r.collect != nil && r.collect.due(pos-start) {
+		// or if index capture owes a checkpoint — ending the run lets
+		// decodeSome snapshot the window at this boundary, giving
+		// checkpoints at the requested spacing rather than segment
+		// (256 KiB) granularity.
+		if r.collect != nil && r.collect.due(pos-hist) {
 			break
 		}
 		if r.par != nil {
@@ -449,43 +546,38 @@ func (r *Reader) decodeSeq() ([]byte, error) {
 			}
 		}
 	}
-	return r.emit(start, pos), nil
+	r.fold(win[hist:pos])
+	r.stats.BytesSeq += int64(pos - hist)
+	return dst[:base+pos], err
 }
 
-func (r *Reader) emit(start, pos int) []byte {
-	seg := r.sbuf[start:pos]
-	r.account(seg)
-	return seg
-}
-
-// account folds freshly produced member output into the running checksum,
-// size, and history window.
-func (r *Reader) account(p []byte) {
-	if len(p) == 0 {
-		return
-	}
-	if r.collect != nil {
-		r.collect.total += int64(len(p))
-	}
+// fold accounts freshly produced member output: running checksum, member
+// size, and the index collector's stream offset.
+func (r *Reader) fold(p []byte) {
 	switch r.form {
 	case FormatGzip:
 		r.sum = crc32.Update(r.sum, crc32.IEEETable, p)
 	case FormatZlib:
 		r.sum = adlerUpdate(r.sum, p)
 	}
-	r.msize += uint32(len(p))
-	if len(p) >= winSize {
-		copy(r.win[:], p[len(p)-winSize:])
-		r.winLen = winSize
-		return
+	r.mout += int64(len(p))
+	if r.collect != nil {
+		r.collect.total += int64(len(p))
 	}
-	keep := r.winLen
-	if keep+len(p) > winSize {
-		keep = winSize - len(p)
-		copy(r.win[:], r.win[r.winLen-keep:r.winLen])
+}
+
+// grow returns dst with room for n more bytes plus the decode routes'
+// overshoot slack, moving it to a larger array when it must: double what is
+// held (ReadAll past a wrong size hint), or a quarter over the need (the
+// streaming buffer, which holds little and meets chunks of uneven size).
+func grow(dst []byte, n int) []byte {
+	need := len(dst) + n + runSlack
+	if need <= cap(dst) {
+		return dst
 	}
-	copy(r.win[keep:], p)
-	r.winLen = keep + len(p)
+	bigger := make([]byte, len(dst), max(2*len(dst), need+need/4))
+	copy(bigger, dst)
+	return bigger
 }
 
 func isDecodeErr(err error) bool {

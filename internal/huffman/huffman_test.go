@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"gompresso/internal/bitio"
+	"gompresso/internal/race"
 )
 
 // testEncoder writes symbols with a tree's canonical codes, the way
@@ -392,7 +393,7 @@ func TestBuildLengthsAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
+	if allocs > 2 && !race.Enabled {
 		t.Errorf("BuildLengths made %v allocations, want ≤ 2", allocs)
 	}
 }

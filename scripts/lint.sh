@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # lint.sh — the repository's whole lint gate, runnable locally and in CI.
 #
-#   ./scripts/lint.sh            # go vet + gompressovet (hard failures)
+#   ./scripts/lint.sh            # gofmt + go vet + gompressovet (hard failures)
 #   LINT_EXTRA=1 ./scripts/lint.sh  # also staticcheck/govulncheck if installed
 #
 # gompressovet is the in-tree multichecker (cmd/gompressovet): five
@@ -12,6 +12,15 @@ set -u
 cd "$(dirname "$0")/.."
 
 fail=0
+
+# Any file gofmt would rewrite fails the gate. testdata/ holds analyzer
+# fixtures that are inputs, not code; .bench_build/ is the benchmark's cache.
+echo "== gofmt -l"
+unformatted=$(find . -name '*.go' ! -path '*/testdata/*' ! -path './.bench_build/*' -print0 | xargs -0 gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "$unformatted"
+    fail=1
+fi
 
 echo "== go vet ./..."
 go vet ./... || fail=1
