@@ -1,6 +1,7 @@
 package format
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -13,26 +14,33 @@ import (
 // lz77.TokenStream per block (DecodeBit, then TokenStream.Decompress); the
 // functions here go bitstream→output in a single pass with no intermediate
 // token stream and no steady-state allocations: decode tables live in a
-// pooled DecodeScratch, the bit buffer stays in registers across symbols
-// (bitio.Cursor), and match expansion uses chunked copies (lz77.CopyWithin).
+// pooled DecodeScratch, the bit buffer stays in registers across symbols, and
+// match expansion uses chunked copies. A Bit block runs through a bulk loop
+// whose bounds are proven once per refill (decodeSeqsBulk) and ends in a
+// careful loop that checks every store (decodeSeqsSingle).
 
 // Packed-entry layout shared by the fused tables. Unlike the generic
 // huffman.Decoder LUT, entries pre-resolve symbol semantics so the hot loop
-// never consults LenVal/OffVal:
+// never consults LenVal/OffVal, and the low six bits are everything the bit
+// buffer has to give up for the symbol — its extra bits included — so one
+// shift consumes it:
 //
-//	bits 0–3   bits to consume (codeLen; a pair entry stores both codes' sum)
-//	bit  4     length-symbol flag
-//	bit  5     literal-pair flag
+//	bits 0–5   bits to consume (a pair entry: both codes; a length entry:
+//	           code plus extra bits)
+//	bit  6     length-symbol flag
+//	bit  7     literal-pair flag
 //	bits 8–15  literal byte, or first literal of a pair
 //	bits 16–23 second literal of a pair
-//	bits 8–12  extra-bit count ≤ 16    (length flag set)
+//	bits 8–11  codeLen                 (length flag set)
 //	bits 13–30 length base     ≤ 2^16  (length flag set)
 //
-// Offset-table entries pack codeLen (0–3), extra-bit count ≤ 20 (4–8) and
-// the offset base ≤ 2^20 (9–29).
+// Offset-table entries pack the bits to consume (0–5), codeLen (6–9) and the
+// offset base ≤ 2^20 (10–30). The extra bits of a length or offset are the
+// consumed bits above its codeLen.
 const (
-	entryLenFlag  = 16
-	entryPairFlag = 32
+	entryBitsMask = 63
+	entryLenFlag  = 64
+	entryPairFlag = 128
 )
 
 // pairTableBits caps the widened literal/length table. Each window whose
@@ -67,12 +75,12 @@ func packLitLen(sym int, codeLen uint8) uint32 {
 		return uint32(sym)<<8 | uint32(codeLen)
 	}
 	base, eb, _ := LenVal(sym)
-	return base<<13 | uint32(eb)<<8 | entryLenFlag | uint32(codeLen)
+	return base<<13 | uint32(codeLen)<<8 | entryLenFlag | (uint32(codeLen) + uint32(eb))
 }
 
 func packOff(sym int, codeLen uint8) uint32 {
 	base, eb, _ := OffVal(sym)
-	return base<<9 | uint32(eb)<<4 | uint32(codeLen)
+	return base<<10 | uint32(codeLen)<<6 | (uint32(codeLen) + uint32(eb))
 }
 
 // buildPairTable widens the single-symbol table to pairTableBits and merges
@@ -88,10 +96,10 @@ func buildPairTable(pair, lit []uint32) []uint32 {
 	litMask := uint32(len(lit) - 1)
 	for w := 0; w < n; w++ {
 		e1 := lit[uint32(w)&litMask]
-		if e1&(entryLenFlag|entryPairFlag) == 0 && e1&15 != 0 {
-			l1 := e1 & 15
+		if e1&entryLenFlag == 0 {
+			l1 := e1 & entryBitsMask
 			e2 := lit[(uint32(w)>>l1)&litMask]
-			if l2 := e2 & 15; e2&(entryLenFlag|entryPairFlag) == 0 && l2 != 0 && l1+l2 <= pairTableBits {
+			if l2 := e2 & entryBitsMask; e2&entryLenFlag == 0 && l1+l2 <= pairTableBits {
 				pair[w] = entryPairFlag | (l1 + l2) | (e1 & 0xff00) | (e2&0xff00)<<8
 				continue
 			}
@@ -152,14 +160,20 @@ func (b *BitBlock) DecodeBitInto(dst []byte, sc *DecodeScratch) error {
 		return errCorrupt("%d sequences exceed payload", b.NumSeqs)
 	}
 
-	c := bitio.NewCursor(b.Payload, 0)
-	pos := 0
+	// The bulk loop decodes while both margins hold; the careful loop takes
+	// over at the symbol boundary it stopped on and owns every end-of-block
+	// check. Trees deeper than pairTableBits (CWL 14–15) have no pair table
+	// and go through the careful loop whole.
+	var n, pos int
+	var bit int64
 	if litBits <= pairTableBits {
 		sc.pair = buildPairTable(sc.pair, sc.lit)
-		pos, err = decodeSeqsPair(dst, c, b.NumSeqs, sc.pair, offTab, offMask)
-	} else {
-		pos, err = decodeSeqsSingle(dst, c, b.NumSeqs, sc.lit, uint64(len(sc.lit)-1), offTab, offMask)
+		if n, pos, bit, err = decodeSeqsBulk(dst, b.Payload, b.NumSeqs, sc.pair, offTab, offMask); err != nil {
+			return err
+		}
 	}
+	c := bitio.NewCursor(b.Payload, bit)
+	pos, err = decodeSeqsSingle(dst, c, n, pos, b.NumSeqs, sc.lit, uint64(len(sc.lit)-1), offTab, offMask)
 	if err != nil {
 		return err
 	}
@@ -169,146 +183,158 @@ func (b *BitBlock) DecodeBitInto(dst []byte, sc *DecodeScratch) error {
 	return nil
 }
 
-// decodeSeqsPair is the fused sequence loop over the pair-merged table.
-// Worst-case consumption per refill: three 13-bit lookups plus 16 length
-// extra bits = 55 of the guaranteed 56.
-func decodeSeqsPair(dst []byte, c bitio.Cursor, nSeqs int, litTab []uint32, offTab []uint32, offMask uint64) (int, error) {
-	const litMask = uint64(1)<<pairTableBits - 1
-	pos := 0
-	for n := 0; n < nSeqs; n++ {
-		// Literal run, terminated by a length symbol: up to three lookups —
-		// up to six literals — per refill.
-		var e uint32
-	litrun:
-		for {
-			c.Refill()
-			e = litTab[c.Window(litMask)]
-			c.Skip(uint(e & 15))
-			if e&entryPairFlag != 0 {
-				if uint(pos)+2 > uint(len(dst)) {
-					return pos, errCorrupt("output overrun at seq %d", n)
-				}
-				dst[pos] = byte(e >> 8)
-				dst[pos+1] = byte(e >> 16)
-				pos += 2
-			} else if e&entryLenFlag != 0 {
-				break litrun
-			} else {
-				if uint(pos) >= uint(len(dst)) {
-					return pos, errCorrupt("output overrun at seq %d", n)
-				}
-				dst[pos] = byte(e >> 8)
-				pos++
-			}
-			e = litTab[c.Window(litMask)]
-			c.Skip(uint(e & 15))
-			if e&entryPairFlag != 0 {
-				if uint(pos)+2 > uint(len(dst)) {
-					return pos, errCorrupt("output overrun at seq %d", n)
-				}
-				dst[pos] = byte(e >> 8)
-				dst[pos+1] = byte(e >> 16)
-				pos += 2
-			} else if e&entryLenFlag != 0 {
-				break litrun
-			} else {
-				if uint(pos) >= uint(len(dst)) {
-					return pos, errCorrupt("output overrun at seq %d", n)
-				}
-				dst[pos] = byte(e >> 8)
-				pos++
-			}
-			e = litTab[c.Window(litMask)]
-			c.Skip(uint(e & 15))
-			if e&entryPairFlag != 0 {
-				if uint(pos)+2 > uint(len(dst)) {
-					return pos, errCorrupt("output overrun at seq %d", n)
-				}
-				dst[pos] = byte(e >> 8)
-				dst[pos+1] = byte(e >> 16)
-				pos += 2
-			} else if e&entryLenFlag != 0 {
-				break litrun
-			} else {
-				if uint(pos) >= uint(len(dst)) {
-					return pos, errCorrupt("output overrun at seq %d", n)
-				}
-				dst[pos] = byte(e >> 8)
-				pos++
-			}
-		}
-		if e&15 == 0 {
-			return pos, errCorrupt("invalid lit/len code in seq %d", n)
-		}
-		matchLen := e >> 13
-		if eb := uint(e>>8) & 31; eb > 0 {
-			matchLen += uint32(c.Bits(eb))
-		}
-		if matchLen == 0 {
-			continue
-		}
-		if offTab == nil {
-			return pos, errCorrupt("match present but block has no offset tree")
-		}
-		c.Refill()
-		e = offTab[c.Window(offMask)]
-		c.Skip(uint(e & 15))
-		if e&15 == 0 {
-			return pos, errCorrupt("invalid offset code in seq %d", n)
-		}
-		off := e >> 9
-		if eb := uint(e>>4) & 31; eb > 0 {
-			off += uint32(c.Bits(eb))
-		}
-		if off == 0 || int(off) > pos || int(matchLen) > len(dst)-pos {
-			return pos, errCorrupt("offset %d len %d at seq %d (pos %d of %d)",
-				off, matchLen, n, pos, len(dst))
-		}
-		pos = lz77.CopyWithin(dst, pos, int(off), int(matchLen))
-	}
-	if c.Overrun() {
-		return pos, errCorrupt("bitstream overrun")
-	}
-	return pos, nil
+// Margins of the bulk loop, checked at the top of every sequence and at every
+// refill inside a literal run.
+//
+// bulkOutMargin: the accumulator never holds more than 63 bits and a literal
+// byte costs at least one, so at most 63 literal bytes land between two
+// checks, plus the one byte a two-byte store overhangs a single literal.
+// Matches check their own room.
+//
+// bulkInMargin: at most two refills follow a check before the next one (the
+// checked refill itself and the one before the offset); the first advances
+// by up to 8 bytes and the second loads 8 more.
+const (
+	bulkOutMargin = 64
+	bulkInMargin  = 16
+)
+
+// Bits a refill must leave before a lookup so that the rest of the sequence
+// up to the next refill cannot run the accumulator dry: a pairTableBits
+// lit/len code plus 16 length extra bits, and a 15-bit offset code plus 20
+// offset extra bits. A refill guarantees 56.
+const (
+	bulkLitBits = pairTableBits + 16
+	bulkOffBits = 15 + 20
+)
+
+// refill tops the accumulator up to 56–63 valid bits without a branch: one
+// 8-byte load ORed in above the nacc bits already there, next advanced by the
+// whole bytes that fit. Re-loading a partially consumed byte ORs identical
+// bits. The caller guarantees nacc ≤ 63 and 8 readable bytes at in[next:].
+func refill(in []byte, acc uint64, nacc uint, next int) (uint64, uint, int) {
+	return acc | binary.LittleEndian.Uint64(in[next:])<<nacc, nacc | 56, next + int(63-nacc)>>3
 }
 
-// decodeSeqsSingle is the fallback for trees deeper than pairTableBits
-// (CWL 14–15): two single-symbol lookups per refill (2·15+16 ≤ 56).
-func decodeSeqsSingle(dst []byte, c bitio.Cursor, nSeqs int, litTab []uint32, litMask uint64, offTab []uint32, offMask uint64) (int, error) {
-	pos := 0
-	for n := 0; n < nSeqs; n++ {
+// decodeSeqsBulk is the fused sequence loop over the pair-merged table for
+// everything but the end of a block: while dst has bulkOutMargin bytes of
+// room and in has bulkInMargin bytes left, nothing below needs a bounds
+// decision of its own — refills are one unconditional 8-byte load, a literal
+// entry is one two-byte store that advances by one or two, and extra bits are
+// masked out of the accumulator whether or not there are any. It returns the
+// sequences completed, the output position and the bit offset of the next
+// undecoded symbol, which may sit inside sequence n's literal run.
+func decodeSeqsBulk(dst, in []byte, nSeqs int, pair, offTab []uint32, offMask uint64) (n, pos int, bit int64, err error) {
+	const litMask = 1<<pairTableBits - 1
+	litTab := (*[1 << pairTableBits]uint32)(pair)
+	outLim, inLim := len(dst)-bulkOutMargin, len(in)-bulkInMargin
+	var (
+		acc  uint64
+		nacc uint
+		next int
+	)
+	for ; n < nSeqs && pos <= outLim && next <= inLim; n++ {
+		acc, nacc, next = refill(in, acc, nacc, next)
+		e := litTab[acc&litMask]
+		for e&entryLenFlag == 0 {
+			acc >>= e & entryBitsMask
+			nacc -= uint(e & entryBitsMask)
+			binary.LittleEndian.PutUint16(dst[pos:], uint16(e>>8))
+			pos += 1 + int(e>>7&1)
+			if nacc < bulkLitBits {
+				if pos > outLim || next > inLim {
+					return n, pos, int64(next)*8 - int64(nacc), nil
+				}
+				acc, nacc, next = refill(in, acc, nacc, next)
+			}
+			e = litTab[acc&litMask]
+		}
+		if e&entryBitsMask == 0 {
+			return n, pos, 0, errCorrupt("invalid lit/len code in seq %d", n)
+		}
+		matchLen := int(e>>13) + int(acc&(1<<(e&entryBitsMask)-1)>>(e>>8&15))
+		acc >>= e & entryBitsMask
+		nacc -= uint(e & entryBitsMask)
+		if matchLen == 0 {
+			continue
+		}
+		if offTab == nil {
+			return n, pos, 0, errCorrupt("match present but block has no offset tree")
+		}
+		if nacc < bulkOffBits {
+			acc, nacc, next = refill(in, acc, nacc, next)
+		}
+		e = offTab[acc&offMask]
+		if e&entryBitsMask == 0 {
+			return n, pos, 0, errCorrupt("invalid offset code in seq %d", n)
+		}
+		off := int(e>>10) + int(acc&(1<<(e&entryBitsMask)-1)>>(e>>6&15))
+		acc >>= e & entryBitsMask
+		nacc -= uint(e & entryBitsMask)
+		room := len(dst) - pos
+		if off == 0 || off > pos || matchLen > room {
+			return n, pos, 0, errCorrupt("offset %d len %d at seq %d (pos %d of %d)",
+				off, matchLen, n, pos, len(dst))
+		}
+		if off < 8 || room-matchLen < 16 {
+			pos = lz77.CopyWithin(dst, pos, off, matchLen)
+			continue
+		}
+		// Inline wild copy in 16-byte steps: off ≥ 8 means each 8-byte load
+		// reads bytes finalized before its store, and the 16 bytes of room
+		// past the match absorb the overshoot.
+		src, end := pos-off, pos+matchLen
+		for {
+			s, d := dst[src:src+16], dst[pos:pos+16]
+			binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(s))
+			binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(s[8:]))
+			if pos += 16; pos >= end {
+				break
+			}
+			src += 16
+		}
+		pos = end
+	}
+	return n, pos, int64(next)*8 - int64(nacc), nil
+}
+
+// decodeSeqsSingle is the careful loop: it resumes at sequence n, output
+// position pos and the cursor's bit offset — which may sit inside sequence
+// n's literal run — checks dst on every literal, and reads past the end of
+// the payload as zeros, reporting the overrun once at the end. It decodes the
+// last bytes of every block and the whole of blocks the bulk loop cannot take.
+// Two single-symbol lookups per refill: 2·15 + 16 extra bits ≤ 56.
+func decodeSeqsSingle(dst []byte, c bitio.Cursor, n, pos, nSeqs int, litTab []uint32, litMask uint64, offTab []uint32, offMask uint64) (int, error) {
+	for ; n < nSeqs; n++ {
 		var e uint32
 	litrun:
 		for {
 			c.Refill()
 			e = litTab[c.Window(litMask)]
-			c.Skip(uint(e & 15))
 			if e&entryLenFlag != 0 {
 				break litrun
 			}
+			c.Skip(uint(e & entryBitsMask))
 			if uint(pos) >= uint(len(dst)) {
 				return pos, errCorrupt("output overrun at seq %d", n)
 			}
 			dst[pos] = byte(e >> 8)
 			pos++
 			e = litTab[c.Window(litMask)]
-			c.Skip(uint(e & 15))
 			if e&entryLenFlag != 0 {
 				break litrun
 			}
+			c.Skip(uint(e & entryBitsMask))
 			if uint(pos) >= uint(len(dst)) {
 				return pos, errCorrupt("output overrun at seq %d", n)
 			}
 			dst[pos] = byte(e >> 8)
 			pos++
 		}
-		if e&15 == 0 {
+		if e&entryBitsMask == 0 {
 			return pos, errCorrupt("invalid lit/len code in seq %d", n)
 		}
-		matchLen := e >> 13
-		if eb := uint(e>>8) & 31; eb > 0 {
-			matchLen += uint32(c.Bits(eb))
-		}
+		matchLen := e>>13 + uint32(c.Bits(uint(e&entryBitsMask))>>(e>>8&15))
 		if matchLen == 0 {
 			continue
 		}
@@ -317,14 +343,10 @@ func decodeSeqsSingle(dst []byte, c bitio.Cursor, nSeqs int, litTab []uint32, li
 		}
 		c.Refill()
 		e = offTab[c.Window(offMask)]
-		c.Skip(uint(e & 15))
-		if e&15 == 0 {
+		if e&entryBitsMask == 0 {
 			return pos, errCorrupt("invalid offset code in seq %d", n)
 		}
-		off := e >> 9
-		if eb := uint(e>>4) & 31; eb > 0 {
-			off += uint32(c.Bits(eb))
-		}
+		off := e>>10 + uint32(c.Bits(uint(e&entryBitsMask))>>(e>>6&15))
 		if off == 0 || int(off) > pos || int(matchLen) > len(dst)-pos {
 			return pos, errCorrupt("offset %d len %d at seq %d (pos %d of %d)",
 				off, matchLen, n, pos, len(dst))

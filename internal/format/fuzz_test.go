@@ -45,14 +45,13 @@ func oracleDecodeBlock(h FileHeader, b *Block) ([]byte, error) {
 	return ts.Decompress(nil)
 }
 
-// fuzzContainer compresses src into a small multi-block container.
-func fuzzContainer(t testing.TB, variant Variant, src []byte) []byte {
+// fuzzContainer compresses src into a container of blockSize-byte blocks.
+func fuzzContainer(t testing.TB, variant Variant, src []byte, blockSize int) []byte {
 	t.Helper()
-	const blockSize = 1 << 10
 	nb := (len(src) + blockSize - 1) / blockSize
 	h := FileHeader{
 		Variant: variant, DEMode: lz77.DEStrict, CWL: 10, Window: 8 << 10, MinMatch: 4, MaxMatch: 64,
-		BlockSize: blockSize, RawSize: uint64(len(src)), SeqsPerSub: 16, NumBlocks: uint32(nb),
+		BlockSize: uint32(blockSize), RawSize: uint64(len(src)), SeqsPerSub: 16, NumBlocks: uint32(nb),
 	}
 	data := AppendHeader(nil, h)
 	for lo := 0; lo < len(src); lo += blockSize {
@@ -90,12 +89,21 @@ func FuzzDecodeBlock(f *testing.F) {
 		datagen.Nesting(3<<10, 4, 3),
 	} {
 		for _, variant := range []Variant{VariantBit, VariantByte} {
-			data := fuzzContainer(f, variant, src)
+			data := fuzzContainer(f, variant, src, 1<<10)
 			f.Add(data)
 			flipped := bytes.Clone(data)
 			flipped[len(flipped)*2/3] ^= 0x10 // inside a block payload
 			f.Add(flipped)
 		}
+	}
+	// One block per family big enough that the corpus starts inside the Bit
+	// bulk loop rather than in its tail.
+	for _, src := range [][]byte{
+		datagen.WikiXML(64<<10, 5),
+		datagen.MatrixMarket(64<<10, 6),
+		datagen.Nesting(64<<10, 4, 7),
+	} {
+		f.Add(fuzzContainer(f, VariantBit, src, 64<<10))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := ParseFile(data)

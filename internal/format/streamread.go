@@ -3,6 +3,7 @@ package format
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -30,7 +31,7 @@ type BlockReader struct {
 func NewBlockReader(r io.Reader) (*BlockReader, error) {
 	br := &BlockReader{r: bufio.NewReaderSize(r, 64<<10)}
 	if _, err := io.ReadFull(br.r, br.head[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading header: %w", ErrFormat, err)
+		return nil, readErr(err, "reading header")
 	}
 	h, err := ParseHeader(br.head[:])
 	if err != nil {
@@ -81,7 +82,7 @@ func (br *BlockReader) Next(b *Block) error {
 		// trailer whose offsets reproduce the block section just read.
 		tail, err := io.ReadAll(io.LimitReader(br.r, maxTrailerSize(br.hdr)+1))
 		if err != nil {
-			return fmt.Errorf("%w: reading past last block: %w", ErrFormat, err)
+			return readErr(err, "reading past last block")
 		}
 		if len(tail) == 0 {
 			return io.EOF
@@ -100,7 +101,7 @@ func (br *BlockReader) Next(b *Block) error {
 
 	var fixed [12]byte
 	if _, err := io.ReadFull(br.r, fixed[:]); err != nil {
-		return fmt.Errorf("%w: block %d: truncated header (%w)", ErrFormat, bi, err)
+		return readErr(err, "block %d: header", bi)
 	}
 	br.off += 12
 	b.RawLen = int(binary.LittleEndian.Uint32(fixed[:]))
@@ -121,15 +122,15 @@ func (br *BlockReader) Next(b *Block) error {
 		var err error
 		b.LitLenLengths, err = br.readLengths(b.LitLenLengths, LitLenSyms)
 		if err != nil {
-			return fmt.Errorf("%w: block %d: %w", ErrFormat, bi, err)
+			return readErr(err, "block %d: literal/length tree", bi)
 		}
 		b.OffLengths, err = br.readLengths(b.OffLengths, OffSyms)
 		if err != nil {
-			return fmt.Errorf("%w: block %d: %w", ErrFormat, bi, err)
+			return readErr(err, "block %d: offset tree", bi)
 		}
 		var cnt [4]byte
 		if _, err := io.ReadFull(br.r, cnt[:]); err != nil {
-			return fmt.Errorf("%w: block %d: truncated sub-block count (%w)", ErrFormat, bi, err)
+			return readErr(err, "block %d: sub-block count", bi)
 		}
 		br.off += 4
 		numSubs := int(binary.LittleEndian.Uint32(cnt[:]))
@@ -148,11 +149,11 @@ func (br *BlockReader) Next(b *Block) error {
 		for s := 0; s < numSubs; s++ {
 			v, err := binary.ReadUvarint(&cr)
 			if err != nil {
-				return fmt.Errorf("%w: block %d: bad sub-block size varint", ErrFormat, bi)
+				return cr.varintErr(err, "block %d: sub-block size", bi)
 			}
 			lv, err := binary.ReadUvarint(&cr)
 			if err != nil {
-				return fmt.Errorf("%w: block %d: bad sub-block literal varint", ErrFormat, bi)
+				return cr.varintErr(err, "block %d: sub-block literal count", bi)
 			}
 			b.SubBits = append(b.SubBits, int64(v))
 			b.SubLits = append(b.SubLits, int32(lv))
@@ -165,7 +166,7 @@ func (br *BlockReader) Next(b *Block) error {
 	}
 
 	if err := br.readPayload(b, payloadLen); err != nil {
-		return fmt.Errorf("%w: block %d: truncated payload (%w)", ErrFormat, bi, err)
+		return readErr(err, "block %d: payload", bi)
 	}
 	br.off += int64(payloadLen)
 	br.seen += uint64(b.RawLen)
@@ -201,19 +202,44 @@ func (br *BlockReader) readPayload(b *Block, payloadLen int) error {
 	return nil
 }
 
+// readErr wraps a failed read of the container. Running out of bytes is
+// truncation — a malformed container, ErrFormat. Any other cause is the
+// source failing, not the bytes being wrong, and is passed on unclassified so
+// callers can tell a sick disk from a corrupt object.
+func readErr(err error, what string, args ...any) error {
+	what = fmt.Sprintf(what, args...)
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%w: %s: truncated (%w)", ErrFormat, what, err)
+	}
+	return fmt.Errorf("format: %s: %w", what, err)
+}
+
 // countingByteReader counts the bytes ReadUvarint consumes so Next can
-// account for variable-length fields in the container offset.
+// account for variable-length fields in the container offset, and keeps the
+// source's own error apart from ReadUvarint's.
 type countingByteReader struct {
-	r *bufio.Reader
-	n int64
+	r   *bufio.Reader
+	n   int64
+	err error
 }
 
 func (c *countingByteReader) ReadByte() (byte, error) {
 	b, err := c.r.ReadByte()
 	if err == nil {
 		c.n++
+	} else {
+		c.err = err
 	}
 	return b, err
+}
+
+// varintErr wraps a ReadUvarint failure: a read that failed goes through
+// readErr; a varint that overflowed is malformed.
+func (c *countingByteReader) varintErr(err error, what string, args ...any) error {
+	if c.err != nil {
+		return readErr(c.err, what, args...)
+	}
+	return fmt.Errorf("%w: %s: %w", ErrFormat, fmt.Sprintf(what, args...), err)
 }
 
 // readLengths reads an n-symbol nibble-packed code-length array into dst.
@@ -224,7 +250,7 @@ func (br *BlockReader) readLengths(dst []uint8, n int) ([]uint8, error) {
 	}
 	packed := br.packed[:need]
 	if _, err := io.ReadFull(br.r, packed); err != nil {
-		return dst, fmt.Errorf("tree truncated: %w", err)
+		return dst, err
 	}
 	br.off += int64(need)
 	if cap(dst) < n {

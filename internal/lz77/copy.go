@@ -50,41 +50,3 @@ func CopyWithin(dst []byte, pos, offset, length int) int {
 	}
 	return end
 }
-
-// CopyWithinExact is CopyWithin for callers that cannot tolerate the wild
-// copy's scribble past pos+length — the dual-stream fused decoder pre-places
-// upcoming literals in dst before resolving match gaps, so an overshoot
-// would clobber finalized bytes. Writes stop exactly at pos+length.
-func CopyWithinExact(dst []byte, pos, offset, length int) int {
-	src := pos - offset
-	end := pos + length
-	if offset >= 8 {
-		for pos+8 <= end {
-			binary.LittleEndian.PutUint64(dst[pos:], binary.LittleEndian.Uint64(dst[src:]))
-			src += 8
-			pos += 8
-		}
-		for pos < end {
-			dst[pos] = dst[src]
-			pos++
-			src++
-		}
-		return end
-	}
-	if offset >= length {
-		copy(dst[pos:end], dst[src:src+length])
-		return end
-	}
-	if offset == 1 {
-		b := dst[src]
-		tail := dst[pos:end]
-		for i := range tail {
-			tail[i] = b
-		}
-		return end
-	}
-	for pos < end {
-		pos += copy(dst[pos:end], dst[src:pos])
-	}
-	return end
-}

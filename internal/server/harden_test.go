@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,7 +17,10 @@ import (
 	"testing"
 	"time"
 
+	"gompresso"
+	"gompresso/internal/datagen"
 	"gompresso/internal/fault"
+	"gompresso/internal/format"
 )
 
 // noLeaks asserts the goroutine count returns to its baseline after fn:
@@ -519,5 +523,48 @@ func TestReadyz(t *testing.T) {
 	}
 	if s.Ready() {
 		t.Fatal("Ready() true after BeginDrain")
+	}
+}
+
+// A native scan that hits a failing read must not report the object as
+// malformed: an EIO anywhere in the container surfaces unclassified (and so
+// transient — retried, never quarantined), while a container that really
+// ends early is still ErrFormat.
+func TestBlockReaderReadErrorIsNotCorruption(t *testing.T) {
+	c, err := gompresso.New(gompresso.WithBlockSize(1<<10), gompresso.WithIndex(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := c.Compress(datagen.WikiXML(5<<10, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// scan walks the container under a fault spec and returns where the last
+	// block it read ended, with the error that stopped it.
+	scan := func(spec string) (end int64, err error) {
+		r := mustScript(t, spec).Reader("obj.gpz", bytes.NewReader(data))
+		br, err := format.NewBlockReader(r)
+		for blk := new(format.Block); err == nil; {
+			end = br.Offset()
+			err = br.Next(blk)
+		}
+		return end, err
+	}
+	blocksEnd, err := scan("")
+	if err != io.EOF {
+		t.Fatalf("fault-free scan: %v", err)
+	}
+	for off := 0; off < len(data); off++ {
+		_, err := scan(fmt.Sprintf("*.gpz:eio@%d", off))
+		if !errors.Is(err, fault.ErrInjected) || errors.Is(err, format.ErrFormat) || !isTransient(err) {
+			t.Fatalf("eio@%d: %v (ErrFormat %v, transient %v)", off, err, errors.Is(err, format.ErrFormat), isTransient(err))
+		}
+		if int64(off) == blocksEnd {
+			continue // a container cut where its index trailer starts is whole, just unindexed
+		}
+		_, err = scan(fmt.Sprintf("*.gpz:truncate@%d", off))
+		if !errors.Is(err, format.ErrFormat) || isTransient(err) {
+			t.Fatalf("truncate@%d: %v, want ErrFormat", off, err)
+		}
 	}
 }
