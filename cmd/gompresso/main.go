@@ -7,7 +7,6 @@
 //	gompresso compress   [flags] <in> <out>   ("-" streams stdin/stdout)
 //	gompresso decompress [flags] <in> <out>
 //	gompresso cat        [flags] <in>     (stream a range to stdout)
-//	gompresso info       <in>
 //	gompresso stat       [-json] <in>     (container metadata, no decode)
 //	gompresso verify     [flags] <in>     (compress+decompress in memory)
 //	gompresso index      [flags] <in>     (build a .gzx seek-index sidecar for a .gz/.zz)
@@ -46,8 +45,6 @@ func main() {
 		err = decompressCmd(args)
 	case "cat":
 		err = catCmd(args)
-	case "info":
-		err = infoCmd(args)
 	case "stat":
 		err = statCmd(args)
 	case "verify":
@@ -70,7 +67,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: gompresso {compress|decompress|cat|info|stat|verify|index|serve|loadtest|version} [flags] <in> [out]")
+	fmt.Fprintln(os.Stderr, "usage: gompresso {compress|decompress|cat|stat|verify|index|serve|loadtest|version} [flags] <in> [out]")
 	os.Exit(2)
 }
 
@@ -291,33 +288,6 @@ func catCmd(args []string) error {
 	}
 	_, err = io.Copy(os.Stdout, src)
 	return err
-}
-
-func infoCmd(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("info needs <in>")
-	}
-	data, err := os.ReadFile(args[0])
-	if err != nil {
-		return err
-	}
-	h, err := gompresso.Info(data)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("variant      %v\n", h.Variant)
-	fmt.Printf("DE mode      %v\n", h.DEMode)
-	fmt.Printf("window       %d\n", h.Window)
-	fmt.Printf("block size   %d\n", h.BlockSize)
-	fmt.Printf("raw size     %d\n", h.RawSize)
-	fmt.Printf("blocks       %d\n", h.NumBlocks)
-	fmt.Printf("min match    %d\n", h.MinMatch)
-	fmt.Printf("max match    %d\n", h.MaxMatch)
-	if h.Variant == gompresso.VariantBit {
-		fmt.Printf("CWL          %d\n", h.CWL)
-		fmt.Printf("seqs/sub     %d\n", h.SeqsPerSub)
-	}
-	return nil
 }
 
 func verifyCmd(args []string) error {

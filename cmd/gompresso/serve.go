@@ -44,7 +44,7 @@ func serveCmd(args []string) error {
 	drain := fs.Duration("drain", 10*time.Second, "shutdown grace period for in-flight responses")
 	drainWait := fs.Duration("drain-wait", 0, "pause between flipping /readyz unready and starting shutdown (lets load balancers catch up)")
 	faultSpec := fs.String("fault", "", "DEV ONLY: fault-injection script, e.g. '*.gz:eio@4096;big*:latency=50ms' (see internal/fault)")
-	quiet := fs.Bool("quiet", false, "suppress per-request log lines")
+	quiet := fs.Bool("quiet", false, "suppress server event log lines (quarantine, sidecar, panic); requests go to -access-log")
 	accessLog := fs.String("access-log", "stderr", "structured JSON access log destination: stderr, off, or a file path (appended)")
 	noTrace := fs.Bool("no-trace", false, "disable request tracing, the access log, and /debug/requests")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (separate listener; '' disables)")

@@ -23,6 +23,8 @@ type statJSON struct {
 	Variant    string  `json:"variant,omitempty"`
 	DEMode     string  `json:"de_mode,omitempty"`
 	Window     uint32  `json:"window,omitempty"`
+	MinMatch   uint8   `json:"min_match,omitempty"`
+	MaxMatch   uint32  `json:"max_match,omitempty"`
 	BlockSize  uint32  `json:"block_size,omitempty"`
 	Blocks     uint32  `json:"blocks,omitempty"`
 	Index      bool    `json:"index"`
@@ -73,16 +75,19 @@ func statCmd(args []string) error {
 		st.Variant = h.Variant.String()
 		st.DEMode = fmt.Sprint(h.DEMode)
 		st.Window = h.Window
+		st.MinMatch, st.MaxMatch = h.MinMatch, h.MaxMatch
 		st.BlockSize = h.BlockSize
 		st.Blocks = h.NumBlocks
 		if h.Variant == format.VariantBit {
 			st.CWL = h.CWL
 			st.SeqsPerSub = h.SeqsPerSub
 		}
-		if _, err := format.ReadIndexAt(bytes.NewReader(data), int64(len(data)), h); err == nil {
-			st.Index = true
+		idx, scanned, err := format.OpenIndex(bytes.NewReader(data), int64(len(data)), h)
+		if err != nil {
+			return err
 		}
-		if idx, err := format.BuildIndex(data, h); err == nil && idx.NumBlocks() > 0 {
+		st.Index = !scanned
+		if idx.NumBlocks() > 0 {
 			min, max, sum := int64(1<<62), int64(0), int64(0)
 			for i := 0; i < idx.NumBlocks(); i++ {
 				n := idx.Offsets[i+1] - idx.Offsets[i]
@@ -149,6 +154,8 @@ func statCmd(args []string) error {
 	fmt.Printf("variant      %s\n", st.Variant)
 	fmt.Printf("DE mode      %s\n", st.DEMode)
 	fmt.Printf("window       %d\n", st.Window)
+	fmt.Printf("min match    %d\n", st.MinMatch)
+	fmt.Printf("max match    %d\n", st.MaxMatch)
 	fmt.Printf("block size   %d\n", st.BlockSize)
 	fmt.Printf("blocks       %d\n", st.Blocks)
 	fmt.Printf("index        %v\n", st.Index)

@@ -64,12 +64,13 @@ var goldenDigests = map[string]string{
 	"wiki/byte/strict/noidx":    "df1422f1921ade0eb1142a08f4e96113f835a64d0f13174885c89fecca54dc58",
 }
 
-func TestGoldenContainerDigests(t *testing.T) {
-	inputs := goldenInputs()
+// forEachGolden hands fn every pinned configuration — the three inputs ×
+// variant × DE mode × index — under its name in goldenDigests, with the codec
+// that produces it.
+func forEachGolden(t *testing.T, fn func(name string, c *Codec, raw []byte)) {
 	variants := map[string]Variant{"bit": VariantBit, "byte": VariantByte}
 	des := map[string]DEMode{"off": DEOff, "strict": DEStrict, "lit": DELit}
-	seen := 0
-	for fam, raw := range inputs {
+	for fam, raw := range goldenInputs() {
 		for vn, v := range variants {
 			for dn, de := range des {
 				for _, index := range []bool{false, true} {
@@ -83,34 +84,41 @@ func TestGoldenContainerDigests(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					comp, _, err := c.Compress(raw)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					sum := sha256.Sum256(comp)
-					got := hex.EncodeToString(sum[:])
-					if want, ok := goldenDigests[name]; !ok {
-						t.Errorf("%s: no golden digest; got %s", name, got)
-					} else if got != want {
-						t.Errorf("%s: container digest %s, want %s", name, got, want)
-					}
-					seen++
-
-					var buf bytes.Buffer
-					w := c.NewWriter(&buf)
-					if _, err := w.Write(raw); err != nil {
-						t.Fatalf("%s: writer: %v", name, err)
-					}
-					if err := w.Close(); err != nil {
-						t.Fatalf("%s: writer close: %v", name, err)
-					}
-					if !bytes.Equal(buf.Bytes(), comp) {
-						t.Errorf("%s: Writer output differs from Compress", name)
-					}
+					fn(name, c, raw)
 				}
 			}
 		}
 	}
+}
+
+func TestGoldenContainerDigests(t *testing.T) {
+	seen := 0
+	forEachGolden(t, func(name string, c *Codec, raw []byte) {
+		comp, _, err := c.Compress(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := sha256.Sum256(comp)
+		got := hex.EncodeToString(sum[:])
+		if want, ok := goldenDigests[name]; !ok {
+			t.Errorf("%s: no golden digest; got %s", name, got)
+		} else if got != want {
+			t.Errorf("%s: container digest %s, want %s", name, got, want)
+		}
+		seen++
+
+		var buf bytes.Buffer
+		w := c.NewWriter(&buf)
+		if _, err := w.Write(raw); err != nil {
+			t.Fatalf("%s: writer: %v", name, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("%s: writer close: %v", name, err)
+		}
+		if !bytes.Equal(buf.Bytes(), comp) {
+			t.Errorf("%s: Writer output differs from Compress", name)
+		}
+	})
 	if seen != len(goldenDigests) {
 		t.Errorf("checked %d configurations, golden table has %d", seen, len(goldenDigests))
 	}

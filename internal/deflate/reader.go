@@ -164,18 +164,6 @@ func useParallel(dataLen int, opt Options, poolWorkers int) bool {
 	return opt.Workers > 1 && poolWorkers > 1 && dataLen >= opt.ChunkSize+minChunkSize
 }
 
-// NewReader reads all of src into memory and returns a Reader over it. The
-// two-pass parallel decode needs random access to the compressed bytes, so
-// streaming sources are buffered whole; bounded-memory foreign streaming is
-// future work (see DESIGN.md).
-func NewReader(ctx context.Context, src io.Reader, form Format, opt Options) (*Reader, error) {
-	data, err := io.ReadAll(src)
-	if err != nil {
-		return nil, err
-	}
-	return NewReaderBytes(ctx, data, form, opt)
-}
-
 // Decompress expands a whole in-memory stream.
 func Decompress(data []byte, form Format, opt Options) ([]byte, error) {
 	r, err := NewReaderBytes(nil, data, form, opt)

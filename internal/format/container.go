@@ -71,6 +71,10 @@ type Block struct {
 	OffLengths    []uint8
 	SubBits       []int64
 	SubLits       []int32
+
+	// rec is the record buffer of a Block filled by BlockReader.Next, which
+	// reuses it from call to call; Payload aliases it.
+	rec []byte
 }
 
 // File is a parsed Gompresso container. Payload slices alias the input
@@ -153,10 +157,12 @@ func ParseHeader(data []byte) (FileHeader, error) {
 // HeaderSize is the encoded size of the fixed file header.
 const HeaderSize = headerSize
 
-// ParseBlock parses block record bi of an h-headed container from data,
-// which must start at the record's first byte. b's slices are reused when
-// they have capacity; Payload aliases data. It returns the bytes remaining
-// after the record.
+// ParseBlock parses and validates block record bi of an h-headed container
+// from data, which must start at the record's first byte. It is the only
+// code that knows the record grammar: ParseFile hands it a whole container,
+// BlockReader a record it has framed off a stream, ReaderAt one it read by
+// index. b's slices are reused when they have capacity; Payload aliases
+// data. It returns the bytes remaining after the record.
 func ParseBlock(h FileHeader, bi uint32, data []byte, b *Block) ([]byte, error) {
 	rest := data
 	if len(rest) < 12 {
@@ -180,11 +186,10 @@ func ParseBlock(h FileHeader, bi uint32, data []byte, b *Block) ([]byte, error) 
 	b.SubLits = b.SubLits[:0]
 	if h.Variant == VariantBit {
 		var err error
-		b.LitLenLengths, rest, err = huffman.ParseLengths(rest, LitLenSyms)
-		if err != nil {
-			return nil, fmt.Errorf("%w: block %d: %w", ErrFormat, bi, err)
+		b.LitLenLengths, rest, err = huffman.ParseLengths(b.LitLenLengths, rest, LitLenSyms)
+		if err == nil {
+			b.OffLengths, rest, err = huffman.ParseLengths(b.OffLengths, rest, OffSyms)
 		}
-		b.OffLengths, rest, err = huffman.ParseLengths(rest, OffSyms)
 		if err != nil {
 			return nil, fmt.Errorf("%w: block %d: %w", ErrFormat, bi, err)
 		}
@@ -262,8 +267,7 @@ func ParseFile(data []byte) (*File, error) {
 	if len(rest) != 0 {
 		// The only thing allowed after the last block is an index trailer
 		// whose offsets end exactly where the parsed blocks actually did.
-		idx, err := ParseIndexTrailer(data, h)
-		if err != nil || idx.Offsets[h.NumBlocks] != int64(len(data)-len(rest)) {
+		if _, err := parseIndexBytes(rest, h, int64(len(data)-len(rest))); err != nil {
 			return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, len(rest))
 		}
 	}

@@ -2,7 +2,9 @@ package format
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"testing"
 
@@ -78,10 +80,41 @@ func fuzzContainer(t testing.TB, variant Variant, src []byte, blockSize int) []b
 	return data
 }
 
-// FuzzDecodeBlock feeds arbitrary bytes to the single decode entry point:
-// whatever ParseFile accepts, DecodeBlockInto must decode to exactly the
-// oracle's bytes or fail when the oracle fails — never panic, never write
-// past dst.
+// streamBlocks reads data the way the streaming Reader and ScanIndex do — a
+// BlockReader loop to io.EOF — and returns a copy of every block it yielded.
+func streamBlocks(data []byte) ([]Block, error) {
+	br, err := NewBlockReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	var blocks []Block
+	for b := new(Block); ; {
+		if err := br.Next(b); err == io.EOF {
+			return blocks, nil
+		} else if err != nil {
+			return blocks, err
+		}
+		blocks = append(blocks, Block{
+			RawLen: b.RawLen, NumSeqs: b.NumSeqs, Payload: bytes.Clone(b.Payload),
+			LitLenLengths: slices.Clone(b.LitLenLengths), OffLengths: slices.Clone(b.OffLengths),
+			SubBits: slices.Clone(b.SubBits), SubLits: slices.Clone(b.SubLits),
+		})
+	}
+}
+
+// sameBlock reports whether two parsed blocks agree field for field.
+func sameBlock(a, b *Block) bool {
+	return a.RawLen == b.RawLen && a.NumSeqs == b.NumSeqs && bytes.Equal(a.Payload, b.Payload) &&
+		bytes.Equal(a.LitLenLengths, b.LitLenLengths) && bytes.Equal(a.OffLengths, b.OffLengths) &&
+		slices.Equal(a.SubBits, b.SubBits) && slices.Equal(a.SubLits, b.SubLits)
+}
+
+// FuzzDecodeBlock feeds arbitrary bytes to the container grammar and the
+// single decode entry point. ParseFile and a BlockReader loop must agree on
+// them — accept or reject, ErrFormat or not, and on accept every field of
+// every block. Whatever they accept, DecodeBlockInto must decode to exactly
+// the oracle's bytes or fail when the oracle fails — never panic, never
+// write past dst.
 func FuzzDecodeBlock(f *testing.F) {
 	for _, src := range [][]byte{
 		datagen.WikiXML(3<<10, 1),
@@ -107,8 +140,20 @@ func FuzzDecodeBlock(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := ParseFile(data)
+		streamed, serr := streamBlocks(data)
+		if (err == nil) != (serr == nil) || errors.Is(err, ErrFormat) != errors.Is(serr, ErrFormat) {
+			t.Fatalf("ParseFile: %v; BlockReader: %v", err, serr)
+		}
 		if err != nil {
 			return
+		}
+		if len(streamed) != len(file.Blocks) {
+			t.Fatalf("ParseFile found %d blocks, BlockReader %d", len(file.Blocks), len(streamed))
+		}
+		for i := range streamed {
+			if !sameBlock(&file.Blocks[i], &streamed[i]) {
+				t.Fatalf("block %d: ParseFile and BlockReader parsed different fields", i)
+			}
 		}
 		// RawSize equals the sum of the blocks' raw lengths once ParseFile
 		// has accepted the container, so this bounds every allocation below.

@@ -10,10 +10,10 @@ import (
 // non-final block expands to exactly BlockSize raw bytes, so the raw offset
 // of block i is i*BlockSize — the only thing a seek needs that the header
 // does not already give is where each block's record starts in the
-// compressed container. An Index holds those offsets. It is obtained three
-// ways, cheapest first: read back from an optional index trailer appended
-// by the compressor (AppendIndex), reconstructed by scanning an in-memory
-// container (BuildIndex), or by scanning a stream (ScanIndex).
+// compressed container. An Index holds those offsets. OpenIndex obtains it
+// the cheaper of two ways: read back from the optional index trailer the
+// compressor appended (AppendIndex → ReadIndexAt), else reconstructed by
+// one scan of the block records (ScanIndex).
 //
 // Trailer layout, appended after the last block:
 //
@@ -60,12 +60,13 @@ func AppendIndex(dst []byte, offsets []int64) []byte {
 	return append(dst, indexMagic[:]...)
 }
 
-// parseIndexBytes decodes a trailer that occupies exactly tail, returning
-// the reconstructed index. It validates framing (magic, varint-area length)
-// and shape (one record length per block, nothing left over) but not that
-// the offsets match the actual block layout — callers cross-check the final
-// offset against where the block section really ended.
-func parseIndexBytes(tail []byte, h FileHeader) (*Index, error) {
+// parseIndexBytes decodes a trailer that occupies exactly tail and follows a
+// block section that ended at container offset blocksEnd. It is the only
+// trailer parser: it validates framing (magic, varint-area length), shape
+// (one record length per block, nothing left over) and that the record
+// lengths add up to blocksEnd — an index that does not reproduce the block
+// section it trails is not an index.
+func parseIndexBytes(tail []byte, h FileHeader, blocksEnd int64) (*Index, error) {
 	if len(tail) < IndexFooterSize {
 		return nil, fmt.Errorf("%w: index trailer too short", ErrFormat)
 	}
@@ -96,32 +97,10 @@ func parseIndexBytes(tail []byte, h FileHeader) (*Index, error) {
 	if len(area) != 0 {
 		return nil, fmt.Errorf("%w: %d stray index bytes", ErrFormat, len(area))
 	}
+	if offsets[h.NumBlocks] != blocksEnd {
+		return nil, fmt.Errorf("%w: index ends at %d, block section at %d", ErrFormat, offsets[h.NumBlocks], blocksEnd)
+	}
 	return &Index{Offsets: offsets}, nil
-}
-
-// ParseIndexTrailer reads the index trailer of an in-memory container whose
-// header is h. It reports ErrFormat if the container carries no (valid)
-// trailer; BuildIndex is the fallback.
-func ParseIndexTrailer(data []byte, h FileHeader) (*Index, error) {
-	if len(data) < HeaderSize+IndexFooterSize {
-		return nil, fmt.Errorf("%w: no index trailer", ErrFormat)
-	}
-	foot := data[len(data)-IndexFooterSize:]
-	if [4]byte(foot[4:]) != indexMagic {
-		return nil, fmt.Errorf("%w: no index trailer", ErrFormat)
-	}
-	total := int(binary.LittleEndian.Uint32(foot)) + IndexFooterSize
-	if total > len(data)-HeaderSize || int64(total) > maxTrailerSize(h) {
-		return nil, fmt.Errorf("%w: implausible index trailer", ErrFormat)
-	}
-	idx, err := parseIndexBytes(data[len(data)-total:], h)
-	if err != nil {
-		return nil, err
-	}
-	if idx.Offsets[h.NumBlocks] != int64(len(data)-total) {
-		return nil, fmt.Errorf("%w: index trailer disagrees with container size", ErrFormat)
-	}
-	return idx, nil
 }
 
 // ReadFullAt fills p from ra at off. io.ReaderAt lets a read that ends
@@ -136,7 +115,8 @@ func ReadFullAt(ra io.ReaderAt, p []byte, off int64) error {
 
 // ReadIndexAt reads the index trailer of a size-byte container stored in
 // ra, whose header is h. It reports ErrFormat when the container carries no
-// valid trailer; callers fall back to BuildIndex or ScanIndex.
+// valid trailer (a failed read included: either way there is no usable
+// trailer, and OpenIndex scans instead).
 func ReadIndexAt(ra io.ReaderAt, size int64, h FileHeader) (*Index, error) {
 	if size < HeaderSize+IndexFooterSize {
 		return nil, fmt.Errorf("%w: no index trailer", ErrFormat)
@@ -156,41 +136,18 @@ func ReadIndexAt(ra io.ReaderAt, size int64, h FileHeader) (*Index, error) {
 	if err := ReadFullAt(ra, tail, size-total); err != nil {
 		return nil, fmt.Errorf("%w: reading index trailer: %w", ErrFormat, err)
 	}
-	idx, err := parseIndexBytes(tail, h)
-	if err != nil {
-		return nil, err
-	}
-	if idx.Offsets[h.NumBlocks] != size-total {
-		return nil, fmt.Errorf("%w: index trailer disagrees with container size", ErrFormat)
-	}
-	return idx, nil
+	return parseIndexBytes(tail, h, size-total)
 }
 
-// BuildIndex reconstructs the index of an in-memory container by walking
-// its block records (headers, trees and size lists are parsed; payloads are
-// only skipped, so the scan is cheap relative to decompression).
-func BuildIndex(data []byte, h FileHeader) (*Index, error) {
-	if len(data) < HeaderSize {
-		return nil, fmt.Errorf("%w: short container", ErrFormat)
+// OpenIndex returns the block index of a size-byte container stored in ra,
+// whose header is h: the trailer's when it carries a valid one, else the
+// result of one scan of its block records. scanned reports which.
+func OpenIndex(ra io.ReaderAt, size int64, h FileHeader) (idx *Index, scanned bool, err error) {
+	if idx, err = ReadIndexAt(ra, size, h); err == nil {
+		return idx, false, nil
 	}
-	// Every block record starts with a 12-byte fixed header, which bounds
-	// the offsets allocation by the input actually present.
-	if int64(h.NumBlocks) > int64(len(data))/12 {
-		return nil, fmt.Errorf("%w: %d blocks exceed container size", ErrFormat, h.NumBlocks)
-	}
-	offsets := make([]int64, h.NumBlocks+1)
-	offsets[0] = HeaderSize
-	rest := data[HeaderSize:]
-	var b Block
-	var err error
-	for bi := uint32(0); bi < h.NumBlocks; bi++ {
-		rest, err = ParseBlock(h, bi, rest, &b)
-		if err != nil {
-			return nil, err
-		}
-		offsets[bi+1] = int64(len(data) - len(rest))
-	}
-	return &Index{Offsets: offsets}, nil
+	_, idx, err = ScanIndex(io.NewSectionReader(ra, 0, size))
+	return idx, true, err
 }
 
 // ScanIndex reconstructs the index of a container streamed from r, which

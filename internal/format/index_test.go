@@ -3,10 +3,14 @@ package format
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 
+	"gompresso/internal/datagen"
+	"gompresso/internal/huffman"
 	"gompresso/internal/lz77"
+	"gompresso/internal/race"
 )
 
 // indexContainer builds a Byte-variant multi-block container (optionally
@@ -70,7 +74,8 @@ func TestIndexTrailerRoundTrip(t *testing.T) {
 		t.Fatalf("parsed %d blocks, want %d", len(f.Blocks), h.NumBlocks)
 	}
 
-	// All three index sources agree with the true offsets.
+	// Both index sources, and OpenIndex's choice between them, agree with the
+	// true offsets.
 	check := func(name string, idx *Index, err error) {
 		t.Helper()
 		if err != nil {
@@ -85,22 +90,26 @@ func TestIndexTrailerRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	idx, err := ParseIndexTrailer(comp, h)
-	check("ParseIndexTrailer", idx, err)
-	idx, err = ReadIndexAt(bytes.NewReader(comp), int64(len(comp)), h)
+	idx, err := ReadIndexAt(bytes.NewReader(comp), int64(len(comp)), h)
 	check("ReadIndexAt", idx, err)
-	idx, err = BuildIndex(comp, h)
-	check("BuildIndex", idx, err)
 	_, idx, err = ScanIndex(bytes.NewReader(comp))
 	check("ScanIndex", idx, err)
+	idx, scanned, err := OpenIndex(bytes.NewReader(comp), int64(len(comp)), h)
+	check("OpenIndex", idx, err)
+	if scanned {
+		t.Fatal("OpenIndex scanned a container that has a trailer")
+	}
 
 	// A container without a trailer has no trailer to read, but scans fine.
 	plain, _, _ := indexContainer(t, src, 2048, false)
 	if _, err := ReadIndexAt(bytes.NewReader(plain), int64(len(plain)), h); err == nil {
 		t.Fatal("ReadIndexAt invented a trailer")
 	}
-	idx, err = BuildIndex(plain, h)
-	check("BuildIndex plain", idx, err)
+	idx, scanned, err = OpenIndex(bytes.NewReader(plain), int64(len(plain)), h)
+	check("OpenIndex plain", idx, err)
+	if !scanned {
+		t.Fatal("OpenIndex found a trailer in a container without one")
+	}
 }
 
 // BlockReader must absorb a valid trailer (same blocks, clean io.EOF) and
@@ -207,8 +216,8 @@ func TestIndexLyingCounts(t *testing.T) {
 		NumBlocks: 1 << 28,
 	}
 	tiny := AppendHeader(nil, h)
-	if _, err := BuildIndex(tiny, h); err == nil {
-		t.Fatal("BuildIndex accepted a 35-byte container claiming 2^28 blocks")
+	if _, _, err := OpenIndex(bytes.NewReader(tiny), int64(len(tiny)), h); err == nil {
+		t.Fatal("OpenIndex accepted a 35-byte container claiming 2^28 blocks")
 	}
 	if _, _, err := ScanIndex(bytes.NewReader(tiny)); err == nil {
 		t.Fatal("ScanIndex accepted a 35-byte container claiming 2^28 blocks")
@@ -246,5 +255,86 @@ func TestBlockReaderLyingPayloadLen(t *testing.T) {
 	var b Block
 	if err := br.Next(&b); err == nil {
 		t.Fatal("BlockReader accepted a block claiming a 4 GiB payload")
+	}
+}
+
+// The same holds for every length a record's framing takes on trust — the
+// payload length, the sub-block count, and the sequence count it must match:
+// set to 2^31 or 2^32-1 they are found out by reading, with the record
+// buffer never more than 1 MiB ahead of what the stream supplied.
+func TestBlockReaderLyingCounts(t *testing.T) {
+	bit, _ := craftBitContainer(t)
+	byt, _, _ := indexContainer(t, indexTestSrc(9000), 2048, false)
+	const numSeqs, payloadLen = HeaderSize + 4, HeaderSize + 8
+	subCount := HeaderSize + 12 + huffman.LengthsSize(LitLenSyms) + huffman.LengthsSize(OffSyms)
+	seqsPerSub := uint32(binary.LittleEndian.Uint16(bit[29:]))
+	for _, v := range []uint32{1 << 31, 1<<32 - 1} {
+		for name, lie := range map[string]func() []byte{
+			"byte/payloadLen": func() []byte { return putUint32(byt, payloadLen, v) },
+			"bit/payloadLen":  func() []byte { return putUint32(bit, payloadLen, v) },
+			"bit/subCount":    func() []byte { return putUint32(bit, subCount, v) },
+			"bit/numSeqs":     func() []byte { return putUint32(bit, numSeqs, v) },
+			"bit/numSeqs+subCount": func() []byte {
+				return putUint32(putUint32(bit, numSeqs, v), subCount, (v-1)/seqsPerSub+1)
+			},
+		} {
+			// 3 MiB of varint continuation bytes follow, so a count is never
+			// satisfied and a reader that trusts one has bytes to chase.
+			mut := append(lie(), bytes.Repeat([]byte{0x80}, 3<<20)...)
+			if _, err := ParseFile(mut); !errors.Is(err, ErrFormat) {
+				t.Errorf("%s=%#x: ParseFile: %v, want ErrFormat", name, v, err)
+			}
+			if _, _, err := ScanIndex(bytes.NewReader(mut)); !errors.Is(err, ErrFormat) {
+				t.Errorf("%s=%#x: ScanIndex: %v, want ErrFormat", name, v, err)
+			}
+			br, err := NewBlockReader(bytes.NewReader(mut))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b Block
+			if err := br.Next(&b); !errors.Is(err, ErrFormat) {
+				t.Errorf("%s=%#x: BlockReader: %v, want ErrFormat", name, v, err)
+			}
+			if cap(b.rec) > len(mut)+1<<20 {
+				t.Errorf("%s=%#x: record buffer grew to %d for a %d-byte stream", name, v, cap(b.rec), len(mut))
+			}
+		}
+	}
+}
+
+func putUint32(data []byte, off int, v uint32) []byte {
+	out := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(out[off:], v)
+	return out
+}
+
+// BlockReader's doc comment promises a read loop that stops allocating once
+// the Block has grown to the stream's largest record.
+func TestBlockReaderSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	data := fuzzContainer(t, VariantBit, datagen.WikiXML(64<<10, 9), 4<<10) // 16 blocks
+	var b Block
+	open := func(warm int) *BlockReader {
+		br, err := NewBlockReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < warm; i++ {
+			if err := br.Next(&b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return br
+	}
+	open(16) // grows b to the largest record
+	br := open(1)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := br.Next(&b); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Next allocates %.1f times per block in the steady state", allocs)
 	}
 }

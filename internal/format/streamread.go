@@ -6,25 +6,25 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 
 	"gompresso/internal/huffman"
 )
 
-// BlockReader incrementally parses a Gompresso container from an io.Reader,
-// one block at a time, without buffering the whole file — the streaming
-// counterpart of ParseFile used by the public gompresso.Reader. Block fields
-// are decoded into caller-provided storage that is reused across calls, so a
-// steady-state read loop performs no allocations once buffers have grown to
-// the stream's block size.
+// BlockReader reads a Gompresso container from an io.Reader one block at a
+// time, without buffering the whole file — what the public gompresso.Reader
+// and ScanIndex run on. It only frames: Next finds where the next record
+// ends, reads it into the Block's record buffer and hands those bytes to
+// ParseBlock, which validates them exactly as it would inside ParseFile.
+// The record buffer and the Block's slices are reused across calls, so a
+// steady-state read loop performs no allocations once they have grown to the
+// stream's largest record.
 type BlockReader struct {
-	r      *bufio.Reader
-	hdr    FileHeader
-	left   uint32 // blocks not yet returned
-	seen   uint64 // raw bytes described by returned blocks
-	off    int64  // container offset of the next unread byte
-	head   [HeaderSize]byte
-	packed []byte // scratch for nibble-packed code-length arrays
+	r    *bufio.Reader
+	hdr  FileHeader
+	left uint32 // blocks not yet returned
+	seen uint64 // raw bytes described by returned blocks
+	off  int64  // container offset of the next unread byte
+	head [HeaderSize]byte
 }
 
 // NewBlockReader reads and validates the file header.
@@ -69,17 +69,19 @@ func (br *BlockReader) Header() FileHeader { return br.hdr }
 // returns block i, the offset where block i+1's record starts.
 func (br *BlockReader) Offset() int64 { return br.off }
 
-// Next reads the next block into b, reusing b's slices when they have
-// capacity. It returns io.EOF after the last block, verifying that the
-// stream's blocks add up to the header's raw size and that no trailing bytes
-// remain.
+// Next reads the next block into b, reusing b's record buffer and slices
+// when they have capacity; b.Payload is valid until b is passed to Next
+// again. It returns io.EOF after the last block, verifying that the stream's
+// blocks add up to the header's raw size and that no trailing bytes remain.
 func (br *BlockReader) Next(b *Block) error {
 	if br.left == 0 {
 		if br.seen != br.hdr.RawSize {
 			return fmt.Errorf("%w: blocks total %d raw bytes, header says %d", ErrFormat, br.seen, br.hdr.RawSize)
 		}
 		// The only bytes allowed after the last block are a valid index
-		// trailer whose offsets reproduce the block section just read.
+		// trailer whose offsets reproduce the block section just read. One
+		// byte more than the longest trailer is asked for: if it arrives,
+		// tail is not a trailer and parseIndexBytes says so.
 		tail, err := io.ReadAll(io.LimitReader(br.r, maxTrailerSize(br.hdr)+1))
 		if err != nil {
 			return readErr(err, "reading past last block")
@@ -87,119 +89,95 @@ func (br *BlockReader) Next(b *Block) error {
 		if len(tail) == 0 {
 			return io.EOF
 		}
-		idx, err := parseIndexBytes(tail, br.hdr)
-		if err != nil || idx.Offsets[br.hdr.NumBlocks] != br.off {
+		if _, err := parseIndexBytes(tail, br.hdr, br.off); err != nil {
 			return fmt.Errorf("%w: trailing bytes after last block", ErrFormat)
-		}
-		if _, err := br.r.ReadByte(); err != io.EOF {
-			return fmt.Errorf("%w: trailing bytes after index trailer", ErrFormat)
 		}
 		br.off += int64(len(tail))
 		return io.EOF
 	}
 	bi := br.hdr.NumBlocks - br.left
-
-	var fixed [12]byte
-	if _, err := io.ReadFull(br.r, fixed[:]); err != nil {
-		return readErr(err, "block %d: header", bi)
+	rec, err := br.frame(b.rec[:0])
+	b.rec = rec
+	if err != nil {
+		return readErr(err, "block %d: reading record (%d bytes in)", bi, len(rec))
 	}
-	br.off += 12
-	b.RawLen = int(binary.LittleEndian.Uint32(fixed[:]))
-	b.NumSeqs = int(binary.LittleEndian.Uint32(fixed[4:]))
-	payloadLen := int(binary.LittleEndian.Uint32(fixed[8:]))
-	if br.hdr.BlockSize != 0 && uint32(b.RawLen) > br.hdr.BlockSize {
-		return fmt.Errorf("%w: block %d: raw length %d exceeds block size %d", ErrFormat, bi, b.RawLen, br.hdr.BlockSize)
+	if _, err := ParseBlock(br.hdr, bi, rec, b); err != nil {
+		return err
 	}
-	if bi != br.hdr.NumBlocks-1 && uint32(b.RawLen) != br.hdr.BlockSize {
-		return fmt.Errorf("%w: block %d: non-final block is %d bytes, block size is %d", ErrFormat, bi, b.RawLen, br.hdr.BlockSize)
-	}
-	b.LitLenLengths = b.LitLenLengths[:0]
-	b.OffLengths = b.OffLengths[:0]
-	b.SubBits = b.SubBits[:0]
-	b.SubLits = b.SubLits[:0]
-
-	if br.hdr.Variant == VariantBit {
-		var err error
-		b.LitLenLengths, err = br.readLengths(b.LitLenLengths, LitLenSyms)
-		if err != nil {
-			return readErr(err, "block %d: literal/length tree", bi)
-		}
-		b.OffLengths, err = br.readLengths(b.OffLengths, OffSyms)
-		if err != nil {
-			return readErr(err, "block %d: offset tree", bi)
-		}
-		var cnt [4]byte
-		if _, err := io.ReadFull(br.r, cnt[:]); err != nil {
-			return readErr(err, "block %d: sub-block count", bi)
-		}
-		br.off += 4
-		numSubs := int(binary.LittleEndian.Uint32(cnt[:]))
-		if br.hdr.SeqsPerSub == 0 {
-			return fmt.Errorf("%w: block %d: zero sequences per sub-block", ErrFormat, bi)
-		}
-		want := 0
-		if b.NumSeqs > 0 {
-			want = (b.NumSeqs + int(br.hdr.SeqsPerSub) - 1) / int(br.hdr.SeqsPerSub)
-		}
-		if numSubs != want {
-			return fmt.Errorf("%w: block %d: %d sub-blocks for %d seqs (%d per sub)", ErrFormat, bi, numSubs, b.NumSeqs, br.hdr.SeqsPerSub)
-		}
-		var totalBits int64
-		cr := countingByteReader{r: br.r}
-		for s := 0; s < numSubs; s++ {
-			v, err := binary.ReadUvarint(&cr)
-			if err != nil {
-				return cr.varintErr(err, "block %d: sub-block size", bi)
-			}
-			lv, err := binary.ReadUvarint(&cr)
-			if err != nil {
-				return cr.varintErr(err, "block %d: sub-block literal count", bi)
-			}
-			b.SubBits = append(b.SubBits, int64(v))
-			b.SubLits = append(b.SubLits, int32(lv))
-			totalBits += int64(v)
-		}
-		if totalBits > int64(payloadLen)*8 {
-			return fmt.Errorf("%w: block %d: sub-block bits %d exceed payload", ErrFormat, bi, totalBits)
-		}
-		br.off += cr.n
-	}
-
-	if err := br.readPayload(b, payloadLen); err != nil {
-		return readErr(err, "block %d: payload", bi)
-	}
-	br.off += int64(payloadLen)
+	br.off += int64(len(rec))
 	br.seen += uint64(b.RawLen)
 	br.left--
 	return nil
 }
 
-// readPayload fills b.Payload with payloadLen bytes from the stream. The
-// length field is attacker-controlled, so when the buffer must grow it
-// grows incrementally, verifying each chunk actually arrives — a lying
-// length cannot force an allocation larger than the bytes present. The
-// steady state (buffer already at block size) stays one ReadFull, no
-// allocations.
-func (br *BlockReader) readPayload(b *Block, payloadLen int) error {
-	if cap(b.Payload) >= payloadLen {
-		b.Payload = b.Payload[:payloadLen]
-		_, err := io.ReadFull(br.r, b.Payload)
-		return err
+// frame appends the next block record to rec. It knows where a record's
+// fields end and nothing of what they may hold: 12 fixed bytes, the last
+// four the payload length; for Bit the two fixed-size trees, a sub-block
+// count and two varints per sub-block; then the payload.
+func (br *BlockReader) frame(rec []byte) ([]byte, error) {
+	rec, err := br.fill(rec, 12)
+	if err != nil {
+		return rec, err
 	}
-	const chunk = 1 << 20
-	b.Payload = b.Payload[:0]
-	for len(b.Payload) < payloadLen {
-		n := payloadLen - len(b.Payload)
-		if n > chunk {
-			n = chunk
+	payloadLen := int(binary.LittleEndian.Uint32(rec[8:]))
+	if br.hdr.Variant == VariantBit {
+		rec, err = br.fill(rec, huffman.LengthsSize(LitLenSyms)+huffman.LengthsSize(OffSyms)+4)
+		if err != nil {
+			return rec, err
 		}
-		start := len(b.Payload)
-		b.Payload = slices.Grow(b.Payload, n)[:start+n]
-		if _, err := io.ReadFull(br.r, b.Payload[start:]); err != nil {
-			return err
+		// A varint ends at its first byte without the continuation bit, so
+		// counting those finds the end of the list without decoding it.
+		for ends := 2 * int(binary.LittleEndian.Uint32(rec[len(rec)-4:])); ends > 0; {
+			if _, err := br.r.Peek(1); err != nil {
+				return rec, err
+			}
+			buf, _ := br.r.Peek(br.r.Buffered())
+			n := 0
+			for ; n < len(buf) && ends > 0; n++ {
+				if buf[n] < 0x80 {
+					ends--
+				}
+			}
+			rec = append(reserve(rec, n, n+ends), buf[:n]...)
+			br.r.Discard(n)
 		}
 	}
-	return nil
+	return br.fill(rec, payloadLen)
+}
+
+// fill appends the stream's next n bytes to rec.
+func (br *BlockReader) fill(rec []byte, n int) ([]byte, error) {
+	for n > 0 {
+		rec = reserve(rec, 1, n)
+		step := min(n, cap(rec)-len(rec))
+		m, err := io.ReadFull(br.r, rec[len(rec):len(rec)+step])
+		rec = rec[:len(rec)+m]
+		if err != nil {
+			return rec, err
+		}
+		n -= step
+	}
+	return rec, nil
+}
+
+// reserve returns rec with room for need more bytes. When it has to grow it
+// grows by claim, the bytes the record says are still to come,
+//   - plus a sixteenth, so a stream of similar records settles on its
+//     buffers after the first few;
+//   - but at least a quarter of what rec holds, so a large record grows in
+//     linear time;
+//   - and at most 1 MiB (or that quarter, once it is more), because the
+//     claim is the stream's own word. The buffer only ever runs that far
+//     ahead of bytes that actually arrived: a lying length costs 1 MiB on a
+//     short stream and never more than a quarter over what the source
+//     delivered.
+func reserve(rec []byte, need, claim int) []byte {
+	if cap(rec)-len(rec) >= need {
+		return rec
+	}
+	quarter := len(rec) / 4
+	grow := min(max(claim+claim/16, quarter), max(1<<20, quarter))
+	return append(make([]byte, 0, len(rec)+grow), rec...)
 }
 
 // readErr wraps a failed read of the container. Running out of bytes is
@@ -212,58 +190,4 @@ func readErr(err error, what string, args ...any) error {
 		return fmt.Errorf("%w: %s: truncated (%w)", ErrFormat, what, err)
 	}
 	return fmt.Errorf("format: %s: %w", what, err)
-}
-
-// countingByteReader counts the bytes ReadUvarint consumes so Next can
-// account for variable-length fields in the container offset, and keeps the
-// source's own error apart from ReadUvarint's.
-type countingByteReader struct {
-	r   *bufio.Reader
-	n   int64
-	err error
-}
-
-func (c *countingByteReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err == nil {
-		c.n++
-	} else {
-		c.err = err
-	}
-	return b, err
-}
-
-// varintErr wraps a ReadUvarint failure: a read that failed goes through
-// readErr; a varint that overflowed is malformed.
-func (c *countingByteReader) varintErr(err error, what string, args ...any) error {
-	if c.err != nil {
-		return readErr(c.err, what, args...)
-	}
-	return fmt.Errorf("%w: %s: %w", ErrFormat, fmt.Sprintf(what, args...), err)
-}
-
-// readLengths reads an n-symbol nibble-packed code-length array into dst.
-func (br *BlockReader) readLengths(dst []uint8, n int) ([]uint8, error) {
-	need := huffman.LengthsSize(n)
-	if cap(br.packed) < need {
-		br.packed = make([]byte, need)
-	}
-	packed := br.packed[:need]
-	if _, err := io.ReadFull(br.r, packed); err != nil {
-		return dst, err
-	}
-	br.off += int64(need)
-	if cap(dst) < n {
-		dst = make([]uint8, n)
-	}
-	dst = dst[:n]
-	for i := 0; i < n; i++ {
-		b := packed[i/2]
-		if i%2 == 0 {
-			dst[i] = b & 0x0f
-		} else {
-			dst[i] = b >> 4
-		}
-	}
-	return dst, nil
 }

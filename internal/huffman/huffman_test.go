@@ -178,9 +178,14 @@ func TestSerializeLengths(t *testing.T) {
 		t.Fatalf("size %d want %d", len(data), LengthsSize(len(lengths)))
 	}
 	data = append(data, 0xAA, 0xBB) // trailing bytes must be preserved
-	got, rest, err := ParseLengths(data, len(lengths))
+	// dst is stale and larger than needed: it must be reused and refilled.
+	dst := bytes.Repeat([]byte{9}, 32)
+	got, rest, err := ParseLengths(dst, data, len(lengths))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != len(lengths) || &got[0] != &dst[0] {
+		t.Fatalf("got %d lengths, reused dst %v", len(got), &got[0] == &dst[0])
 	}
 	if len(rest) != 2 || rest[0] != 0xAA {
 		t.Fatalf("rest = %v", rest)
@@ -193,7 +198,7 @@ func TestSerializeLengths(t *testing.T) {
 }
 
 func TestParseLengthsTruncated(t *testing.T) {
-	if _, _, err := ParseLengths([]byte{0x33}, 9); err == nil {
+	if _, _, err := ParseLengths(nil, []byte{0x33}, 9); err == nil {
 		t.Fatal("want truncation error")
 	}
 }

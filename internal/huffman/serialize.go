@@ -26,21 +26,25 @@ func AppendLengths(dst []byte, lengths []uint8) []byte {
 // LengthsSize reports the serialized size in bytes of an n-symbol tree.
 func LengthsSize(n int) int { return (n + 1) / 2 }
 
-// ParseLengths reads an n-symbol code-length array from src, returning the
-// lengths and the remaining bytes.
-func ParseLengths(src []byte, n int) ([]uint8, []byte, error) {
+// ParseLengths reads an n-symbol code-length array from src into dst, which
+// is reused when it has the capacity, returning the lengths and the
+// remaining bytes.
+func ParseLengths(dst []uint8, src []byte, n int) ([]uint8, []byte, error) {
 	need := LengthsSize(n)
 	if len(src) < need {
 		return nil, nil, fmt.Errorf("huffman: tree truncated: need %d bytes, have %d", need, len(src))
 	}
-	lengths := make([]uint8, n)
-	for i := 0; i < n; i++ {
+	if cap(dst) < n {
+		dst = make([]uint8, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
 		b := src[i/2]
 		if i%2 == 0 {
-			lengths[i] = b & 0x0f
+			dst[i] = b & 0x0f
 		} else {
-			lengths[i] = b >> 4
+			dst[i] = b >> 4
 		}
 	}
-	return lengths, src[need:], nil
+	return dst, src[need:], nil
 }

@@ -16,8 +16,7 @@ import (
 	"gompresso/internal/perf"
 )
 
-// DefaultRingSize is the slow-request ring capacity when the caller
-// passes 0.
+// DefaultRingSize is the slow-request ring capacity the daemon runs with.
 const DefaultRingSize = 64
 
 // ringTTL makes the ring track *recent* slow requests: an entry older
@@ -47,11 +46,8 @@ type Tracer struct {
 // NewTracer builds a Tracer, registering one stage_<name>_ns histogram
 // per stage in reg. accessLog, when non-nil, receives one JSON line per
 // finished request (log/slog; WARN for 5xx). ringSize bounds the
-// slow-request ring (0 selects DefaultRingSize).
+// slow-request ring.
 func NewTracer(reg *perf.Registry, accessLog io.Writer, ringSize int) *Tracer {
-	if ringSize <= 0 {
-		ringSize = DefaultRingSize
-	}
 	tr := &Tracer{
 		base:    fmt.Sprintf("%x", time.Now().UnixNano()&0xffffff^int64(idSeq.Add(1)<<24)),
 		ringCap: ringSize,

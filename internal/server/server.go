@@ -116,7 +116,8 @@ type Options struct {
 	// checkpoints (0 selects the ~1 MiB default). Smaller spacing means
 	// finer random access at more index overhead.
 	IndexSpacing int64
-	// Logf, when set, receives one line per completed request.
+	// Logf, when set, receives one line per server event (quarantine,
+	// sidecar load/persist, handler panic). Requests go to AccessLog.
 	Logf func(format string, args ...any)
 	// AccessLog, when set, receives one JSON line (log/slog) per
 	// completed object request: request id, object, range, status,
@@ -127,9 +128,6 @@ type Options struct {
 	// stage histograms, no /debug/requests ring — the pre-PR-10 request
 	// path. For overhead measurement; production keeps tracing on.
 	NoTrace bool
-	// SlowRing bounds the /debug/requests slow-request ring
-	// (0 = obs.DefaultRingSize).
-	SlowRing int
 }
 
 // Server serves decompressed objects over HTTP. Create with New; it is
@@ -298,7 +296,7 @@ func New(o Options) (*Server, error) {
 		s.logf = func(string, ...any) {}
 	}
 	if !o.NoTrace {
-		s.tracer = obs.NewTracer(s.reg, o.AccessLog, o.SlowRing)
+		s.tracer = obs.NewTracer(s.reg, o.AccessLog, obs.DefaultRingSize)
 	}
 	bi := buildinfo.Get()
 	s.reg.Info("build_info", "binary identity (constant 1; information is in the labels)",
@@ -492,7 +490,6 @@ func (s *Server) serveObject(rw http.ResponseWriter, r *http.Request) {
 	if err != nil && trace != nil && !errors.As(err, new(*httpError)) {
 		trace.SetError(errClass(err))
 	}
-	s.logf("%s %s %d %dB %v err=%v", r.Method, r.URL.Path, w.status, w.bytes, time.Since(start).Round(time.Microsecond), err)
 }
 
 // errClass buckets a request error for the access log and span dumps:

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"gompresso/internal/blockcache"
@@ -84,16 +85,16 @@ func (s *nativeSource) span(i int64) (start, n int64) {
 
 func (s *nativeSource) decodeInto(src io.ReaderAt, i int64, dst []byte) error {
 	start, end := s.idx.Offsets[i], s.idx.Offsets[i+1]
-	cp := pooledBuf(&compBufPool, int(end-start))
-	defer compBufPool.Put(cp)
-	if err := format.ReadFullAt(src, *cp, start); err != nil {
+	rec := recordPool.Get().(*record)
+	defer recordPool.Put(rec)
+	rec.buf = slices.Grow(rec.buf[:0], int(end-start))[:end-start]
+	if err := format.ReadFullAt(src, rec.buf, start); err != nil {
 		return fmt.Errorf("gompresso: block %d: %w", i, err)
 	}
-	var blk format.Block
-	if _, err := format.ParseBlock(s.hdr, uint32(i), *cp, &blk); err != nil {
+	if _, err := format.ParseBlock(s.hdr, uint32(i), rec.buf, &rec.blk); err != nil {
 		return err
 	}
-	if err := s.hdr.DecodeBlockInto(dst, &blk, nil); err != nil {
+	if err := s.hdr.DecodeBlockInto(dst, &rec.blk, nil); err != nil {
 		return fmt.Errorf("gompresso: block %d: %w", i, err)
 	}
 	return nil
@@ -151,13 +152,9 @@ func (c *Codec) NewReaderAt(ra io.ReaderAt, size int64) (*ReaderAt, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := format.ReadIndexAt(ra, size, hdr)
+	idx, _, err := format.OpenIndex(ra, size, hdr)
 	if err != nil {
-		// No trailer: one streaming scan of the block section.
-		_, idx, err = format.ScanIndex(io.NewSectionReader(ra, 0, size))
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	return c.openReaderAt(ra, hdr, &nativeSource{hdr: hdr, idx: idx}), nil
 }
@@ -289,11 +286,9 @@ func (r *ReaderAt) WriteRangeTo(ctx context.Context, w io.Writer, off, length in
 // cannot decode straight into the caller's memory.
 var blockBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// compBufPool recycles compressed-record buffers.
-var compBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-func pooledBuf(pool *sync.Pool, n int) *[]byte {
-	bp := pool.Get().(*[]byte)
+// pooledBlockBuf takes an n-byte buffer from blockBufPool.
+func pooledBlockBuf(n int) *[]byte {
+	bp := blockBufPool.Get().(*[]byte)
 	if cap(*bp) < n {
 		*bp = make([]byte, n)
 	}
@@ -301,6 +296,16 @@ func pooledBuf(pool *sync.Pool, n int) *[]byte {
 	//lint:allow poolescape sanctioned lifecycle helper; callers pool.Put when done
 	return bp
 }
+
+// record is a block record as read from the container and the Block parsed
+// from it, whose Payload aliases buf. recordPool recycles the pair, so a
+// cold decode reuses the parsed trees and size lists as well as the bytes.
+type record struct {
+	buf []byte
+	blk format.Block
+}
+
+var recordPool = sync.Pool{New: func() any { return new(record) }}
 
 // held is one walker window slot: a block's decoded bytes and whatever
 // backs them — a pinned cache buffer, a pooled buffer, or (neither set)
@@ -419,7 +424,7 @@ func (r *ReaderAt) obtain(ctx context.Context, bi int64, p []byte, off int64) (h
 	if start >= off && start+n <= off+int64(len(p)) {
 		h.data = p[start-off : start-off+n]
 	} else {
-		h.bp = pooledBuf(&blockBufPool, int(n))
+		h.bp = pooledBlockBuf(int(n))
 		h.data = *h.bp
 	}
 	h.err = r.decode(ctx, bi, h.data)

@@ -428,34 +428,23 @@ func (r *Reader) stopDecoding() {
 	r.off = 0
 }
 
-// ensureIndex loads the block index, preferring the container's trailer
-// over a full scan.
+// ensureIndex loads the block index on the first Seek.
 func (r *Reader) ensureIndex(rs io.ReadSeeker) error {
 	if r.idx != nil {
 		return nil
 	}
-	if end, err := rs.Seek(0, io.SeekEnd); err == nil {
-		ra := readerAtFunc(func(p []byte, off int64) (int, error) {
-			if _, err := rs.Seek(r.base+off, io.SeekStart); err != nil {
-				return 0, err
-			}
-			return io.ReadFull(rs, p)
-		})
-		if idx, err := format.ReadIndexAt(ra, end-r.base, r.hdr); err == nil {
-			r.idx = idx
-			return nil
-		}
-	}
-	// No trailer: scan the block section once.
-	if _, err := rs.Seek(r.base, io.SeekStart); err != nil {
-		return err
-	}
-	_, idx, err := format.ScanIndex(rs)
+	end, err := rs.Seek(0, io.SeekEnd)
 	if err != nil {
 		return err
 	}
-	r.idx = idx
-	return nil
+	ra := readerAtFunc(func(p []byte, off int64) (int, error) {
+		if _, err := rs.Seek(r.base+off, io.SeekStart); err != nil {
+			return 0, err
+		}
+		return io.ReadFull(rs, p)
+	})
+	r.idx, _, err = format.OpenIndex(ra, end-r.base, r.hdr)
+	return err
 }
 
 // readerAtFunc adapts a positioned-read closure to io.ReaderAt.

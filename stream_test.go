@@ -220,7 +220,7 @@ func corruptBlock(t *testing.T, comp []byte, k int) ([]byte, bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := format.BuildIndex(comp, h)
+	_, idx, err := format.ScanIndex(bytes.NewReader(comp))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -430,7 +430,7 @@ func TestWriterIndexTrailerSeek(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := format.ParseIndexTrailer(buf.Bytes(), h)
+	idx, err := format.ReadIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), h)
 	if err != nil {
 		t.Fatalf("writer emitted no parseable index trailer: %v", err)
 	}
