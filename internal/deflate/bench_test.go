@@ -13,12 +13,10 @@ import (
 // Benchmarks comparing this decoder against compress/gzip on the wiki
 // bench corpus. The W1 path must beat the stdlib single-threaded. The
 // parallel path pays speculative-decode overhead (16-bit cells, boundary
-// probing, one table lookup per byte to resolve) and wins from the second
-// core on: measured on 2 vCPUs, GzipOneShotW2 runs at 1.15–1.5× GzipOneShotW1
-// on this 8 MiB object (five chunks, a noisy box) and the benchmark's 16 MiB
-// objects at 1.28× (EXPERIMENTS.md "Foreign gzip decode"). On a single-CPU
-// machine Workers > 1 degrades to the sequential engine (useParallel), so
-// W2 = W1 there.
+// probing, one table lookup per byte to resolve) on top of the same kernel,
+// so two workers gain far less than 2×: EXPERIMENTS.md "Foreign gzip decode
+// (PR 18)" has the measured ratios. On a single-CPU machine Workers > 1
+// degrades to the sequential engine (useParallel), so W2 = W1 there.
 
 var (
 	gzBenchOnce sync.Once
@@ -90,6 +88,61 @@ func benchOneShot(b *testing.B, workers int) {
 
 func BenchmarkGzipOneShotW1(b *testing.B) { benchOneShot(b, 1) }
 func BenchmarkGzipOneShotW2(b *testing.B) { benchOneShot(b, 2) }
+
+// BenchmarkInflate is the decode kernel alone on one thread — block headers,
+// table builds and the bulk and careful loops, no framing, checksum, scan or
+// resolve — for both output kinds: bytes through the sequential engine, cells
+// through a speculative chunk decode of the same stream from its first block.
+// It is what to A/B a change to inflate.go or tables.go with.
+func BenchmarkInflate(b *testing.B) {
+	const size = 4 << 20
+	for _, c := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"wiki", datagen.WikiXML(size, 1)},
+		{"matrix", datagen.MatrixMarket(size, 1)},
+		{"nesting", datagen.Nesting(size, 4, 1)},
+	} {
+		var buf bytes.Buffer
+		w := gzip.NewWriter(&buf)
+		w.Write(c.raw)
+		w.Close()
+		gz := buf.Bytes()
+		start, err := parseGzipHeader(gz, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name+"/bytes", func(b *testing.B) {
+			// One byte of room past the output lets the engine reach the
+			// final end-of-block code, as in ReadAll.
+			out := make([]byte, len(c.raw)+1+runSlack)
+			var e engine
+			defer e.release()
+			b.SetBytes(int64(len(c.raw)))
+			for i := 0; i < b.N; i++ {
+				e.reset(gz, start*8)
+				pos, ev := 0, evBoundary
+				for ev != evEOS && err == nil {
+					pos, ev, err = e.decodeInto(out, pos, len(c.raw)+1)
+				}
+				if err != nil || !bytes.Equal(out[:pos], c.raw) {
+					b.Fatalf("%d bytes, %v", pos, err)
+				}
+			}
+		})
+		b.Run(c.name+"/cells", func(b *testing.B) {
+			b.SetBytes(int64(len(c.raw)))
+			for i := 0; i < b.N; i++ {
+				ch := decodeChunk(gz, start*8, -1)
+				if ch.err != nil || len(ch.cells) != len(c.raw) || !ch.sawEOS {
+					b.Fatalf("%d cells, %v", len(ch.cells), ch.err)
+				}
+				putCells(ch.cells)
+			}
+		})
+	}
+}
 
 // BenchmarkResolve is the resolver's inner loop alone on one marker-dense
 // chunk: a speculative decode from a mid-stream block boundary of the wiki

@@ -1,10 +1,6 @@
 package deflate
 
-import (
-	"sync"
-
-	"gompresso/internal/bitio"
-)
+import "sync"
 
 // Speculative chunk decoding. A worker decoding mid-stream cannot know the
 // 32 KiB of output preceding its chunk, so it decodes into 16-bit cells:
@@ -25,13 +21,10 @@ const markerBit = 0x8000
 // ratio that would balloon speculative memory) aborts with errOversize so
 // the resolver decodes that region sequentially in bounded memory instead.
 const (
-	cellSlack    = maxMatch + 8
 	maxCellChunk = 8 << 20 // cells per chunk before giving up speculation
-	// cellRefill bounds the cells cellHuffLoop can emit between two refills
-	// of its bit cursor: a refill leaves ≤ 64 bits and the next one comes
-	// once < huffWorst remain, so at most 17 symbols start in between, each
-	// worth at most one maximal match.
-	cellRefill = 17*maxMatch + cellSlack
+	// cellRoom is the least room a Huffman block is resumed with: enough that
+	// the bulk loop, not its margins, does the decoding.
+	cellRoom = 16 * bulkOutMargin
 )
 
 var errOversize = corruptAt(0, "speculative chunk output too large") // internal; never surfaces
@@ -91,24 +84,16 @@ func decodeChunk(data []byte, start, endTarget int64) chunkResult {
 		}
 		switch h.kind {
 		case 0:
-			off := int(h.bit >> 3)
-			if off+h.storedLen > len(data) {
-				c.err = truncatedAt(int64(len(data)), "stored block past end of input")
-			} else {
-				if cells, err = ensureCells(cells, h.storedLen); err != nil {
-					c.err = err
-				} else {
-					for _, b := range data[off : off+h.storedLen] {
-						cells = append(cells, uint16(b))
-					}
-					bit = h.bit + int64(h.storedLen)*8
+			if cells, c.err = ensureCells(cells, h.storedLen); c.err == nil {
+				for _, b := range data[h.bit>>3:][:h.storedLen] {
+					cells = append(cells, uint16(b))
 				}
+				bit = h.bit + int64(h.storedLen)*8
 			}
 		case 1, 2:
 			var low int
-			cells, bit, low, err = cellHuffLoop(data, h.bit, t, h.kind == 1, cells)
+			cells, bit, low, c.err = inflateCells(h.tabs, data, h.bit, cells)
 			c.minSrc = min(c.minSrc, low)
-			c.err = err
 		}
 		if c.err != nil {
 			break
@@ -142,141 +127,33 @@ func ensureCells(cells []uint16, n int) ([]uint16, error) {
 	if newCap < need {
 		newCap = need
 	}
-	if newCap > maxCellChunk+cellSlack {
-		newCap = maxCellChunk + cellSlack
+	if newCap > maxCellChunk {
+		newCap = maxCellChunk
 	}
 	grown := make([]uint16, len(cells), newCap)
 	copy(grown, cells)
 	return grown, nil
 }
 
-// spanCells returns cells[:pos] stretched over its whole capacity, with room
-// past pos for everything one cursor refill can decode.
-func spanCells(cells []uint16, pos int) ([]uint16, error) {
-	cells, err := ensureCells(cells[:pos], cellRefill)
-	return cells[:cap(cells)], err
-}
-
-// cellHuffLoop is huffLoop's speculative twin: same symbol decode on the
-// same packed tables, but emitting cells and representing back-references
-// into the unseen pre-chunk window as markers. It also returns the most
-// negative source position a match reached (≤ 0): copies only replicate
-// markers that already exist, so tracking at synthesis is exact. Room for
-// output is checked once per cursor refill, not per symbol.
-func cellHuffLoop(data []byte, bit int64, t *tables, useFixed bool, cells []uint16) ([]uint16, int64, int, error) {
-	if useFixed {
-		t = fixed()
+// inflateCells decodes the Huffman block at bit onto the end of cells, making
+// room as it goes. Every distance is at most winSize, so a source position is
+// an in-chunk cell or a window marker and none can escape both; copies only
+// replicate markers that exist, so the lowest source position is exact.
+func inflateCells(t *tables, data []byte, bit int64, cells []uint16) ([]uint16, int64, int, error) {
+	pos, minSrc, done := len(cells), 0, false
+	for !done {
+		var err error
+		if cells, err = ensureCells(cells[:pos], cellRoom); err != nil {
+			return cells, 0, 0, err
+		}
+		cells = cells[:cap(cells)]
+		var low int
+		if pos, bit, low, done, err = inflate(t, data, bit, cells, pos, len(cells)-maxMatch, winSize); err != nil {
+			return cells, 0, 0, err
+		}
+		minSrc = min(minSrc, low)
 	}
-	lit, dist := t.lit, t.dist
-	litMask, distMask := t.litMask, t.distMask
-	cur := bitio.NewCursor(data, bit)
-	base := bit
-	tail := false
-	pos, low := len(cells), 0
-	fail := func(msg string) ([]uint16, int64, int, error) {
-		if cur.Overrun() {
-			return cells, 0, 0, truncatedAt(int64(len(data)), "compressed data past end of input")
-		}
-		return cells, 0, 0, corruptAt((base+cur.Consumed())>>3, msg)
-	}
-	// The cursor may start with enough bits to skip its first refill.
-	cells, err := spanCells(cells, pos)
-	if err != nil {
-		return cells, 0, 0, err
-	}
-	for {
-		if cur.Buffered() < huffWorst {
-			cur.Refill()
-			if cur.Overrun() {
-				return fail("")
-			}
-			tail = cur.Buffered() < huffWorst
-			if pos+cellRefill > len(cells) {
-				if cells, err = spanCells(cells, pos); err != nil {
-					return cells, 0, 0, err
-				}
-			}
-		}
-		posIter := pos
-		eL := lit[cur.Window(litMask)]
-		l := uint(eL & 0xff)
-		if l == 0 {
-			return fail("invalid literal/length code")
-		}
-		cur.Skip(l)
-		sym := eL >> 8
-		if sym < endBlock {
-			cells[pos] = uint16(sym)
-			pos++
-			if tail && cur.Overrun() {
-				pos = posIter
-				return fail("")
-			}
-			continue
-		}
-		if sym == endBlock {
-			if tail && cur.Overrun() {
-				return fail("")
-			}
-			return cells[:pos], base + cur.Consumed(), low, nil
-		}
-		if sym >= maxLitLen {
-			return fail("invalid length symbol")
-		}
-		li := sym - endBlock - 1
-		length := int(lengthBase[li]) + int(cur.Bits(uint(lengthExtra[li])))
-		eD := dist[cur.Window(distMask)]
-		dl := uint(eD & 0xff)
-		if dl == 0 {
-			return fail("invalid distance code")
-		}
-		cur.Skip(dl)
-		dsym := eD >> 8
-		if dsym >= maxDist {
-			return fail("invalid distance symbol")
-		}
-		d := int(distBase[dsym]) + int(cur.Bits(uint(distExtra[dsym])))
-		if tail && cur.Overrun() {
-			pos = posIter
-			return fail("")
-		}
-		// d ≤ 32768 by construction, so every source position is either an
-		// in-chunk cell or a window marker; no distance can escape both.
-		low = min(low, pos-d)
-		pos = copyCells(cells, pos, d, length)
-	}
-}
-
-// copyCells expands the back-reference (d, length) at cell position pos,
-// synthesizing markers for source positions before the chunk start and
-// replicating cells (markers included) for overlapping copies.
-func copyCells(cells []uint16, pos, d, length int) int {
-	src := pos - d
-	end := pos + length
-	for src < 0 && pos < end {
-		cells[pos] = markerBit | uint16(winSize+src)
-		src++
-		pos++
-	}
-	if pos >= end {
-		return end
-	}
-	if rem := end - pos; d >= rem {
-		copy(cells[pos:end], cells[src:src+rem])
-		return end
-	}
-	if d == 1 {
-		v := cells[src]
-		for ; pos < end; pos++ {
-			cells[pos] = v
-		}
-		return end
-	}
-	// Overlapping copy with widening stride, as lz77.CopyWithin.
-	for pos < end {
-		pos += copy(cells[pos:end], cells[src:pos])
-	}
-	return end
+	return cells[:pos], bit, minSrc, nil
 }
 
 // resolveCells converts cells to bytes through lut, whose upper half holds

@@ -11,11 +11,11 @@
 // exists, verifying that each speculative chunk splices exactly onto the
 // decoded stream and falling back to sequential decoding when it does not.
 //
-// The decoder reuses the repository's existing machinery: canonical Huffman
-// tables are built with huffman.FillTable's packed entries, the hot symbol
-// loop runs on bitio.Cursor, in-window match copies go through
-// lz77.CopyWithin, and chunk scheduling uses parallel.Ordered on the shared
-// worker pool.
+// Both routes run one decode kernel (inflate.go) over two-level tables whose
+// entries follow internal/format's convention — the low six bits are a
+// symbol's whole bit cost — but not its layout: the alphabets differ. Header
+// parsing and the careful loop run on bitio.Cursor, and chunk scheduling uses
+// parallel.Ordered on the shared worker pool.
 package deflate
 
 import (

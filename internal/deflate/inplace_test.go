@@ -154,7 +154,7 @@ func TestReadAllSizeHint(t *testing.T) {
 		// Too large but something a stream this long could expand to: used,
 		// and the returned slice still has the real length.
 		{"larger", uint32(len(raw)) + 1<<20, len(raw) + 1<<20},
-		// Beyond DEFLATE's 1032× ceiling: ignored, nothing reserved for it.
+		// Beyond hintRatio: ignored, nothing reserved for it.
 		{"absurd", 0xfffffff0, len(gz)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -223,6 +223,49 @@ func TestReadAllSizeHint(t *testing.T) {
 			t.Fatal("ReadAll succeeded on a Reader already read from")
 		}
 	})
+}
+
+// A trailer claiming more than hintRatio times the input is not believed, so
+// what a lie can make ReadAll allocate is bounded by what the stream really
+// holds — whether the claim is the field's maximum or just what DEFLATE's own
+// 1,032:1 ceiling allows a stream of this length (the rule before PR 18, under
+// which a 6 MB file claiming 4 GiB cost 4 GiB of zeroed memory before failing).
+func TestReadAllLyingSizeHint(t *testing.T) {
+	raw := datagen.WikiXML(300<<10, 7)
+	gz := stdGzip(t, raw)
+	for name, isize := range map[string]uint32{"4 GiB": 0xffffffff, "1000x": uint32(1000 * len(gz))} {
+		mut := withISIZE(gz, isize)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := oneShot(t, mut, FormatGzip, Options{Workers: 1})
+		runtime.ReadMemStats(&after)
+		wantErr(t, name, got.err, ErrChecksum, int64(len(gz)-4))
+		if !bytes.Equal(got.out, raw) {
+			t.Fatalf("%s: served %d bytes, want all %d", name, len(got.out), len(raw))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*uint64(len(raw)) {
+			t.Errorf("%s: decoding %d bytes allocated %d", name, len(raw), grew)
+		}
+	}
+}
+
+// A stream that really does expand beyond hintRatio starts from its compressed
+// size and grows into its output, at every worker count.
+func TestReadAllGrowsPastSizeHint(t *testing.T) {
+	raw := make([]byte, 4<<20)
+	gz := stdGzip(t, raw)
+	if len(raw) < 1000*len(gz) {
+		t.Fatalf("%d zeros compress to %d bytes: not 1000:1", len(raw), len(gz))
+	}
+	r, err := NewReaderBytes(nil, gz, FormatGzip, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if h := r.sizeHint(); h != len(gz) {
+		t.Fatalf("size hint %d for a %d-byte stream of %d zeros, want the input length", h, len(gz), len(raw))
+	}
+	decodeMatrix(t, "zeros", gz, raw, FormatGzip)
 }
 
 // The one-shot and streaming entry points run one primitive over different

@@ -21,10 +21,10 @@ const DefaultChunkSize = 512 << 10
 const (
 	minChunkSize = 4 << 10
 	segSize      = 256 << 10 // output granule: one sequential run, one checksum fold
-	// runSlack is the room a decode route needs past the last byte it may
-	// produce: a match copy runs to completion (maxMatch) and
-	// lz77.CopyWithin's wild path may scribble 7 bytes more.
-	runSlack = maxMatch + 8
+	// runSlack is the room a decode route needs past the position it was
+	// asked to stop at: the last symbol may start just short of it, and a
+	// match copy runs to completion.
+	runSlack = maxMatch
 )
 
 // Options tunes the decoder.
@@ -178,21 +178,22 @@ func Decompress(data []byte, form Format, opt Options) ([]byte, error) {
 	return out, nil
 }
 
-// maxExpansion is DEFLATE's ceiling on output per input byte: a 258-byte
-// match can cost as little as two bits.
-const maxExpansion = 1032
+// hintRatio is the largest expansion sizeHint believes: sixteen times what
+// text compresses by, and a lie costs at most that much zeroed memory.
+// DEFLATE itself can reach 1,032:1 — a 6 MB stream may honestly claim 4 GiB —
+// so such streams grow into their size instead of reserving it.
+const hintRatio = 64
 
 // sizeHint guesses the decompressed size for ReadAll's one allocation: the
-// gzip ISIZE trailer when a stream of this length could really expand that
-// far — so a lying trailer reserves no more than a genuine stream of the same
-// size could make us allocate anyway — else the compressed size, from which
-// next grows geometrically (zlib, raw; a multi-member trailer describes only
-// the last member and simply undershoots).
+// gzip ISIZE trailer when it is within hintRatio of the input, else the
+// compressed size, from which next grows geometrically (zlib, raw, highly
+// compressible or lying gzip; a multi-member trailer describes only the last
+// member and simply undershoots).
 func (r *Reader) sizeHint() int {
 	n := uint64(len(r.data))
 	if r.form == FormatGzip && n >= 4 {
 		isize := uint64(binary.LittleEndian.Uint32(r.data[n-4:]))
-		if isize <= maxExpansion*n && isize <= math.MaxInt-runSlack-1 {
+		if isize <= hintRatio*n && isize <= math.MaxInt-runSlack-1 {
 			return int(isize)
 		}
 	}

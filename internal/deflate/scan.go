@@ -1,10 +1,6 @@
 package deflate
 
-import (
-	"encoding/binary"
-
-	"gompresso/internal/bitio"
-)
+import "encoding/binary"
 
 // Candidate discovery: the scanner walks the compressed stream at chunk
 // granularity looking for bit positions that start a DEFLATE block. A
@@ -13,10 +9,12 @@ import (
 // sequential decoding when it does not — so the probe's job is to make
 // false positives rare, not impossible:
 //
-//  1. A cheap per-bit filter accepts only dynamic block headers whose
-//     counts are in range and whose code-length code satisfies the Kraft
-//     equality (the same completeness rule the decoder enforces), plus
-//     stored blocks whose LEN/NLEN complement checks out.
+//  1. A cheap per-bit filter accepts only non-final blocks (a chunk that
+//     started at a member's last block would hold that block alone, and
+//     one bit test spares half of all positions the rest of the filter):
+//     dynamic headers whose counts are in range and whose code-length code
+//     satisfies the Kraft equality (the same completeness rule the decoder
+//     enforces), plus stored blocks whose LEN/NLEN complement checks out.
 //  2. Survivors are verified by parsing the full header (both trees must
 //     build) and trial-decoding several hundred symbols across block
 //     boundaries; stored candidates must chain into further verifiable
@@ -60,6 +58,9 @@ func findCandidate(data []byte, fromByte, span int, t *tables) int64 {
 		w := bitsAt(data, int64(p)*8, 57)
 		for sub := uint(0); sub < 8; sub++ {
 			b := int64(p)*8 + int64(sub)
+			if w>>sub&1 != 0 { // BFINAL
+				continue
+			}
 			switch (w >> (sub + 1)) & 3 {
 			case 2:
 				if quickDynamic(data, b, w>>sub) && verifyCandidate(data, b, t) {
@@ -143,18 +144,12 @@ func verifyCandidate(data []byte, bit int64, t *tables) bool {
 		}
 		switch h.kind {
 		case 0:
-			if int(h.bit>>3)+h.storedLen > len(data) {
-				return false
-			}
 			storedLinks++
 			bit = h.bit + int64(h.storedLen)*8
 		default:
-			tt := t
-			if h.kind == 1 {
-				tt = fixed()
-			}
-			n, end, ok := skimHuff(data, h.bit, tt, trialSymbols-syms)
-			if !ok {
+			// No output: the careful loop counts the symbols it could decode.
+			n, end, _, done, err := careful[byte](h.tabs, data, h.bit, nil, 0, trialSymbols-syms, 0)
+			if err != nil {
 				return false
 			}
 			syms += n
@@ -163,9 +158,10 @@ func verifyCandidate(data []byte, bit int64, t *tables) bool {
 				// decode is decisive.
 				return true
 			}
-			if end < 0 { // trial budget exhausted inside a fixed block
+			if !done { // trial budget exhausted inside a fixed block
 				return storedLinks >= 1
 			}
+			syms++ // the end-of-block code
 			bit = end
 		}
 		if h.final {
@@ -179,54 +175,4 @@ func verifyCandidate(data []byte, bit int64, t *tables) bool {
 		}
 	}
 	return weakOK()
-}
-
-// skimHuff trial-decodes up to budget symbols at bit without producing
-// output. It returns the symbols consumed and the bit offset just past the
-// end-of-block symbol, or end = -1 if the budget ran out mid-block; ok is
-// false on any invalid code, symbol, or overrun.
-func skimHuff(data []byte, bit int64, t *tables, budget int) (n int, end int64, ok bool) {
-	lit, dist := t.lit, t.dist
-	litMask, distMask := t.litMask, t.distMask
-	cur := bitio.NewCursor(data, bit)
-	for ; n < budget; n++ {
-		if cur.Buffered() < huffWorst {
-			cur.Refill()
-		}
-		eL := lit[cur.Window(litMask)]
-		l := uint(eL & 0xff)
-		if l == 0 {
-			return n, 0, false
-		}
-		cur.Skip(l)
-		sym := eL >> 8
-		if sym < endBlock {
-			continue
-		}
-		if sym == endBlock {
-			if cur.Overrun() {
-				return n, 0, false
-			}
-			return n + 1, bit + cur.Consumed(), true
-		}
-		if sym >= maxLitLen {
-			return n, 0, false
-		}
-		cur.Skip(uint(lengthExtra[sym-endBlock-1]))
-		eD := dist[cur.Window(distMask)]
-		dl := uint(eD & 0xff)
-		if dl == 0 {
-			return n, 0, false
-		}
-		cur.Skip(dl)
-		if dsym := eD >> 8; dsym >= maxDist {
-			return n, 0, false
-		} else {
-			cur.Skip(uint(distExtra[dsym]))
-		}
-		if cur.Overrun() {
-			return n, 0, false
-		}
-	}
-	return n, -1, !cur.Overrun()
 }

@@ -1,31 +1,160 @@
 package deflate
 
 import (
+	"math/bits"
 	"sync"
 
 	"gompresso/internal/bitio"
-	"gompresso/internal/huffman"
 )
 
+// Decode-table entries, one uint32 per window of upcoming stream bits. As in
+// internal/format's fused tables the low six bits are everything the symbol
+// takes from the bit buffer — code and extra bits — so one shift consumes it:
+//
+//	bits 0–5    bits to consume; 0 only in the entry of a window no code covers
+//	bit  6      eLit: a literal, its byte in the payload
+//	bit  7      eSub: the code is longer than the primary index; the payload
+//	            is where its subtable starts and bits 8–11 are that table's
+//	            index width
+//	bits 8–11   code length: the extra bits are the consumed bits above it
+//	bit  12     eExc: what the bulk loop leaves to the careful one — no code
+//	            (nothing else set), end of block (payload 0) or a symbol the
+//	            fixed trees define but no stream may use (payload 1)
+//	bits 16–31  payload: literal byte, length or distance base, subtable start
+const (
+	eBits = 63
+	eLit  = 1 << 6
+	eSub  = 1 << 7
+	eExc  = 1 << 12
+)
+
+// Primary index widths, and the most entries primary table plus subtables can
+// take for any complete code of at most 15 bits over 288 (32, 19) symbols —
+// zlib's `enough` bounds. 2,342 + 402 entries are 11 KB: both tables of a
+// block fit a 32 KB L1d with room left for the bytes being copied.
+const (
+	litPrim, litEnough   = 11, 2342
+	distPrim, distEnough = 8, 402
+	clPrim, clEnough     = 7, 128
+)
+
+// litTmpl, distTmpl and clTmpl hold each symbol's entry less its code length:
+// flags, payload, and the extra-bit count where the bits to consume go.
+var litTmpl, distTmpl, clTmpl = func() (lit [288]uint32, dist [32]uint32, cl [19]uint32) {
+	for s := range lit {
+		switch {
+		case s < endBlock:
+			lit[s] = eLit | uint32(s)<<16
+		case s == endBlock:
+			lit[s] = eExc
+		case s < maxLitLen:
+			lit[s] = uint32(lengthBase[s-endBlock-1])<<16 | uint32(lengthExtra[s-endBlock-1])
+		default:
+			lit[s] = eExc | 1<<16
+		}
+	}
+	for s := range dist {
+		dist[s] = eExc | 1<<16
+		if s < maxDist {
+			dist[s] = distBase[s]<<16 | uint32(distExtra[s])
+		}
+	}
+	for s := range cl {
+		cl[s] = uint32(s) << 16
+	}
+	return
+}()
+
+// buildTab fills tab with the two-level decode table of the canonical code
+// lengths describe: 1<<prim primary entries, then a subtable for every prim-bit
+// prefix that longer codes share, just wide enough for the longest of them.
+// The validity rules are compress/flate's (the differential fuzz harness holds
+// the equivalence): a code must be complete, or a single code of length 1, or
+// empty — DEFLATE permits an empty distance tree, and using it is the error,
+// not declaring it.
+func buildTab(tab []uint32, prim int, lengths []uint8, tmpl []uint32) bool {
+	var count, offs [16]int
+	for _, l := range lengths {
+		count[l]++
+	}
+	used, kraft := len(lengths)-count[0], 0
+	for l := 1; l < 16; l++ {
+		kraft += count[l] << (15 - l)
+		offs[l] = offs[l-1] + count[l-1]
+	}
+	if used > 1 && kraft != 1<<15 || used == 1 && count[1] != 1 {
+		return false
+	}
+	var sorted [288]uint16 // symbols by code length, then value: canonical order
+	for s, l := range lengths {
+		sorted[offs[l]] = uint16(s)
+		offs[l]++
+	}
+	if used < 2 { // a complete code covers every window
+		for i := range tab[:1<<prim] {
+			tab[i] = eExc
+		}
+	}
+	next, sub, subAt, prefix := 1<<prim, 0, 0, -1
+	code, syms := 0, sorted[count[0]:]
+	for l := 1; l < 16; l++ {
+		for n := count[l]; n > 0; n-- {
+			// The bit-reversed code is the codeword as the low bits of an
+			// LSB-first window hold it.
+			rev := int(bits.Reverse16(uint16(code)) >> (16 - l))
+			e := tmpl[syms[0]] + uint32(l)<<8 + uint32(l)
+			code, syms = code+1, syms[1:]
+			if l <= prim {
+				for w := rev; w < 1<<prim; w += 1 << l {
+					tab[w] = e
+				}
+				continue
+			}
+			if p := rev & (1<<prim - 1); p != prefix {
+				// Codes come in order of length, so the n left at this length
+				// lead the prefix; widen until what follows them fills it.
+				prefix, sub, subAt = p, l-prim, next
+				for space := n; space < 1<<sub; space = space<<1 + count[prim+sub] {
+					sub++
+				}
+				if next += 1 << sub; next > len(tab) {
+					return false
+				}
+				tab[p] = eSub | uint32(subAt)<<16 | uint32(sub)<<8
+			}
+			for w := rev >> prim; w < 1<<sub; w += 1 << (l - prim) {
+				tab[subAt+w] = e
+			}
+		}
+		code <<= 1
+	}
+	return true
+}
+
+// lookup returns the entry for the code that starts the window w (at least 15
+// valid bits) in a table with a prim-bit primary index.
+func lookup(tab []uint32, prim uint, w uint64) uint32 {
+	e := tab[w&(1<<prim-1)]
+	if e&eSub != 0 {
+		e = tab[e>>16+uint32(w>>prim)&(1<<(e>>8&15)-1)]
+	}
+	return e
+}
+
 // tables holds the decode tables of one DEFLATE block plus the scratch the
-// dynamic-header parser needs. Tables are the packed single-lookup LUTs of
-// internal/huffman (entry = sym<<8 | codeLen, built by huffman.FillTable),
-// sized to the block's actual maximum code length so short-code blocks pay
-// small fills. Instances are pooled: a worker reuses one tables value for
-// every block of its chunk with zero steady-state allocations.
+// dynamic-header parser needs, every array sized once to its bound. Instances
+// are pooled: a worker reuses one tables value for every block of its chunk
+// with zero steady-state allocations.
 type tables struct {
-	lit      []uint32
-	dist     []uint32
-	litMask  uint64
-	distMask uint64
+	lit  [litEnough]uint32
+	dist [distEnough]uint32
 
 	// Dynamic-header scratch: litlen and dist code lengths back to back
 	// (repeat codes may run across the boundary, per the RFC), the
 	// code-length code's lengths, and its decode table.
 	lens   [maxLitLen + maxDist]uint8
 	clLens [19]uint8
-	clTab  []uint32
-	clMask uint64
+	cl     [clEnough]uint32
 }
 
 var tablesPool = sync.Pool{New: func() any { return new(tables) }}
@@ -34,46 +163,10 @@ var tablesPool = sync.Pool{New: func() any { return new(tables) }}
 func getTables() *tables  { return tablesPool.Get().(*tables) }
 func putTables(t *tables) { tablesPool.Put(t) }
 
-// buildTab constructs a packed decode table for a canonical code described
-// by its code-length array, mirroring compress/flate's validity rules
-// exactly (the differential fuzz harness holds this equivalence): a code
-// must be complete, or a single code of length 1, or empty.
-func buildTab(store []uint32, lengths []uint8) (tab []uint32, mask uint64, err error) {
-	used, max, one := 0, 0, -1
-	for s, l := range lengths {
-		if l > 0 {
-			used++
-			one = s
-			if int(l) > max {
-				max = int(l)
-			}
-		}
-	}
-	if used == 0 {
-		// The table of an empty tree: every window is invalid. DEFLATE
-		// permits an empty distance tree (a block with no matches); using it
-		// is the error, not declaring it — the same rule as compress/flate.
-		// It is built in the caller's store like any other table: the caller
-		// hands the result back as the next block's store, so a table shared
-		// between callers would be overwritten by that block's code.
-		return append(store[:0], 0, 0), 1, nil
-	}
-	if used == 1 && lengths[one] != 1 {
-		return nil, 0, huffman.ErrBadLengths
-	}
-	tab, err = huffman.FillTable(store, lengths, max, 0, func(sym int, codeLen uint8) uint32 {
-		return uint32(sym)<<8 | uint32(codeLen)
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return tab, uint64(1)<<max - 1, nil
-}
-
-// readDynamic parses a dynamic block header (cur positioned after the
-// 3 header bits) and fills t.lit/t.dist. bitBase is cur's absolute starting
-// bit, used to pin error offsets. Reads past end-of-input surface as an
-// ErrTruncated error via the cursor's deferred overrun accounting.
+// readDynamic parses a dynamic block header (cur has consumed its 3 header
+// bits) and fills t.lit/t.dist. bitBase is cur's absolute starting bit, used
+// to pin error offsets. Reads past end-of-input surface as an ErrTruncated
+// error via the cursor's deferred overrun accounting.
 func (t *tables) readDynamic(data []byte, cur *bitio.Cursor, bitBase int64) error {
 	fail := func(msg string) error {
 		if cur.Overrun() {
@@ -98,9 +191,7 @@ func (t *tables) readDynamic(data []byte, cur *bitio.Cursor, bitBase int64) erro
 	if cur.Overrun() {
 		return fail("")
 	}
-	var err error
-	t.clTab, t.clMask, err = buildTab(t.clTab, t.clLens[:])
-	if err != nil {
+	if !buildTab(t.cl[:], clPrim, t.clLens[:], clTmpl[:]) {
 		return fail("invalid code-length code")
 	}
 	// Decode the hlit+hdist code lengths, with 16/17/18 repeats allowed to
@@ -112,59 +203,45 @@ func (t *tables) readDynamic(data []byte, cur *bitio.Cursor, bitBase int64) erro
 		if cur.Buffered() < 14 {
 			cur.Refill()
 		}
-		e := t.clTab[cur.Window(t.clMask)]
-		l := uint(e & 0xff)
-		if l == 0 {
+		e := t.cl[cur.Window(1<<clPrim-1)]
+		if e&eBits == 0 {
 			return fail("invalid code-length symbol")
 		}
-		cur.Skip(l)
-		sym := int(e >> 8)
-		switch {
-		case sym < 16:
+		cur.Skip(uint(e & eBits))
+		sym := int(e >> 16)
+		if sym < 16 {
 			lens[i] = uint8(sym)
 			prev = sym
 			i++
-		case sym == 16:
+			continue
+		}
+		rep, msg := 0, "zero repeat overflows code count"
+		switch sym {
+		case 16:
 			if prev < 0 {
 				return fail("length repeat with no previous length")
 			}
-			rep := int(cur.Bits(2)) + 3
-			if i+rep > n {
-				return fail("length repeat overflows code count")
-			}
-			for j := 0; j < rep; j++ {
-				lens[i+j] = uint8(prev)
-			}
-			i += rep
-		case sym == 17:
-			rep := int(cur.Bits(3)) + 3
-			if i+rep > n {
-				return fail("zero repeat overflows code count")
-			}
-			for j := 0; j < rep; j++ {
-				lens[i+j] = 0
-			}
-			i += rep
-			prev = 0
-		default: // 18
-			rep := int(cur.Bits(7)) + 11
-			if i+rep > n {
-				return fail("zero repeat overflows code count")
-			}
-			for j := 0; j < rep; j++ {
-				lens[i+j] = 0
-			}
-			i += rep
-			prev = 0
+			rep, msg = int(cur.Bits(2))+3, "length repeat overflows code count"
+		case 17:
+			rep, prev = int(cur.Bits(3))+3, 0
+		default:
+			rep, prev = int(cur.Bits(7))+11, 0
+		}
+		if i+rep > n {
+			return fail(msg)
+		}
+		for ; rep > 0; rep-- {
+			lens[i] = uint8(prev)
+			i++
 		}
 	}
 	if cur.Overrun() {
 		return fail("")
 	}
-	if t.lit, t.litMask, err = buildTab(t.lit, lens[:hlit]); err != nil {
+	if !buildTab(t.lit[:], litPrim, lens[:hlit], litTmpl[:]) {
 		return fail("invalid literal/length code")
 	}
-	if t.dist, t.distMask, err = buildTab(t.dist, lens[hlit:n]); err != nil {
+	if !buildTab(t.dist[:], distPrim, lens[hlit:n], distTmpl[:]) {
 		return fail("invalid distance code")
 	}
 	return nil
@@ -175,31 +252,27 @@ var (
 	fixedTabs tables
 )
 
+// fixed returns the tables of the fixed Huffman codes (RFC 1951 §3.2.6).
 func fixed() *tables {
 	fixedOnce.Do(func() {
-		var litLens [288]uint8
-		for i := range litLens {
+		var lens [288 + 32]uint8
+		for i := range lens {
 			switch {
 			case i < 144:
-				litLens[i] = 8
+				lens[i] = 8
 			case i < 256:
-				litLens[i] = 9
+				lens[i] = 9
 			case i < 280:
-				litLens[i] = 7
+				lens[i] = 7
+			case i < 288:
+				lens[i] = 8
 			default:
-				litLens[i] = 8
+				lens[i] = 5
 			}
 		}
-		var distLens [32]uint8
-		for i := range distLens {
-			distLens[i] = 5
-		}
-		var err error
-		if fixedTabs.lit, fixedTabs.litMask, err = buildTab(nil, litLens[:]); err != nil {
-			panic(err)
-		}
-		if fixedTabs.dist, fixedTabs.distMask, err = buildTab(nil, distLens[:]); err != nil {
-			panic(err)
+		if !buildTab(fixedTabs.lit[:], litPrim, lens[:288], litTmpl[:]) ||
+			!buildTab(fixedTabs.dist[:], distPrim, lens[288:], distTmpl[:]) {
+			panic("deflate: fixed Huffman codes do not build")
 		}
 	})
 	return &fixedTabs
