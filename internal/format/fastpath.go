@@ -280,20 +280,10 @@ func decodeSeqsBulk(dst, in []byte, nSeqs int, pair, offTab []uint32, offMask ui
 			pos = lz77.CopyWithin(dst, pos, off, matchLen)
 			continue
 		}
-		// Inline wild copy in 16-byte steps: off ≥ 8 means each 8-byte load
-		// reads bytes finalized before its store, and the 16 bytes of room
-		// past the match absorb the overshoot.
-		src, end := pos-off, pos+matchLen
-		for {
-			s, d := dst[src:src+16], dst[pos:pos+16]
-			binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(s))
-			binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(s[8:]))
-			if pos += 16; pos >= end {
-				break
-			}
-			src += 16
-		}
-		pos = end
+		// off ≥ 8 makes the wild copy exact, and the 16 bytes of room past
+		// the match absorb its overshoot.
+		wildCopy(dst, pos, dst, pos-off, matchLen)
+		pos += matchLen
 	}
 	return n, pos, int64(next)*8 - int64(nacc), nil
 }
@@ -359,13 +349,133 @@ func decodeSeqsSingle(dst []byte, c bitio.Cursor, n, pos, nSeqs int, litTab []ui
 	return pos, nil
 }
 
+// Margins of the Byte bulk loop, proven before every sequence. A plain
+// sequence — both token nibbles below 15, and a match — is three header bytes
+// and at most 14 literal and 14 match bytes, so
+//
+// byteInMargin: token + offset + one 16-byte literal load;
+//
+// byteOutMargin: a 16-byte literal store at pos and a 16-byte match store at
+// most 14 bytes further on.
+//
+// Both are taken from len, never cap: dst is one block's region of an output
+// its neighbours are being decoded into.
+const (
+	byteInMargin  = 3 + 16
+	byteOutMargin = 14 + 16
+)
+
+// wildLitMax is the longest literal run the bulk loop copies in 16-byte
+// steps; past it a memmove call is the cheaper way to move the bytes.
+const wildLitMax = 64
+
+// wildCopy copies n bytes from src[from:] to dst[pos:] in 16-byte steps, each
+// two 8-byte loads and stores, at least one step. It reads and writes up to
+// 16 bytes past n, so the caller proves that room on both sides. With src
+// being dst it is a match copy, exact for offsets of 8 and more: every 8-byte
+// load reads bytes finalized before its store.
+func wildCopy(dst []byte, pos int, src []byte, from, n int) {
+	for end := pos + n; ; from += 16 {
+		s, d := src[from:from+16], dst[pos:pos+16]
+		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(s))
+		binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(s[8:]))
+		if pos += 16; pos >= end {
+			return
+		}
+	}
+}
+
 // DecodeByteInto decodes a Byte-variant payload of numSeqs sequences straight
 // into dst (length = the block's uncompressed size), with no intermediate
 // token stream and no allocations. Output is byte-identical to DecodeByte +
-// TokenStream.Decompress.
+// TokenStream.Decompress. The bulk loop decodes while both margins hold and
+// every sequence is valid; the careful loop takes over at the sequence
+// boundary it stopped on and owns every error and the end-of-block checks.
 func DecodeByteInto(dst, payload []byte, numSeqs int) error {
-	pos, off := 0, 0
-	for n := 0; n < numSeqs; n++ {
+	n, pos, off := decodeByteBulk(dst, payload, numSeqs)
+	return decodeByteCareful(dst, payload, numSeqs, n, pos, off)
+}
+
+// decodeByteBulk decodes sequences while dst has byteOutMargin bytes of room
+// and payload byteInMargin bytes left: runs of plain sequences in decodeByteRun
+// and, between them, one sequence at a time that has an extended length, no
+// match or a near offset — ParseSeqByte reads its header, and its literal run
+// and match check their own room for a wild copy and are copied exactly
+// without it. It never reports an error: on anything it cannot finish it stops
+// in front of the sequence, whatever it already stored past pos being bytes
+// the careful loop stores again or rejects. It returns the sequences
+// completed, the output position and the payload offset of the next one.
+func decodeByteBulk(dst, payload []byte, numSeqs int) (n, pos, off int) {
+	for n < numSeqs && len(payload)-off >= byteInMargin && len(dst)-pos >= byteOutMargin {
+		// The peek keeps a run of sequences that are not plain (incompressible
+		// data is nothing else) from paying a call each to find that out.
+		if plainToken(payload[off]) {
+			if k, p, rest := decodeByteRun(dst, payload[off:], numSeqs-n, pos); k > 0 {
+				n, pos, off = n+k, p, len(payload)-rest
+				continue
+			}
+		}
+		p, next, err := ParseSeqByte(payload, off)
+		lit, ml := int(p.Seq.LitLen), int(p.Seq.MatchLen)
+		if err != nil || lit > len(dst)-pos {
+			break
+		}
+		end := pos + lit
+		if lit <= wildLitMax && len(dst)-end >= 16 && len(payload)-next >= 16 {
+			wildCopy(dst, pos, payload, p.LitOff, lit)
+		} else {
+			copy(dst[pos:end], payload[p.LitOff:next])
+		}
+		if ml != 0 {
+			offset, room := int(p.Seq.Offset), len(dst)-end
+			if offset > end || ml > room {
+				break
+			}
+			if offset < 8 || room-ml < 16 {
+				lz77.CopyWithin(dst, end, offset, ml)
+			} else {
+				wildCopy(dst, end, dst, end-offset, ml)
+			}
+		}
+		n, pos, off = n+1, end+ml, next
+	}
+	return n, pos, off
+}
+
+// plainToken reports whether a sequence's token byte says all there is to say
+// about its lengths: no extension bytes, and a match, so a 2-byte offset.
+func plainToken(tok byte) bool { return tok&15 != 15 && tok>>4 != 15 && tok>>4 != 0 }
+
+// decodeByteRun is the bulk loop's inner loop, a leaf so that everything it
+// touches stays in registers: at most left plain sequences with offsets of 8
+// and more from the front of in to dst[pos:], while both margins hold. Each is
+// one token load, one offset load, one unconditional 16-byte literal copy and
+// one unconditional 16-byte match copy as two 8-byte pairs — exact because the
+// second load follows the first store. It stops in front of the first
+// sequence that is anything else — an invalid offset included — and returns the
+// sequences completed, the output position and how much of in is left.
+func decodeByteRun(dst, in []byte, left, pos int) (k, npos, rest int) {
+	for ; k < left && len(in) >= byteInMargin && len(dst)-pos >= byteOutMargin && plainToken(in[0]); k++ {
+		lit, ml := int(in[0]&15), int(in[0]>>4)
+		offset, end := int(in[1])|int(in[2])<<8, pos+lit
+		if offset < 8 || offset > end {
+			break
+		}
+		out := dst[pos : pos+byteOutMargin]
+		*(*[16]byte)(out) = *(*[16]byte)(in[3:])
+		s, d := dst[end-offset:end-offset+16], out[lit:lit+16]
+		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(s))
+		binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(s[8:]))
+		pos, in = end+ml, in[3+lit:]
+	}
+	return k, pos, len(in)
+}
+
+// decodeByteCareful is the per-sequence loop: it resumes at sequence n, output
+// position pos and payload offset off, checks every copy, and decodes the last
+// bytes of every block.
+func decodeByteCareful(dst, payload []byte, numSeqs, n, pos, off int) error {
+	for ; n < numSeqs; n++ {
 		p, next, err := ParseSeqByte(payload, off)
 		if err != nil {
 			return fmt.Errorf("format: seq %d: %w", n, err)

@@ -376,22 +376,31 @@ func TestDecodeBitIntoBoundsSeqCount(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeBitInto times the decoder users run — one 256 KiB
-// DEStrict block at the container defaults, pooled scratch — on the
-// benchmark's three families and the two edge shapes, so a kernel change can
-// be A/B'd with benchstat in seconds.
-func BenchmarkDecodeBitInto(b *testing.B) {
+// kernelBenchInput is one shape the kernel benchmarks decode.
+type kernelBenchInput struct {
+	name string
+	src  []byte
+}
+
+// kernelBenchInputs are the benchmark's three families and the two edge
+// shapes, one 256 KiB block each.
+func kernelBenchInputs() []kernelBenchInput {
 	const n = 256 << 10
-	for _, in := range []struct {
-		name string
-		src  []byte
-	}{
+	return []kernelBenchInput{
 		{"wiki", datagen.WikiXML(n, 1)},
 		{"matrix", datagen.MatrixMarket(n, 2)},
 		{"nesting", datagen.Nesting(n, 4, 3)},
 		{"zeros", datagen.Zeros(n)},
 		{"random", datagen.Random(n, 4)},
-	} {
+	}
+}
+
+// BenchmarkDecodeBitInto times the decoder users run — one 256 KiB
+// DEStrict block at the container defaults, pooled scratch — on the
+// benchmark's three families and the two edge shapes, so a kernel change can
+// be A/B'd with benchstat in seconds.
+func BenchmarkDecodeBitInto(b *testing.B) {
+	for _, in := range kernelBenchInputs() {
 		b.Run(in.name, func(b *testing.B) {
 			ts, err := lz77.Parse(in.src, lz77.Options{DE: lz77.DEStrict})
 			if err != nil {
@@ -401,16 +410,47 @@ func BenchmarkDecodeBitInto(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			dst := make([]byte, n)
+			dst := make([]byte, len(in.src))
 			sc := GetScratch()
 			defer PutScratch(sc)
-			b.SetBytes(n)
+			b.SetBytes(int64(len(in.src)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := blk.DecodeBitInto(dst, sc); err != nil {
 					b.Fatal(err)
 				}
 			}
+			if !bytes.Equal(dst, in.src) {
+				b.Fatal("decoded bytes differ from the input")
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeByteInto is the same for the Byte kernel, one thread; zeros
+// (offset-1 runs through CopyWithin) and random (match-less sequences of 256
+// literals, a memmove each) are the edge guards a change to the bulk loop
+// must not slow.
+func BenchmarkDecodeByteInto(b *testing.B) {
+	for _, in := range kernelBenchInputs() {
+		b.Run(in.name, func(b *testing.B) {
+			ts, err := lz77.Parse(in.src, lz77.Options{DE: lz77.DEStrict})
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload, err := EncodeByte(ts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst := make([]byte, len(in.src))
+			b.SetBytes(int64(len(in.src)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := DecodeByteInto(dst, payload, len(ts.Seqs)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(ts.Seqs))/float64(len(in.src)>>10), "seqs/KB")
 			if !bytes.Equal(dst, in.src) {
 				b.Fatal("decoded bytes differ from the input")
 			}

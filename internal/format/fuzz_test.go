@@ -129,14 +129,15 @@ func FuzzDecodeBlock(f *testing.F) {
 			f.Add(flipped)
 		}
 	}
-	// One block per family big enough that the corpus starts inside the Bit
-	// bulk loop rather than in its tail.
+	// One block per family and variant big enough that the corpus starts
+	// inside the bulk loops rather than in their tails.
 	for _, src := range [][]byte{
 		datagen.WikiXML(64<<10, 5),
 		datagen.MatrixMarket(64<<10, 6),
 		datagen.Nesting(64<<10, 4, 7),
 	} {
 		f.Add(fuzzContainer(f, VariantBit, src, 64<<10))
+		f.Add(fuzzContainer(f, VariantByte, src, 64<<10))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := ParseFile(data)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"gompresso/internal/core"
 	"gompresso/internal/deflate"
@@ -20,15 +19,16 @@ import (
 // io.Reader through the host engine's fused fast path. Because every block
 // is independently decompressible, the Reader runs a three-stage pipeline: a
 // fetch stage reads compressed blocks ahead of the consumer, a decode stage
-// fans them out to the shared worker pool (each worker slot owning a pooled
-// DecodeScratch), and an in-order delivery stage hands finished blocks to
-// Read/WriteTo in stream order. Readahead is bounded, so a stalled consumer
-// back-pressures the pipeline and memory stays at
-// O((Workers+Readahead) × BlockSize).
+// fans them out to the shared worker pool, and an in-order delivery stage
+// hands finished blocks to Read/WriteTo in stream order. Readahead is
+// bounded, so a stalled consumer back-pressures the pipeline and memory stays
+// at O((Workers+Readahead) × BlockSize).
 //
 // With one worker (or a single-block container) the Reader degrades to the
-// PR-1 synchronous loop: one block buffered, allocation-free steady state,
-// no extra goroutines.
+// PR-1 synchronous loop: one block buffered, no extra goroutines. Either way
+// records and decoded-block buffers come from package pools and go back as
+// blocks are served and at Close, so a warm process allocates a few fixed
+// objects per stream, not its blocks.
 //
 // Reader implements io.Reader and io.WriterTo; io.Copy uses WriteTo
 // automatically. When the underlying reader is an io.Seeker, Reader also
@@ -45,9 +45,7 @@ type Reader struct {
 	idx  *format.Index
 
 	// Synchronous mode (one worker):
-	br  *format.BlockReader
-	blk format.Block
-	sc  *format.DecodeScratch
+	br *format.BlockReader
 
 	// Pipelined mode:
 	pl *pipe
@@ -57,11 +55,12 @@ type Reader struct {
 	// Header reports a synthetic header (32 KiB window, sizes unknown).
 	fr *deflate.Reader
 
-	buf    []byte // decompressed current block
-	off    int    // bytes of buf already returned
-	pos    int64  // logical stream offset of the next byte to serve
-	skip   int    // bytes to discard from the next delivered block (post-Seek)
-	err    error  // sticky; io.EOF after the last block
+	bp     *[]byte // pooled buffer behind buf; back to blockBufPool once served
+	buf    []byte  // decompressed current block
+	off    int     // bytes of buf already returned
+	pos    int64   // logical stream offset of the next byte to serve
+	skip   int     // bytes to discard from the next delivered block (post-Seek)
+	err    error   // sticky; io.EOF after the last block
 	closed bool
 }
 
@@ -200,93 +199,82 @@ func (r *Reader) start(br *format.BlockReader, first uint32) {
 	w := r.workersFor(first)
 	if w <= 1 {
 		r.br = br
-		if r.sc == nil && r.hdr.Variant == format.VariantBit {
-			r.sc = format.GetScratch()
-		}
 		return
 	}
 	r.pl = newPipe(r.ctx, r.hdr, w, r.pipe.Readahead)
 	go r.pl.fetch(br)
 }
 
-// advance makes the next decompressed block current. It sets r.err on
-// failure or at end of stream.
+// advance makes the next decompressed block current, recycling the one just
+// served. It sets r.err on failure or at end of stream, and never serves a
+// block that failed to decode: the window stays empty so Read/WriteTo report
+// the error instead of undecoded bytes.
 func (r *Reader) advance() {
-	if r.pl != nil {
-		if r.buf != nil {
-			r.pl.bufs <- r.buf // capacity covers every buffer; never blocks
-			r.buf = nil
-		}
-		r.off = 0
-		res, ok := r.pl.ord.Next()
-		if !ok {
-			r.err = errClosed
-			return
-		}
-		if res.err != nil {
-			if res.buf != nil {
-				r.pl.bufs <- res.buf
-			}
-			r.err = res.err
-			return
-		}
-		r.buf = res.buf
+	r.releaseBuf()
+	var res blockResult
+	if r.pl == nil {
+		res = r.nextSync()
+	} else if next, ok := r.pl.ord.Next(); ok {
+		res = next
 	} else {
-		r.advanceSync()
+		res.err = errClosed
 	}
-	if r.err == nil && r.skip > 0 {
-		n := r.skip
-		if n > len(r.buf) {
-			n = len(r.buf)
-		}
+	if r.err = res.err; r.err != nil {
+		return
+	}
+	r.bp, r.buf = res.bp, *res.bp
+	if r.skip > 0 {
+		n := min(r.skip, len(r.buf))
 		r.off, r.skip = n, r.skip-n
 	}
 }
 
-// advanceSync is the one-worker path: fetch and decode inline, reusing one
-// block and one output buffer.
-func (r *Reader) advanceSync() {
+// nextSync is the one-worker path: fetch and decode the next block inline.
+func (r *Reader) nextSync() blockResult {
 	if err := r.ctx.Err(); err != nil {
-		r.err = err
-		return
+		return blockResult{err: err}
 	}
-	if err := r.br.Next(&r.blk); err != nil {
-		r.err = err
-		return
+	rec := recordPool.Get().(*record)
+	if err := r.br.Next(&rec.blk); err != nil {
+		recordPool.Put(rec)
+		return blockResult{err: err}
 	}
-	r.off = 0
-	if r.buf, r.err = decodeBlock(r.ctx, r.hdr, &r.blk, r.buf, r.sc); r.err != nil {
-		// Never serve a block that failed to decode: empty the window so
-		// Read/WriteTo report the error instead of undecoded bytes.
-		r.buf = r.buf[:0]
+	return decodeBlock(r.ctx, r.hdr, rec)
+}
+
+// releaseBuf returns the current block's buffer to the pool.
+func (r *Reader) releaseBuf() {
+	if r.bp != nil {
+		blockBufPool.Put(r.bp)
 	}
+	r.bp, r.buf, r.off = nil, nil, 0
 }
 
 // decodeBlock is the Reader's per-block body, shared by the synchronous
-// loop and the pipeline's decode stage: size buf to the block (growing it
-// on first use), decode through format's single entry point, and accrue
-// the decode to ctx's trace. Accrual is cumulative — one span per block
-// would swamp the trace table on long streams — atomic, so pool workers
-// may call this concurrently, and reads the clock only when a trace rode
-// in on the context.
-func decodeBlock(ctx context.Context, hdr format.FileHeader, blk *format.Block, buf []byte, sc *format.DecodeScratch) ([]byte, error) {
-	if cap(buf) < blk.RawLen {
-		buf = make([]byte, blk.RawLen)
-	}
-	buf = buf[:blk.RawLen]
+// loop and the pipeline's decode stage: decode rec's block through format's
+// single entry point into a pooled buffer that travels on to the consumer,
+// recycle rec — its bytes are consumed — and accrue the decode to ctx's
+// trace. Accrual is cumulative — one span per block would swamp the trace
+// table on long streams — atomic, so pool workers may call this
+// concurrently, and reads the clock only when a trace rode in on the
+// context.
+func decodeBlock(ctx context.Context, hdr format.FileHeader, rec *record) blockResult {
+	bp := pooledBlockBuf(rec.blk.RawLen)
 	trace := obs.FromContext(ctx)
 	var t0 time.Time
 	if trace != nil {
 		t0 = time.Now()
 	}
-	err := hdr.DecodeBlockInto(buf, blk, sc)
+	err := hdr.DecodeBlockInto(*bp, &rec.blk, nil)
 	if trace != nil {
 		trace.Cum(obs.StageBlockDecode, time.Since(t0), 1)
 	}
+	recordPool.Put(rec)
 	if err != nil {
-		err = fmt.Errorf("gompresso: %w", err)
+		blockBufPool.Put(bp)
+		return blockResult{err: fmt.Errorf("gompresso: %w", err)}
 	}
-	return buf, err
+	return blockResult{bp: bp}
 }
 
 // Read implements io.Reader.
@@ -413,19 +401,14 @@ func (r *Reader) Seek(offset int64, whence int) (int64, error) {
 }
 
 // stopDecoding tears down the decode machinery (pipeline or sync reader)
-// and drops the current buffer, leaving the Reader ready for restart.
+// and recycles the current buffer, leaving the Reader ready for restart.
 func (r *Reader) stopDecoding() {
 	if r.pl != nil {
 		r.pl.shutdown()
 		r.pl = nil
 	}
 	r.br = nil
-	// Drop the current buffer unconditionally: it belongs to the old
-	// pipeline (whose recycle channels are gone) or to the old sync loop,
-	// and carrying it into a fresh pipeline would break the buffer-count
-	// invariant behind advance's non-blocking deposit.
-	r.buf = nil
-	r.off = 0
+	r.releaseBuf()
 }
 
 // ensureIndex loads the block index on the first Seek.
@@ -467,7 +450,7 @@ func (r *Reader) restart(rs io.ReadSeeker, block uint32, inner int64) error {
 }
 
 // Close shuts down the pipeline, waits for in-flight block decodes, and
-// releases all pooled buffers and decode scratch. It does not close the
+// returns every pooled buffer the Reader holds. It does not close the
 // underlying reader. Closing an exhausted Reader is optional but
 // recommended for pipelined readers, since it is what stops the fetch
 // goroutine early when the stream is abandoned mid-way.
@@ -480,141 +463,76 @@ func (r *Reader) Close() error {
 		r.fr.Close()
 		r.fr = nil
 	}
-	if r.pl != nil {
-		r.pl.shutdown()
-		r.pl = nil
-	}
-	if r.sc != nil {
-		format.PutScratch(r.sc)
-		r.sc = nil
-	}
-	r.buf = nil
+	r.stopDecoding()
 	if r.err == nil {
 		r.err = errClosed
 	}
 	return nil
 }
 
-// blockResult is one delivered pipeline block: its decoded bytes, or the
-// error (io.EOF at end of stream) that ends the stream at this position.
+// blockResult is one delivered block: its decoded bytes in a pooled buffer
+// the receiver owes to blockBufPool, or the error (io.EOF at end of stream)
+// that ends the stream at this position.
 type blockResult struct {
-	buf []byte
+	bp  *[]byte
 	err error
 }
 
-// pipe is the pipelined Reader's machinery. Buffer ownership moves through
-// channels: compressed blocks cycle fetch→decode→fetch, decoded buffers
-// cycle fetch→decode→consumer→fetch, and decode scratch cycles among at
-// most `workers` concurrent decode tasks, so the steady state allocates
-// nothing and total memory is bounded by the channel capacities.
+// pipe is the pipelined Reader's machinery. Everything a block needs comes
+// from a package pool when a stage needs it and goes back when the stage is
+// done: the fetch stage takes a record per block and the decode task returns
+// it; the decode task takes an output buffer, which the consumer returns once
+// served, and borrows Bit decode scratch for the call. The ordered queue
+// admits at most `readahead` submitted-and-undelivered blocks, which bounds
+// records and output buffers at readahead+1 each per Reader.
 type pipe struct {
-	hdr    format.FileHeader
-	ctx    context.Context
-	ord    *parallel.Ordered[blockResult]
-	bufs   chan []byte                // decoded-output recycle, cap readahead+1
-	blocks chan *format.Block         // compressed-block recycle, cap readahead+1
-	scs    chan *format.DecodeScratch // per-worker decode scratch (Bit variant)
-	nsc    int
-	stop   chan struct{}
-	once   sync.Once
-	done   chan struct{} // fetch goroutine exited
+	hdr  format.FileHeader
+	ctx  context.Context
+	ord  *parallel.Ordered[blockResult]
+	done chan struct{} // fetch goroutine exited
 }
 
 func newPipe(ctx context.Context, hdr format.FileHeader, workers, readahead int) *pipe {
-	p := &pipe{
-		hdr:    hdr,
-		ctx:    ctx,
-		ord:    parallel.NewOrdered[blockResult](workers, readahead),
-		bufs:   make(chan []byte, readahead+1),
-		blocks: make(chan *format.Block, readahead+1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	for i := 0; i < readahead+1; i++ {
-		p.bufs <- nil // grown to block size on first use
-		p.blocks <- new(format.Block)
-	}
-	if hdr.Variant == format.VariantBit {
-		// Scratch is provisioned for achievable concurrency, not the raw
-		// request: the ordered queue admits at most min(workers, pool size)
-		// concurrent decodes, so extra requested workers must not pin extra
-		// pooled decode tables.
-		p.nsc = parallel.Workers(workers, workers)
-		p.scs = make(chan *format.DecodeScratch, p.nsc)
-		for i := 0; i < p.nsc; i++ {
-			p.scs <- format.GetScratch()
-		}
-	}
-	return p
+	return &pipe{hdr: hdr, ctx: ctx, ord: parallel.NewOrdered[blockResult](workers, readahead), done: make(chan struct{})}
 }
 
 // fetch is the pipeline's first stage: it reads compressed blocks and
-// submits decode tasks in stream order. The terminal br.Next error
-// (io.EOF, or a malformed-container error) is submitted through the same
-// ordered queue, so the consumer sees every decoded block before it. A
+// submits their decodes to the shared worker pool in stream order, blocking
+// in Submit while readahead blocks are undelivered. The terminal br.Next
+// error (io.EOF, or a malformed-container error) is submitted through the
+// same ordered queue, so the consumer sees every decoded block before it. A
 // cancelled Reader context ends the stream the same way, with ctx.Err()
-// delivered after the blocks already submitted. (For the default
-// background context Done() is nil and the cases never fire.)
+// delivered after the blocks already submitted.
 func (p *pipe) fetch(br *format.BlockReader) {
 	defer close(p.done)
 	defer p.ord.Finish()
 	for {
-		var blk *format.Block
-		select {
-		case blk = <-p.blocks:
-		case <-p.stop:
-			return
-		case <-p.ctx.Done():
-			p.ord.Submit(func() blockResult { return blockResult{err: p.ctx.Err()} })
-			return
+		rec := recordPool.Get().(*record)
+		err := p.ctx.Err()
+		if err == nil {
+			err = br.Next(&rec.blk)
 		}
-		if err := br.Next(blk); err != nil {
+		if err != nil {
+			recordPool.Put(rec)
 			p.ord.Submit(func() blockResult { return blockResult{err: err} })
 			return
 		}
-		var buf []byte
-		select {
-		case buf = <-p.bufs:
-		case <-p.stop:
-			return
-		case <-p.ctx.Done():
-			p.ord.Submit(func() blockResult { return blockResult{err: p.ctx.Err()} })
-			return
-		}
-		b := blk
-		if !p.ord.Submit(func() blockResult { return p.decode(b, buf) }) {
+		if !p.ord.Submit(func() blockResult { return decodeBlock(p.ctx, p.hdr, rec) }) {
+			recordPool.Put(rec)
 			return
 		}
 	}
-}
-
-// decode is the pipeline's second stage, run on the shared worker pool.
-// The compressed block recycles as soon as its bytes are consumed; the
-// decoded buffer travels onward to the consumer.
-func (p *pipe) decode(blk *format.Block, buf []byte) blockResult {
-	var sc *format.DecodeScratch
-	if p.scs != nil {
-		// Never blocks: Ordered admits at most nsc concurrent decodes, and
-		// each returns its scratch before releasing its concurrency slot.
-		sc = <-p.scs
-	}
-	buf, err := decodeBlock(p.ctx, p.hdr, blk, buf, sc)
-	if sc != nil {
-		p.scs <- sc
-	}
-	p.blocks <- blk
-	return blockResult{buf: buf, err: err}
 }
 
 // shutdown stops the fetch stage, waits for every in-flight decode, and
-// returns the pipeline's scratch to the package pool. Idempotent.
+// returns the undelivered blocks' buffers to the pool. Idempotent.
 func (p *pipe) shutdown() {
-	p.once.Do(func() { close(p.stop) })
 	p.ord.Stop()
 	<-p.done
 	p.ord.Wait()
-	for i := 0; i < p.nsc; i++ {
-		format.PutScratch(<-p.scs)
+	for res, ok := p.ord.Next(); ok; res, ok = p.ord.Next() {
+		if res.bp != nil {
+			blockBufPool.Put(res.bp)
+		}
 	}
-	p.nsc = 0
 }
