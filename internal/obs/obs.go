@@ -6,25 +6,26 @@
 // is off (no Tracer, or a context that never passed through Begin),
 // every hook here is a nil-check on a context value — no clock reads,
 // no allocation. When tracing is on, span records live in a fixed array
-// inside a pooled Trace, so steady-state tracing allocates only the
-// small context nodes that carry parentage; the records themselves
-// recycle through a sync.Pool and the slow-request ring.
+// inside a pooled Trace, and the context a span's children start under
+// is the span's own slot, so steady-state tracing allocates one thing
+// per request: the id string handed to the X-Request-Id header. The
+// records recycle through a sync.Pool and the slow-request ring.
 //
 // Propagation rules: Tracer.Begin attaches a Trace to the request
 // context; Start derives a child context carrying the new span's
 // identity, so spans started under that context nest beneath it — from
-// any goroutine, since the span table is append-locked and every
+// any goroutine, since slots are claimed by an atomic add and every
 // counter is atomic. Layers that do many tiny operations (source
 // ReadAt, response-body writes) record cumulative stage time via Cum
-// or the SourceReaderAt wrapper instead of one span per call; the
-// totals surface as per-stage histograms on /metrics and as stage
-// sums in the access log and /debug/requests dumps.
+// or the SourceReaderAt wrapper instead of one span per call. Finish
+// folds both into one total per stage, which is what the per-stage
+// histograms on /metrics observe (once per request that touched the
+// stage) and what the access log and /debug/requests dumps print.
 package obs
 
 import (
 	"context"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -67,12 +68,7 @@ var stageNames = [numStages]string{
 }
 
 // String returns the stage's metric-safe name.
-func (s Stage) String() string {
-	if int(s) < len(stageNames) {
-		return stageNames[s]
-	}
-	return "unknown"
-}
+func (s Stage) String() string { return stageNames[s] }
 
 // Stages returns the stage names in order — the pinned set behind the
 // stage_<name>_ns histogram families.
@@ -89,32 +85,28 @@ const maxSpans = 192
 // started span must be ended on every path (enforced by the
 // spanbalance analyzer).
 type Span struct {
-	t       *Trace
-	stage   Stage
-	parent  int32
-	startNs int64
-	durNs   int64
-	n       int64
+	ref    ctxRef // the context Start returned: children attach to this slot
+	stage  Stage
+	parent int32
+	// Nanoseconds on the trace's clock, durNs -1 until End; n is SetN's.
+	startNs, durNs, n int64
 }
 
 // noopSpan is handed out when tracing is disabled. Shared and
 // immutable: every method nil-checks the owning trace before writing.
 var noopSpan = &Span{}
 
-// End closes the span, recording its duration in the trace and the
-// stage histogram.
+// End closes the span, recording its duration in the trace.
 func (sp *Span) End() {
-	if sp.t == nil {
-		return
+	if t := sp.ref.t; t != nil {
+		sp.durNs = t.Elapsed().Nanoseconds() - sp.startNs
 	}
-	sp.durNs = time.Since(sp.t.start).Nanoseconds() - sp.startNs
-	sp.t.tr.observe(sp.stage, sp.durNs)
 }
 
 // SetN attaches a numeric annotation (typically a block index) shown in
 // span dumps.
 func (sp *Span) SetN(n int64) {
-	if sp.t != nil {
+	if sp.ref.t != nil {
 		sp.n = n
 	}
 }
@@ -122,27 +114,29 @@ func (sp *Span) SetN(n int64) {
 // Trace is one request's span record. Obtain via Tracer.Begin; the
 // server finishes it exactly once, after the handler returns.
 type Trace struct {
-	tr      *Tracer
-	id      string
-	method  string
-	path    string
-	rng     string
-	status  int
-	bytes   int64
-	verdict string
-	errCls  string
-	start   time.Time
-	dur     time.Duration
+	tr    *Tracer
+	root  ctxRef // the context Begin returned
+	id    []byte
+	line  []byte // the access line's buffer, kept across uses
+	start time.Time
 
-	mu      sync.Mutex
-	nspans  int32
-	dropped int32
-	spans   [maxSpans]Span
+	method, path, rng, verdict, errCls string
 
-	cumNs  [numStages]atomic.Int64
-	cumN   [numStages]atomic.Int64
-	hits   atomic.Int64
-	misses atomic.Int64
+	// Accumulators, live between Begin and Finish, which moves them into
+	// the fields below and leaves them zero for the trace's next use.
+	cumNs, cumN  [numStages]atomic.Int64
+	nhits, nmiss atomic.Int64
+
+	// Set by Finish; what the access line, the ring and dumps read.
+	status              int
+	dur                 time.Duration
+	stageNs             [numStages]int64
+	bytes, hits, misses int64
+
+	// The span table comes last so that everything a request with a
+	// handful of spans touches sits in the trace's first few cache lines.
+	nspans atomic.Int32 // slots claimed; past maxSpans they were dropped
+	spans  [maxSpans]Span
 }
 
 // ID returns the request id (echoed as X-Request-Id).
@@ -150,7 +144,7 @@ func (t *Trace) ID() string {
 	if t == nil {
 		return ""
 	}
-	return t.id
+	return string(t.id)
 }
 
 // SetVerdict records a serving-policy outcome ("shed", "quarantined")
@@ -169,17 +163,20 @@ func (t *Trace) SetError(class string) {
 	}
 }
 
-// Cum adds d to the stage's cumulative time (and n to its op count) and
-// observes d in the stage histogram. For layers where one span per
-// operation would be noise: source reads, body writes, pipelined block
-// decodes.
+// Elapsed is the trace's clock: the time since Begin, one monotonic read
+// where a time.Now/time.Since pair costs three. Not nil-safe — callers
+// timing an operation have already checked that a trace is attached.
+func (t *Trace) Elapsed() time.Duration { return time.Since(t.start) }
+
+// Cum adds d to the stage's cumulative time and n to its op count. For
+// layers where one span per operation would be noise: source reads, body
+// writes, pipelined block decodes.
 func (t *Trace) Cum(stage Stage, d time.Duration, n int64) {
 	if t == nil {
 		return
 	}
 	t.cumNs[stage].Add(d.Nanoseconds())
 	t.cumN[stage].Add(n)
-	t.tr.observe(stage, d.Nanoseconds())
 }
 
 // CountCache tallies one block obtained from the decoded-block cache:
@@ -190,62 +187,36 @@ func (t *Trace) CountCache(hit bool) {
 		return
 	}
 	if hit {
-		t.hits.Add(1)
+		t.nhits.Add(1)
 	} else {
-		t.misses.Add(1)
+		t.nmiss.Add(1)
 	}
 }
 
-// startSpan claims the next slot. The table lock is held only for slot
-// assignment; the record is written before the span pointer escapes.
-func (t *Trace) startSpan(stage Stage, parent int32) (*Span, int32) {
-	t.mu.Lock()
-	if t.nspans >= maxSpans {
-		t.dropped++
-		t.mu.Unlock()
-		return noopSpan, -1
-	}
-	i := t.nspans
-	t.nspans++
-	t.mu.Unlock()
-	sp := &t.spans[i]
-	sp.t = t
-	sp.stage = stage
-	sp.parent = parent
-	sp.startNs = time.Since(t.start).Nanoseconds()
-	sp.durNs = -1
-	sp.n = 0
-	return sp, i
+// recorded is the part of the span table in use.
+func (t *Trace) recorded() []Span {
+	return t.spans[:min(t.nspans.Load(), maxSpans)]
 }
 
-func (t *Trace) reset(tr *Tracer, id, method, path, rng string) {
-	t.tr = tr
-	t.id = id
-	t.method = method
-	t.path = path
-	t.rng = rng
-	t.status = 0
-	t.bytes = 0
-	t.verdict = ""
-	t.errCls = ""
-	t.start = time.Now()
-	t.dur = 0
-	t.nspans = 0
-	t.dropped = 0
-	for i := range t.cumNs {
-		t.cumNs[i].Store(0)
-		t.cumN[i].Store(0)
-	}
-	t.hits.Store(0)
-	t.misses.Store(0)
-}
-
-// ctxKey carries the trace (and current parent span) through contexts.
+// ctxKey is the context key the trace travels under.
 type ctxKey struct{}
 
+// ctxRef is a context carrying a trace and the span slot that spans
+// started under it attach to (-1 at request level); everything else is
+// the context it was derived from. It lives inside the Trace or the Span
+// it names, so deriving one allocates nothing — and must not be used
+// once the trace has finished.
 type ctxRef struct {
-	t      *Trace
-	parent int32
+	context.Context
+	t   *Trace
+	idx int32
+}
+
+func (r *ctxRef) Value(key any) any {
+	if key == (ctxKey{}) {
+		return r
+	}
+	return r.Context.Value(key)
 }
 
 // FromContext returns the trace attached by Tracer.Begin, or nil. The
@@ -259,18 +230,28 @@ func FromContext(ctx context.Context) *Trace {
 
 // Start opens a span of the given stage under ctx's current span,
 // returning a derived context (for nesting children) and the span. With
-// no trace attached it returns ctx unchanged and a shared no-op span —
-// zero allocation. The returned span must be ended on every path.
+// no trace attached, or a full span table (children then attach to the
+// same parent), it returns ctx unchanged and a shared no-op span. Either
+// way nothing is allocated. The returned span must be ended on every path.
 func Start(ctx context.Context, stage Stage) (context.Context, *Span) {
 	ref, ok := ctx.Value(ctxKey{}).(*ctxRef)
 	if !ok {
 		return ctx, noopSpan
 	}
-	sp, idx := ref.t.startSpan(stage, ref.parent)
-	if sp.t == nil {
-		return ctx, sp // table full: children attach to the same parent
+	t := ref.t
+	i := t.nspans.Add(1) - 1
+	if i >= maxSpans {
+		return ctx, noopSpan
 	}
-	return context.WithValue(ctx, ctxKey{}, &ctxRef{t: ref.t, parent: idx}), sp
+	sp := &t.spans[i]
+	*sp = Span{
+		ref:     ctxRef{Context: ctx, t: t, idx: i},
+		stage:   stage,
+		parent:  ref.idx,
+		startNs: t.Elapsed().Nanoseconds(),
+		durNs:   -1,
+	}
+	return &sp.ref, sp
 }
 
 // Cum is Trace.Cum through a context, for layers that hold a ctx but
@@ -296,8 +277,8 @@ type tracedReaderAt struct {
 }
 
 func (r *tracedReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	t0 := time.Now()
+	t0 := r.t.Elapsed()
 	n, err := r.ra.ReadAt(p, off)
-	r.t.Cum(StageSourceRead, time.Since(t0), 1)
+	r.t.Cum(StageSourceRead, r.t.Elapsed()-t0, 1)
 	return n, err
 }

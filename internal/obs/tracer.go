@@ -3,15 +3,15 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"gompresso/internal/perf"
 )
@@ -29,27 +29,39 @@ const ringTTL = 5 * time.Minute
 var idSeq atomic.Uint64
 
 // Tracer owns a server's tracing state: the per-stage histograms, the
-// request-id sequence, the trace pool, the access logger, and the
+// request-id sequence, the trace pool, the access-log sink, and the
 // slow-request ring. A nil *Tracer is valid and disables everything.
 type Tracer struct {
-	hists  [numStages]*perf.Histogram
-	seq    atomic.Uint64
-	base   string
-	pool   sync.Pool
-	access *slog.Logger
+	hists [numStages]*perf.Histogram
+	seq   atomic.Uint64
+	base  string
+	epoch time.Time // ring times are nanoseconds since this
+	pool  sync.Pool
 
-	ringCap int
-	ringMu  sync.Mutex
-	ring    []*Trace
+	accessMu sync.Mutex
+	access   io.Writer
+
+	// floor and expiry summarize a full ring for offer: the shortest
+	// resident duration, and when the oldest resident outlives ringTTL.
+	// A trace no slower than floor that finished before expiry cannot
+	// displace anything, which is decided without ringMu. Until the ring
+	// fills, floor is -1 and everything goes through the lock.
+	floor, expiry atomic.Int64
+	ringCap       int
+	ringMu        sync.Mutex
+	ring          []*Trace
 }
 
 // NewTracer builds a Tracer, registering one stage_<name>_ns histogram
 // per stage in reg. accessLog, when non-nil, receives one JSON line per
-// finished request (log/slog; WARN for 5xx). ringSize bounds the
-// slow-request ring.
+// finished request (WARN for 5xx), each in a single Write. ringSize bounds
+// the slow-request ring; 0 means no ring.
 func NewTracer(reg *perf.Registry, accessLog io.Writer, ringSize int) *Tracer {
+	now := time.Now()
 	tr := &Tracer{
-		base:    fmt.Sprintf("%x", time.Now().UnixNano()&0xffffff^int64(idSeq.Add(1)<<24)),
+		base:    strconv.FormatInt(now.UnixNano()&0xffffff^int64(idSeq.Add(1)<<24), 16),
+		epoch:   now,
+		access:  accessLog,
 		ringCap: ringSize,
 	}
 	tr.pool.New = func() any { return new(Trace) }
@@ -57,14 +69,8 @@ func NewTracer(reg *perf.Registry, accessLog io.Writer, ringSize int) *Tracer {
 		tr.hists[st] = reg.Histogram("stage_"+st.String()+"_ns",
 			"request time inside the "+st.String()+" stage in nanoseconds")
 	}
-	if accessLog != nil {
-		tr.access = slog.New(slog.NewJSONHandler(accessLog, nil))
-	}
+	tr.floor.Store(-1)
 	return tr
-}
-
-func (tr *Tracer) observe(stage Stage, ns int64) {
-	tr.hists[stage].Observe(ns)
 }
 
 // Begin attaches a fresh trace to ctx and assigns the request id. A nil
@@ -75,86 +81,126 @@ func (tr *Tracer) Begin(ctx context.Context, method, path, rng string) (context.
 		return ctx, nil
 	}
 	t := tr.pool.Get().(*Trace)
-	t.reset(tr, tr.base+"-"+strconv.FormatUint(tr.seq.Add(1), 10), method, path, rng)
+	t.tr, t.method, t.path, t.rng = tr, method, path, rng
+	t.verdict, t.errCls = "", ""
+	t.id = strconv.AppendUint(append(append(t.id[:0], tr.base...), '-'), tr.seq.Add(1), 10)
+	t.nspans.Store(0)
+	//lint:allow poolescape the trace's own context points back at it
+	t.root = ctxRef{Context: ctx, t: t, idx: -1}
+	t.start = time.Now()
 	//lint:allow poolescape sanctioned lifecycle helper; Finish recycles the trace into the pool
-	return context.WithValue(ctx, ctxKey{}, &ctxRef{t: t, parent: -1}), t
+	return &t.root, t
 }
 
-// Finish completes the trace: stamps status and bytes, emits the access
-// log line, and either parks the trace in the slow-request ring or
-// recycles it. Call exactly once, after the last span has ended and
-// every request goroutine has returned.
+// Finish completes the trace: stamps status and bytes, folds spans and
+// accumulators into the per-stage totals (observing each touched stage's
+// histogram once), emits the access log line, and either parks the trace
+// in the slow-request ring or recycles it. Call exactly once, after the
+// last span has ended and every request goroutine has returned.
 func (t *Trace) Finish(status int, bytes int64) {
 	if t == nil {
 		return
 	}
-	t.status = status
-	t.bytes = bytes
-	t.dur = time.Since(t.start)
 	tr := t.tr
+	t.status, t.bytes, t.dur = status, bytes, t.Elapsed()
+
+	// Stages overlap (a seq_decode span contains its source reads), so
+	// the totals are per-stage attributions, not an exclusive partition.
+	var ops [numStages]int64
+	t.stageNs = [numStages]int64{}
+	for i := range t.recorded() {
+		if sp := &t.spans[i]; sp.durNs >= 0 {
+			t.stageNs[sp.stage] += sp.durNs
+			ops[sp.stage]++
+		}
+	}
+	for st := range t.stageNs {
+		t.stageNs[st] += take(&t.cumNs[st])
+		if ops[st]+take(&t.cumN[st]) > 0 {
+			tr.hists[st].Observe(t.stageNs[st])
+		}
+	}
+	t.hits, t.misses = take(&t.nhits), take(&t.nmiss)
+
 	if tr.access != nil {
 		tr.logAccess(t)
 	}
-	if evicted := tr.offer(t); evicted != nil {
-		tr.pool.Put(evicted)
+	if out := tr.offer(t); out != nil {
+		tr.pool.Put(out)
 	}
 }
 
-// logAccess emits the one-line JSON access record. 5xx responses log at
-// WARN with the typed-error class, so backend failures (quarantine
-// 502s, retry-exhausted reads) are never silent.
+// take empties an accumulator, storing only when it holds something.
+func take(a *atomic.Int64) (v int64) {
+	if v = a.Load(); v != 0 {
+		a.Store(0)
+	}
+	return v
+}
+
+// logAccess emits the one-line JSON access record, in the shape
+// log/slog's JSON handler gave it (time, level, msg, then the request's
+// keys; optional keys and empty stages omitted). 5xx responses log at
+// WARN with the typed-error class, so backend failures (quarantine 502s,
+// retry-exhausted reads) are never silent.
 func (tr *Tracer) logAccess(t *Trace) {
-	attrs := make([]slog.Attr, 0, 12)
-	attrs = append(attrs,
-		slog.String("id", t.id),
-		slog.String("method", t.method),
-		slog.String("path", t.path),
-		slog.Int("status", t.status),
-		slog.Int64("bytes", t.bytes),
-		slog.Float64("dur_ms", float64(t.dur)/float64(time.Millisecond)),
-		slog.Int64("cache_hits", t.hits.Load()),
-		slog.Int64("cache_misses", t.misses.Load()),
-	)
-	if t.rng != "" {
-		attrs = append(attrs, slog.String("range", t.rng))
-	}
-	if t.verdict != "" {
-		attrs = append(attrs, slog.String("verdict", t.verdict))
-	}
-	if t.errCls != "" {
-		attrs = append(attrs, slog.String("err", t.errCls))
-	}
-	var stages []any
-	for st, ns := range t.stageTotals() {
-		if ns > 0 {
-			stages = append(stages, slog.Int64(Stage(st).String()+"_us", ns/1000))
-		}
-	}
-	attrs = append(attrs, slog.Group("stages", stages...))
 	// 5xx answers and mid-body failures (a committed 200 that aborted
 	// with a typed error) both warn; a client hanging up is routine.
-	level := slog.LevelInfo
+	level := "INFO"
 	if t.status >= 500 || (t.errCls != "" && t.errCls != "canceled") {
-		level = slog.LevelWarn
+		level = "WARN"
 	}
-	tr.access.LogAttrs(context.Background(), level, "request", attrs...)
-}
-
-// stageTotals sums span durations and cumulative time per stage.
-// Stages overlap (a seq_decode span contains its source reads), so
-// totals are per-stage attributions, not an exclusive partition.
-func (t *Trace) stageTotals() [numStages]int64 {
-	var out [numStages]int64
-	for i := int32(0); i < t.nspans; i++ {
-		sp := &t.spans[i]
-		if sp.durNs > 0 {
-			out[sp.stage] += sp.durNs
+	b := append(t.line[:0], `{"time":"`...)
+	b = t.start.Add(t.dur).AppendFormat(b, time.RFC3339Nano)
+	b = append(append(b, `","level":"`...), level...)
+	b = append(b, `","msg":"request","id":"`...)
+	b = appendJSONString(append(append(b, t.id...), `","method":`...), t.method)
+	b = appendJSONString(append(b, `,"path":`...), t.path)
+	b = strconv.AppendInt(append(b, `,"status":`...), int64(t.status), 10)
+	b = strconv.AppendInt(append(b, `,"bytes":`...), t.bytes, 10)
+	b = strconv.AppendFloat(append(b, `,"dur_ms":`...), float64(t.dur)/float64(time.Millisecond), 'f', -1, 64)
+	b = strconv.AppendInt(append(b, `,"cache_hits":`...), t.hits, 10)
+	b = strconv.AppendInt(append(b, `,"cache_misses":`...), t.misses, 10)
+	for _, kv := range [...][2]string{{"range", t.rng}, {"verdict", t.verdict}, {"err", t.errCls}} {
+		if kv[1] != "" {
+			b = append(append(append(b, `,"`...), kv[0]...), `":`...)
+			b = appendJSONString(b, kv[1])
 		}
 	}
-	for st := range out {
-		out[st] += t.cumNs[st].Load()
+	sep := `,"stages":{"`
+	for st, ns := range t.stageNs {
+		if ns > 0 {
+			b = append(append(append(b, sep...), stageNames[st]...), `_us":`...)
+			b = strconv.AppendInt(b, ns/1000, 10)
+			sep = `,"`
+		}
 	}
-	return out
+	if sep == `,"` {
+		b = append(b, '}')
+	}
+	b = append(b, '}', '\n')
+	t.line = b
+	tr.accessMu.Lock()
+	tr.access.Write(b) // a failing sink loses lines, not requests
+	tr.accessMu.Unlock()
+}
+
+// appendJSONString appends s as a JSON string: quotes, backslashes and
+// control bytes escaped, invalid UTF-8 replaced by U+FFFD.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for _, r := range s { // an invalid byte ranges as U+FFFD
+		switch {
+		case r == '"' || r == '\\':
+			b = append(b, '\\', byte(r))
+		case r < 0x20:
+			b = append(b, '\\', 'u', '0', '0', hex[r>>4], hex[r&15])
+		default:
+			b = utf8.AppendRune(b, r)
+		}
+	}
+	return append(b, '"')
 }
 
 // offer inserts t into the slow-request ring if it ranks among the
@@ -162,35 +208,45 @@ func (t *Trace) stageTotals() [numStages]int64 {
 // evicted entry, or t itself when it doesn't qualify; nil when the ring
 // simply grew).
 func (tr *Tracer) offer(t *Trace) *Trace {
+	now := int64(t.start.Sub(tr.epoch) + t.dur)
+	if tr.ringCap <= 0 || int64(t.dur) <= tr.floor.Load() && now <= tr.expiry.Load() {
+		return t
+	}
 	tr.ringMu.Lock()
 	defer tr.ringMu.Unlock()
+	expires := func(e *Trace) int64 { return int64(e.start.Sub(tr.epoch) + ringTTL) }
+	var evicted *Trace
 	if len(tr.ring) < tr.ringCap {
 		tr.ring = append(tr.ring, t)
-		return nil
-	}
-	// Replace the most replaceable entry: expired ones first, then the
-	// fastest. A newcomer slower than the victim (or any expired victim)
-	// takes the slot.
-	now := time.Now()
-	victim := 0
-	for i := 1; i < len(tr.ring); i++ {
-		ve, ce := now.Sub(tr.ring[victim].start) > ringTTL, now.Sub(tr.ring[i].start) > ringTTL
-		if ce != ve {
-			if ce {
+	} else {
+		// Replace the most replaceable entry: an expired one, else the
+		// fastest, and that one only by a slower newcomer.
+		rank := func(e *Trace) int64 {
+			if expires(e) < now {
+				return -1
+			}
+			return int64(e.dur)
+		}
+		victim := 0
+		for i, e := range tr.ring {
+			if rank(e) < rank(tr.ring[victim]) {
 				victim = i
 			}
-			continue
 		}
-		if tr.ring[i].dur < tr.ring[victim].dur {
-			victim = i
+		if int64(t.dur) <= rank(tr.ring[victim]) {
+			return t // the floor moved between the check and the lock
 		}
+		evicted, tr.ring[victim] = tr.ring[victim], t
 	}
-	if now.Sub(tr.ring[victim].start) > ringTTL || t.dur > tr.ring[victim].dur {
-		evicted := tr.ring[victim]
-		tr.ring[victim] = t
-		return evicted
+	if len(tr.ring) == tr.ringCap {
+		floor, expiry := int64(t.dur), expires(t)
+		for _, e := range tr.ring {
+			floor, expiry = min(floor, int64(e.dur)), min(expiry, expires(e))
+		}
+		tr.floor.Store(floor)
+		tr.expiry.Store(expiry)
 	}
-	return t
+	return evicted
 }
 
 // DumpSpan is one span in a /debug/requests dump. Parent is the index
@@ -233,12 +289,9 @@ func (tr *Tracer) Slowest(n int) []DumpEntry {
 	}
 	tr.ringMu.Lock()
 	defer tr.ringMu.Unlock()
-	traces := make([]*Trace, len(tr.ring))
-	copy(traces, tr.ring)
+	traces := slices.Clone(tr.ring)
 	sort.Slice(traces, func(i, j int) bool { return traces[i].dur > traces[j].dur })
-	if n > len(traces) {
-		n = len(traces)
-	}
+	n = min(n, len(traces))
 	out := make([]DumpEntry, 0, n)
 	for _, t := range traces[:n] {
 		out = append(out, t.dump())
@@ -249,7 +302,7 @@ func (tr *Tracer) Slowest(n int) []DumpEntry {
 // dump converts a finished trace to its JSON form.
 func (t *Trace) dump() DumpEntry {
 	e := DumpEntry{
-		ID:           t.id,
+		ID:           t.ID(),
 		Method:       t.method,
 		Path:         t.path,
 		Range:        t.rng,
@@ -259,18 +312,18 @@ func (t *Trace) dump() DumpEntry {
 		DurMs:        float64(t.dur) / float64(time.Millisecond),
 		Verdict:      t.verdict,
 		Err:          t.errCls,
-		CacheHits:    t.hits.Load(),
-		CacheMisses:  t.misses.Load(),
-		DroppedSpans: t.dropped,
+		CacheHits:    t.hits,
+		CacheMisses:  t.misses,
+		DroppedSpans: max(t.nspans.Load()-maxSpans, 0),
 		Stages:       make(map[string]int64, numStages),
-		Spans:        make([]DumpSpan, 0, t.nspans),
+		Spans:        make([]DumpSpan, 0, len(t.recorded())),
 	}
-	for st, ns := range t.stageTotals() {
+	for st, ns := range t.stageNs {
 		if ns > 0 {
 			e.Stages[Stage(st).String()+"_us"] = ns / 1000
 		}
 	}
-	for i := int32(0); i < t.nspans; i++ {
+	for i := range t.recorded() {
 		sp := &t.spans[i]
 		durUs := sp.durNs / 1000
 		if sp.durNs < 0 {
@@ -290,17 +343,12 @@ func (t *Trace) dump() DumpEntry {
 // ServeDebugRequests is the /debug/requests?n=K handler body: a JSON
 // object with the K slowest recent requests' full span trees.
 func (tr *Tracer) ServeDebugRequests(w http.ResponseWriter, r *http.Request) {
-	n := 10
-	if v := r.URL.Query().Get("n"); v != "" {
-		if k, err := strconv.Atoi(v); err == nil && k > 0 {
-			n = k
-		}
+	n, err := strconv.Atoi(r.URL.Query().Get("n"))
+	if err != nil || n <= 0 {
+		n = 10
 	}
-	entries := tr.Slowest(n) // nil-safe: a nil tracer dumps nothing
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(struct {
-		Requests []DumpEntry `json:"requests"`
-	}{Requests: entries})
+	enc.Encode(map[string][]DumpEntry{"requests": tr.Slowest(n)}) // nil-safe: a nil tracer dumps nothing
 }

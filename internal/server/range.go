@@ -20,7 +20,10 @@ type byteRange struct {
 
 // contentRange renders the Content-Range response header value.
 func (r byteRange) contentRange(size int64) string {
-	return fmt.Sprintf("bytes %d-%d/%d", r.off, r.off+r.length-1, size)
+	b := strconv.AppendInt(append(make([]byte, 0, 72), "bytes "...), r.off, 10) // 72: three int64s fit, on the stack
+	b = strconv.AppendInt(append(b, '-'), r.off+r.length-1, 10)
+	b = strconv.AppendInt(append(b, '/'), size, 10)
+	return string(b)
 }
 
 // errUnsatisfiable reports a syntactically valid Range that selects no

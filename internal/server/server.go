@@ -119,8 +119,8 @@ type Options struct {
 	// Logf, when set, receives one line per server event (quarantine,
 	// sidecar load/persist, handler panic). Requests go to AccessLog.
 	Logf func(format string, args ...any)
-	// AccessLog, when set, receives one JSON line (log/slog) per
-	// completed object request: request id, object, range, status,
+	// AccessLog, when set, receives one JSON line per completed object
+	// request, in a single Write: request id, object, range, status,
 	// bytes, cache hits/misses, per-stage timings, shed/quarantine
 	// verdicts. 5xx responses log at WARN with the typed-error class.
 	AccessLog io.Writer
@@ -204,8 +204,10 @@ type object struct {
 	file  File
 	fsize int64
 	mtime time.Time
-	etag  string
 	form  gompresso.Format
+
+	// Response header values, the same for every request of a resolution.
+	etag, lastMod, ctype string
 
 	// ra is the object's block access — every body and the decompressed
 	// size come from it. nil until discovered: a foreign object with a
@@ -430,14 +432,14 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 		// fine: the deadline is a bound, not a guarantee.
 		w.rc.SetWriteDeadline(time.Now().Add(w.writeTimeout))
 	}
+	var t0 time.Duration
 	if w.trace != nil {
-		t0 := time.Now()
-		n, err := w.ResponseWriter.Write(p)
-		w.trace.Cum(obs.StageBodyWrite, time.Since(t0), 1)
-		w.bytes += int64(n)
-		return n, err
+		t0 = w.trace.Elapsed()
 	}
 	n, err := w.ResponseWriter.Write(p)
+	if w.trace != nil {
+		w.trace.Cum(obs.StageBodyWrite, w.trace.Elapsed()-t0, 1)
+	}
 	w.bytes += int64(n)
 	return n, err
 }
@@ -449,8 +451,7 @@ func (s *Server) serveObject(rw http.ResponseWriter, r *http.Request) {
 	s.mRequests.Inc()
 	ctx, trace := s.tracer.Begin(r.Context(), r.Method, r.URL.Path, r.Header.Get("Range"))
 	if trace != nil {
-		rw.Header().Set("X-Request-Id", trace.ID())
-		r = r.WithContext(ctx)
+		rw.Header()["X-Request-Id"] = []string{trace.ID()} // the key is canonical already
 	}
 	w := &statusWriter{
 		ResponseWriter: rw,
@@ -483,7 +484,7 @@ func (s *Server) serveObject(rw http.ResponseWriter, r *http.Request) {
 		// their access-log line (at WARN: the status is 500).
 		trace.Finish(w.status, w.bytes)
 	}()
-	err := s.serve(w, r)
+	err := s.serve(ctx, w, r)
 	if err != nil || w.status >= 400 {
 		s.mErrors.Inc()
 	}
@@ -523,21 +524,21 @@ func errf(code int, format string, args ...any) error {
 	return &httpError{code: code, msg: fmt.Sprintf(format, args...)}
 }
 
-func (s *Server) serve(w *statusWriter, r *http.Request) error {
+// serve answers one object request under ctx: the request's context,
+// carrying its trace when tracing is on.
+func (s *Server) serve(ctx context.Context, w *statusWriter, r *http.Request) error {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return nil
 	}
-	_, rsp := obs.Start(r.Context(), obs.StageResolve)
+	_, rsp := obs.Start(ctx, obs.StageResolve)
 	obj, err := s.open(r.URL.Path)
 	rsp.End()
 	if err != nil {
 		var he *httpError
 		if errors.As(err, &he) {
-			if he.class != "" {
-				w.trace.SetVerdict(he.class)
-			}
+			w.trace.SetVerdict(he.class)
 			http.Error(w, he.msg, he.code)
 			return nil
 		}
@@ -551,7 +552,7 @@ func (s *Server) serve(w *statusWriter, r *http.Request) error {
 	if notModified(r.Header.Get("If-None-Match"), r.Header.Get("If-Modified-Since"), obj.etag, obj.mtime) {
 		h := w.Header()
 		h.Set("ETag", obj.etag)
-		h.Set("Last-Modified", obj.mtime.UTC().Format(http.TimeFormat))
+		h.Set("Last-Modified", obj.lastMod)
 		w.WriteHeader(http.StatusNotModified)
 		return nil
 	}
@@ -560,7 +561,6 @@ func (s *Server) serve(w *statusWriter, r *http.Request) error {
 	// runs inside the concurrency limiter. Waiters give up when the
 	// client does, and are shed with 503 once they have queued for
 	// queueWait — bounded waits, not silent backlog.
-	ctx := r.Context()
 	if s.requestTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.requestTimeout)
@@ -620,8 +620,8 @@ func (s *Server) serve(w *statusWriter, r *http.Request) error {
 	h := w.Header()
 	h.Set("Accept-Ranges", "bytes")
 	h.Set("ETag", obj.etag)
-	h.Set("Last-Modified", obj.mtime.UTC().Format(http.TimeFormat))
-	h.Set("Content-Type", contentTypeFor(obj.name))
+	h.Set("Last-Modified", obj.lastMod)
+	h.Set("Content-Type", obj.ctype)
 
 	size := ra.Size()
 	rng := byteRange{off: 0, length: size}
@@ -632,7 +632,7 @@ func (s *Server) serve(w *statusWriter, r *http.Request) error {
 		ifRangeApplies(r.Header.Get("If-Range"), obj.etag, obj.mtime) {
 		pr, ok, rerr := parseRange(spec, size)
 		if rerr != nil {
-			h.Set("Content-Range", fmt.Sprintf("bytes */%d", size))
+			h.Set("Content-Range", "bytes */"+strconv.FormatInt(size, 10))
 			http.Error(w, "range not satisfiable", http.StatusRequestedRangeNotSatisfiable)
 			return nil
 		}
@@ -842,13 +842,15 @@ func (s *Server) resolve(name string, f File, st os.FileInfo) (*object, error) {
 			"unsupported object format (want Gompresso container, gzip, or zlib)")
 	}
 	obj := &object{
-		name:  name,
-		file:  f,
-		fsize: st.Size(),
-		mtime: st.ModTime(),
-		etag:  fmt.Sprintf(`"g-%x-%x"`, st.Size(), st.ModTime().UnixNano()),
-		form:  form,
-		raTok: make(chan struct{}, 1),
+		name:    name,
+		file:    f,
+		fsize:   st.Size(),
+		mtime:   st.ModTime(),
+		form:    form,
+		etag:    fmt.Sprintf(`"g-%x-%x"`, st.Size(), st.ModTime().UnixNano()),
+		lastMod: st.ModTime().UTC().Format(http.TimeFormat),
+		ctype:   contentTypeFor(name),
+		raTok:   make(chan struct{}, 1),
 	}
 	if form == gompresso.FormatGompresso {
 		// A header that does not parse is a 415 here, before the object

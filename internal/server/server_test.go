@@ -20,7 +20,7 @@ import (
 )
 
 // compress returns src as a Gompresso/Byte container made with opts.
-func compress(t *testing.T, src []byte, opts ...gompresso.Option) []byte {
+func compress(t testing.TB, src []byte, opts ...gompresso.Option) []byte {
 	t.Helper()
 	c, err := gompresso.New(append(opts, gompresso.WithVariant(gompresso.VariantByte))...)
 	if err != nil {
@@ -40,7 +40,7 @@ type fixture struct {
 	src  []byte
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	root := t.TempDir()
 	src := datagen.WikiXML(300<<10, 7)
