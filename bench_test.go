@@ -13,9 +13,9 @@ import (
 
 	"gompresso"
 	"gompresso/internal/baseline"
-	"gompresso/internal/core"
 	"gompresso/internal/datagen"
 	"gompresso/internal/figures"
+	"gompresso/internal/kernels"
 	"gompresso/internal/lz77"
 )
 
@@ -74,23 +74,21 @@ func compressFor(b *testing.B, data []byte, variant gompresso.Variant, de gompre
 }
 
 // benchDevice times simulated-device decompression and reports the modeled
-// throughput. It calls internal/core for TileTo, which keeps the modelled
+// throughput. It calls internal/kernels for TileTo, which keeps the modelled
 // device as full as the paper's 1 GB inputs do and is not a Codec option.
 func benchDevice(b *testing.B, comp []byte, raw []byte, strat gompresso.Strategy, pcie gompresso.PCIeMode) {
 	b.Helper()
 	b.SetBytes(int64(len(raw)))
 	var sim float64
 	for i := 0; i < b.N; i++ {
-		out, ds, err := core.Decompress(comp, core.DecompressOptions{
-			Engine: gompresso.EngineDevice, Strategy: strat, PCIe: pcie, TileTo: 1 << 30,
-		})
+		out, ds, err := kernels.Decompress(comp, kernels.Config{Strategy: strat, PCIe: pcie, TileTo: 1 << 30})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 && !bytes.Equal(out, raw) {
 			b.Fatal("roundtrip mismatch")
 		}
-		sim = float64(ds.RawSize) / ds.SimSeconds / 1e9
+		sim = float64(len(out)) / ds.SimSeconds / 1e9
 	}
 	b.ReportMetric(sim, "sim-GB/s")
 }

@@ -19,7 +19,9 @@
 // decompress and cat sniff their input: Gompresso containers take the
 // native block-parallel path, .gz/.zz files the deflate pipeline
 // (`gompresso cat file.gz` is a parallel `gzip -dc`; -offset/-length
-// require the native container's index).
+// require the native container's index). decompress runs on the host;
+// `decompress -engine device` runs the paper's GPU kernels on the
+// deterministic simulator instead and prints their modeled time.
 package main
 
 import (
@@ -113,7 +115,7 @@ func compressFlags(fs *flag.FlagSet) func(extra ...gompresso.Option) (*gompresso
 
 // decompressFlags is compressFlags' counterpart for the engine flags.
 func decompressFlags(fs *flag.FlagSet) func(extra ...gompresso.Option) (*gompresso.Codec, error) {
-	engine := fs.String("engine", "device", "engine: device (simulated GPU) or host")
+	engine := fs.String("engine", "host", "engine: host (the fused fast path) or device (the paper's simulated GPU)")
 	strategy := fs.String("strategy", "auto", "back-reference strategy: auto, sc, mrr, de")
 	pcie := fs.String("pcie", "none", "transfer accounting: none, in, inout")
 	return func(extra ...gompresso.Option) (*gompresso.Codec, error) {
@@ -127,7 +129,7 @@ func decompressFlags(fs *flag.FlagSet) func(extra ...gompresso.Option) (*gompres
 		}
 		o := []gompresso.Option{gompresso.WithEngine(e), gompresso.WithPCIe(m)}
 		switch *strategy {
-		case "auto", "mrr": // unpinned: the codec picks DE for DE-parsed streams, MRR otherwise
+		case "auto", "mrr": // unpinned: the device engine picks DE for DE-parsed streams, MRR otherwise
 		case "sc":
 			o = append(o, gompresso.WithStrategy(gompresso.SC))
 		case "de":
@@ -212,8 +214,9 @@ func compressCmd(args []string) error {
 // decompressCmd hands the whole input to one Codec.Decompress: the codec
 // routes by magic bytes (not by parse success, so a corrupt native
 // container still surfaces its own error under the flags the user
-// selected), decodes foreign gzip/zlib input on the host whatever -engine
-// says, and picks the device strategy for an unpinned -strategy.
+// selected) and decodes foreign gzip/zlib input on the host whatever -engine
+// says. -engine device runs the paper's simulated GPU instead of the host
+// fast path and reports its modeled time; -strategy and -pcie apply to it.
 func decompressCmd(args []string) error {
 	fs := flag.NewFlagSet("decompress", flag.ExitOnError)
 	codec := decompressFlags(fs)

@@ -4,10 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"gompresso/internal/blockcache"
 	"gompresso/internal/core"
-	"gompresso/internal/format"
+	"gompresso/internal/kernels"
 )
 
 // errForeignReaderAt rejects random access over foreign formats: DEFLATE
@@ -34,12 +35,12 @@ var ErrInvalidOption = core.ErrInvalidOption
 // Writers created from it each carry their own streaming state but draw on
 // the same shared worker pool.
 type Codec struct {
-	copt     core.Options
-	dopt     core.DecompressOptions
-	pipe     core.Pipeline
-	ctx      context.Context
-	form     Format
-	stratSet bool
+	copt   core.Options
+	pipe   core.Pipeline
+	ctx    context.Context
+	form   Format
+	engine Engine
+	dev    kernels.Config // device engine only
 
 	cacheBytes int64
 	cache      *blockcache.Cache // nil unless WithCache(n>0)
@@ -82,7 +83,6 @@ func WithIndex(on bool) Option { return func(c *Codec) { c.copt.Index = on } }
 func WithWorkers(n int) Option {
 	return func(c *Codec) {
 		c.copt.Workers = n
-		c.dopt.Workers = n
 		c.pipe.Workers = n
 	}
 }
@@ -96,24 +96,15 @@ func WithReadahead(n int) Option { return func(c *Codec) { c.pipe.Readahead = n 
 // WithEngine selects the decompression engine for Codec.Decompress. New's
 // default is EngineHost, the production fast path; EngineDevice is the
 // paper's simulated GPU.
-func WithEngine(e Engine) Option { return func(c *Codec) { c.dopt.Engine = e } }
+func WithEngine(e Engine) Option { return func(c *Codec) { c.engine = e } }
 
 // WithStrategy pins the device engine's back-reference resolution
-// strategy. Without it, Codec.Decompress picks DE for DE-parsed streams
+// strategy. Without it, the device engine picks DE for DE-parsed streams
 // and MRR otherwise.
-func WithStrategy(s Strategy) Option {
-	return func(c *Codec) {
-		c.dopt.Strategy = s
-		c.stratSet = true
-	}
-}
+func WithStrategy(s Strategy) Option { return func(c *Codec) { c.dev.Strategy = s } }
 
 // WithPCIe selects the device engine's transfer accounting.
-func WithPCIe(m PCIeMode) Option { return func(c *Codec) { c.dopt.PCIe = m } }
-
-// WithDevice supplies the simulated device the device engine runs on
-// (default: a Tesla K40).
-func WithDevice(d *Device) Option { return func(c *Codec) { c.dopt.Device = d } }
+func WithPCIe(m PCIeMode) Option { return func(c *Codec) { c.dev.PCIe = m } }
 
 // WithFormat pins the input format Decompress and NewReader expect. The
 // default, FormatAuto, sniffs the magic bytes and accepts the Gompresso
@@ -151,7 +142,6 @@ func New(opts ...Option) (*Codec, error) {
 	//lint:allow ctxguard construction-time default, overridden by WithContext
 	c := &Codec{ctx: context.Background()}
 	c.copt.Variant = VariantBit
-	c.dopt.Engine = EngineHost
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -161,11 +151,11 @@ func New(opts ...Option) (*Codec, error) {
 	if c.form < FormatAuto || c.form > FormatDeflate {
 		return nil, fmt.Errorf("gompresso: %w: unknown format %d", ErrInvalidOption, int(c.form))
 	}
+	if c.engine != EngineHost && c.engine != EngineDevice {
+		return nil, fmt.Errorf("gompresso: %w: unknown engine %d", ErrInvalidOption, int(c.engine))
+	}
 	var err error
 	if c.copt, err = c.copt.Normalize(); err != nil {
-		return nil, err
-	}
-	if c.dopt, err = c.dopt.Normalize(); err != nil {
 		return nil, err
 	}
 	if c.pipe, err = c.pipe.Normalize(); err != nil {
@@ -203,13 +193,45 @@ func (c *Codec) CacheStats() CacheStats {
 // probes), not a configuration surface.
 func (c *Codec) Options() core.Options { return c.copt }
 
-// Workers returns the codec's resolved worker budget.
-func (c *Codec) Workers() int { return c.pipe.Workers }
-
 // Compress compresses src into a Gompresso container using the codec's
 // configuration and worker budget.
 func (c *Codec) Compress(src []byte) ([]byte, *CompressStats, error) {
 	return core.CompressContext(c.ctx, src, c.copt)
+}
+
+// Engine selects the decompression implementation.
+type Engine int
+
+const (
+	// EngineHost decompresses block-parallel on host goroutines through
+	// the fused fast path — the production decoder, and New's default.
+	EngineHost Engine = iota
+	// EngineDevice decompresses on the simulated GPU (the paper's system).
+	EngineDevice
+)
+
+// DecompressStats reports measured host time (both engines) and, embedded,
+// the modeled device time (device engine only; zero on the host).
+type DecompressStats struct {
+	RawSize  int64
+	CompSize int64
+
+	HostSeconds float64 // wall-clock of the whole call
+
+	kernels.Stats
+}
+
+// Throughput returns raw bytes per simulated second (device engine) or per
+// host second (host engine).
+func (s *DecompressStats) Throughput() float64 {
+	t := s.SimSeconds
+	if t == 0 {
+		t = s.HostSeconds
+	}
+	if t <= 0 {
+		return 0
+	}
+	return float64(s.RawSize) / t
 }
 
 // Decompress expands a compressed input. The format follows WithFormat:
@@ -217,9 +239,7 @@ func (c *Codec) Compress(src []byte) ([]byte, *CompressStats, error) {
 // container, gzip, or zlib (unrecognized input fails with an error
 // wrapping ErrUnknownFormat). Foreign formats decode on the host through
 // internal/deflate's parallel two-pass pipeline at the codec's worker
-// budget; containers use the configured engine, and with the device engine
-// and no pinned strategy the codec picks DE for DE-parsed streams and MRR
-// otherwise.
+// budget; containers use the configured engine.
 func (c *Codec) Decompress(data []byte) ([]byte, *DecompressStats, error) {
 	form := c.form
 	if form == FormatAuto {
@@ -227,15 +247,29 @@ func (c *Codec) Decompress(data []byte) ([]byte, *DecompressStats, error) {
 			return nil, nil, unknownFormat(data)
 		}
 	}
-	if form != FormatGompresso {
-		return decompressForeign(data, form, c)
-	}
-	o := c.dopt
-	if o.Engine == EngineDevice && !c.stratSet {
-		o.Strategy = MRR
-		if h, err := format.ParseHeader(data); err == nil && h.DEMode != DEOff {
-			o.Strategy = DE
+	start := time.Now()
+	var (
+		out []byte
+		dev kernels.Stats
+		err error
+	)
+	switch {
+	case form != FormatGompresso:
+		out, err = decompressForeign(data, form, c)
+	case c.engine == EngineHost:
+		out, err = core.DecompressContext(c.ctx, data, c.pipe.Workers)
+	default:
+		if err = c.ctx.Err(); err == nil {
+			out, dev, err = kernels.Decompress(data, c.dev)
 		}
 	}
-	return core.DecompressContext(c.ctx, data, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, &DecompressStats{
+		RawSize:     int64(len(out)),
+		CompSize:    int64(len(data)),
+		HostSeconds: time.Since(start).Seconds(),
+		Stats:       dev,
+	}, nil
 }

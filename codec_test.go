@@ -28,8 +28,8 @@ func TestCodecDefaults(t *testing.T) {
 	if o.Window != 8<<10 {
 		t.Fatalf("default window %d", o.Window)
 	}
-	if c.Workers() < 1 {
-		t.Fatalf("default workers %d", c.Workers())
+	if o.Workers < 1 {
+		t.Fatalf("default workers %d", o.Workers)
 	}
 }
 

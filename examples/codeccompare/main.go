@@ -13,7 +13,6 @@ import (
 
 	"gompresso"
 	"gompresso/internal/baseline"
-	"gompresso/internal/core"
 	"gompresso/internal/datagen"
 )
 
@@ -48,9 +47,11 @@ func main() {
 			float64(len(data))/best/1e9)
 	}
 
-	// Gompresso on the simulated device. TileTo (model the paper's 1 GB
-	// inputs) is an evaluation knob the public Codec does not carry, so this
-	// goes through internal/core as internal/figures does.
+	// Gompresso on the simulated device, through the public Codec. Blocks
+	// are the device's unit of parallelism (one warp each in the LZ77
+	// kernel), so 64 KiB blocks give this 16 MiB corpus the 256 independent
+	// blocks that start to fill a K40; the paper's 1 GB inputs do that at the
+	// default 256 KiB, which is what cmd/figures -fig 13 models.
 	for _, g := range []struct {
 		name    string
 		variant gompresso.Variant
@@ -60,16 +61,19 @@ func main() {
 		{"Gomp/Byte (In/Out)", gompresso.VariantByte, gompresso.PCIeInOut},
 		{"Gomp/Byte (No PCIe)", gompresso.VariantByte, gompresso.PCIeNone},
 	} {
-		comp, cs, err := core.Compress(data, core.Options{
-			Variant: g.variant, DE: gompresso.DEStrict,
-		})
+		codec, err := gompresso.New(
+			gompresso.WithVariant(g.variant), gompresso.WithDE(gompresso.DEStrict),
+			gompresso.WithBlockSize(64<<10),
+			gompresso.WithEngine(gompresso.EngineDevice), gompresso.WithPCIe(g.pcie),
+		)
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, ds, err := core.Decompress(comp, core.DecompressOptions{
-			Engine: gompresso.EngineDevice, Strategy: gompresso.DE,
-			PCIe: g.pcie, TileTo: 1 << 30,
-		})
+		comp, cs, err := codec.Compress(data)
+		if err != nil {
+			log.Fatal(err)
+		}
+		out, ds, err := codec.Decompress(comp)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -77,7 +81,7 @@ func main() {
 			log.Fatal("gompresso roundtrip mismatch")
 		}
 		fmt.Printf("%-22s %-10.2f %-12.2f simulated Tesla K40\n",
-			g.name, cs.Ratio, float64(ds.RawSize)/ds.SimSeconds/1e9)
+			g.name, cs.Ratio, ds.Throughput()/1e9)
 	}
 	fmt.Println("\nCPU numbers depend on this machine; the GPU numbers come from the")
 	fmt.Println("calibrated device model (see DESIGN.md). Paper shape: Gompresso/Bit")

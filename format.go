@@ -3,7 +3,6 @@ package gompresso
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"gompresso/internal/deflate"
 	"gompresso/internal/format"
@@ -136,24 +135,14 @@ func foreignForm(f Format) deflate.Format {
 	}
 }
 
-// decompressForeign expands a foreign stream on the codec's worker budget
-// and synthesizes host-engine stats for it.
-func decompressForeign(data []byte, f Format, c *Codec) ([]byte, *DecompressStats, error) {
-	start := time.Now()
+// decompressForeign expands a foreign stream on the codec's worker budget.
+func decompressForeign(data []byte, f Format, c *Codec) ([]byte, error) {
 	r, err := deflate.NewReaderBytes(c.ctx, data, foreignForm(f), deflate.Options{
 		Workers: c.pipe.Workers, Readahead: c.pipe.Readahead,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer r.Close()
-	out, err := r.ReadAll()
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, &DecompressStats{
-		RawSize:     int64(len(out)),
-		CompSize:    int64(len(data)),
-		HostSeconds: time.Since(start).Seconds(),
-	}, nil
+	return r.ReadAll()
 }

@@ -1,10 +1,12 @@
 // Package gompresso is a Go reproduction of "Massively-Parallel Lossless
 // Data Decompression" (Sitaridi, Mueller, Kaldewey, Lohman, Ross — ICPP
-// 2016): the Gompresso compression scheme, its warp-synchronous GPU
-// decompression kernels (run on a deterministic device simulator), the
-// Multi-Round Resolution and Dependency Elimination strategies for nested
-// back-references, and the block-parallel CPU baselines the paper compares
-// against.
+// 2016): the Gompresso compression scheme and a block-parallel host codec
+// for it (one-shot, streaming and random access), plus — behind
+// WithEngine(EngineDevice) — the paper's warp-synchronous GPU kernels with
+// the Multi-Round Resolution and Dependency Elimination strategies for
+// nested back-references, run on a deterministic device simulator that
+// models their time. Everything else in the package is the host path; the
+// simulator is reached from that one option and nowhere else.
 //
 // Quick start — build a Codec once, use it for every operation:
 //
@@ -28,10 +30,11 @@
 //
 // New with no options selects the paper's defaults: Gompresso/Bit
 // (LZ77 + limited-length Huffman), 256 KB blocks, 8 KB window, an
-// unrestricted parse (device engine would decompress with the MRR
-// strategy), GOMAXPROCS workers, and host decompression. WithDE(DEStrict)
-// compresses streams the single-round DE strategy can decompress;
-// WithEngine(EngineDevice) decompresses on the simulated GPU.
+// unrestricted parse, GOMAXPROCS workers, and host decompression.
+// WithDE(DEStrict) compresses streams the single-round DE strategy can
+// decompress; WithEngine(EngineDevice) decompresses on the simulated GPU,
+// where an unpinned WithStrategy follows the stream (DE for a DE parse,
+// MRR otherwise) and DecompressStats carries the modeled device time.
 // Configuration mistakes are rejected at New with errors wrapping
 // ErrInvalidOption, and WithContext threads cancellation through every
 // pipeline.
@@ -45,7 +48,6 @@ package gompresso
 import (
 	"gompresso/internal/core"
 	"gompresso/internal/format"
-	"gompresso/internal/gpu"
 	"gompresso/internal/kernels"
 	"gompresso/internal/lz77"
 )
@@ -55,9 +57,6 @@ import (
 type (
 	// CompressStats reports compression results.
 	CompressStats = core.CompressStats
-	// DecompressStats reports decompression results, including simulated
-	// device time and MRR round statistics.
-	DecompressStats = core.DecompressStats
 	// FileHeader is the parsed container header.
 	FileHeader = format.FileHeader
 	// Variant selects Gompresso/Byte or Gompresso/Bit.
@@ -67,13 +66,7 @@ type (
 	// DEMode selects the Dependency-Elimination parse rule.
 	DEMode = lz77.DEMode
 	// PCIeMode selects transfer accounting for the device engine.
-	PCIeMode = core.PCIeMode
-	// Engine selects the decompression implementation.
-	Engine = core.Engine
-	// DeviceSpec describes a simulated GPU.
-	DeviceSpec = gpu.Spec
-	// Device executes kernels on the simulator.
-	Device = gpu.Device
+	PCIeMode = kernels.PCIeMode
 )
 
 // Compression variants (paper §III).
@@ -96,20 +89,12 @@ const (
 	DELit    = lz77.DELit
 )
 
-// Decompression engines and PCIe accounting modes.
+// PCIe accounting modes of the device engine (paper Fig. 13).
 const (
-	EngineDevice = core.EngineDevice
-	EngineHost   = core.EngineHost
-	PCIeNone     = core.PCIeNone
-	PCIeIn       = core.PCIeIn
-	PCIeInOut    = core.PCIeInOut
+	PCIeNone  = kernels.PCIeNone
+	PCIeIn    = kernels.PCIeIn
+	PCIeInOut = kernels.PCIeInOut
 )
 
 // Info parses and returns a container's header without decompressing.
 func Info(data []byte) (FileHeader, error) { return core.Info(data) }
-
-// TeslaK40 returns the paper's evaluation device specification.
-func TeslaK40() DeviceSpec { return gpu.TeslaK40() }
-
-// NewDevice builds a simulator for the given specification.
-func NewDevice(spec DeviceSpec) (*Device, error) { return gpu.NewDevice(spec, 0) }

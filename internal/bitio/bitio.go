@@ -47,15 +47,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	}
 }
 
-// WriteBool writes a single bit.
-func (w *Writer) WriteBool(b bool) {
-	if b {
-		w.WriteBits(1, 1)
-	} else {
-		w.WriteBits(0, 1)
-	}
-}
-
 // BitLen reports the total number of bits written so far.
 func (w *Writer) BitLen() int64 { return w.bits }
 
@@ -71,14 +62,6 @@ func (w *Writer) AlignByte() {
 func (w *Writer) Bytes() []byte {
 	w.AlignByte()
 	return w.buf
-}
-
-// Reset clears the writer for reuse, keeping the allocated buffer.
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.acc = 0
-	w.nacc = 0
-	w.bits = 0
 }
 
 // Reader consumes bits LSB-first from a byte slice.
@@ -169,12 +152,6 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	return v, nil
 }
 
-// ReadBool consumes one bit.
-func (r *Reader) ReadBool() (bool, error) {
-	v, err := r.ReadBits(1)
-	return v == 1, err
-}
-
 // Peek returns the next n bits without consuming them. If fewer than n bits
 // remain, the missing high bits are zero — this is the standard convention
 // for LUT-based Huffman decoding near the end of a stream.
@@ -204,6 +181,3 @@ func (r *Reader) Skip(n uint) error {
 
 // BitsRead reports the number of bits consumed so far.
 func (r *Reader) BitsRead() int64 { return r.read }
-
-// BitsRemaining reports the number of bits left.
-func (r *Reader) BitsRemaining() int64 { return r.lim - r.read }

@@ -105,19 +105,22 @@ func TestAlignByte(t *testing.T) {
 	}
 }
 
+// Reset re-points a reader mid-stream: buffered bits of the old slice must
+// not leak into reads of the new one.
 func TestReset(t *testing.T) {
-	w := NewWriter(4)
-	w.WriteBits(0xff, 8)
-	w.Reset()
-	if w.BitLen() != 0 || len(w.Bytes()) != 0 {
-		t.Fatal("reset did not clear")
+	r := NewReader([]byte{0xff, 0xff})
+	if v, err := r.ReadBits(3); err != nil || v != 7 {
+		t.Fatalf("before reset got %v err %v", v, err)
 	}
-	w.Reset()
-	w.WriteBits(0x5, 3)
-	r := NewReaderBits(w.Bytes(), w.BitLen())
-	v, err := r.ReadBits(3)
-	if err != nil || v != 0x5 {
-		t.Fatalf("after reset got %v err %v", v, err)
+	r.Reset([]byte{0x05})
+	if r.BitsRead() != 0 {
+		t.Fatalf("reset kept %d bits read", r.BitsRead())
+	}
+	if v, err := r.ReadBits(8); err != nil || v != 0x05 {
+		t.Fatalf("after reset got %#x err %v", v, err)
+	}
+	if _, err := r.ReadBits(1); err != ErrOverrun {
+		t.Fatalf("read past the new slice: err %v", err)
 	}
 }
 
@@ -195,7 +198,7 @@ func BenchmarkWriteBits(b *testing.B) {
 	b.SetBytes(8)
 	for i := 0; i < b.N; i++ {
 		if w.BitLen() > 1<<18 {
-			w.Reset()
+			w = NewWriter(1 << 16)
 		}
 		w.WriteBits(uint64(i), 11)
 	}
@@ -210,9 +213,8 @@ func BenchmarkReadBits(b *testing.B) {
 	r := NewReader(data)
 	b.SetBytes(8)
 	for i := 0; i < b.N; i++ {
-		if r.BitsRemaining() < 11 {
+		if _, err := r.ReadBits(11); err != nil {
 			r.Reset(data)
 		}
-		r.ReadBits(11)
 	}
 }

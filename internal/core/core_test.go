@@ -3,15 +3,17 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"gompresso/internal/format"
-	"gompresso/internal/kernels"
 	"gompresso/internal/lz77"
 	"gompresso/internal/race"
 )
+
+// decompress is the host decode at the default worker count.
+func decompress(t testing.TB, comp []byte) ([]byte, error) {
+	return DecompressContext(t.Context(), comp, 0)
+}
 
 func corpus(n int) []byte {
 	rng := rand.New(rand.NewSource(11))
@@ -41,30 +43,12 @@ func TestRoundtripAllConfigurations(t *testing.T) {
 			if cs.Ratio <= 1 {
 				t.Fatalf("%v/%v: ratio %.2f — corpus should compress", variant, de, cs.Ratio)
 			}
-			// Host engine.
-			out, _, err := Decompress(comp, DecompressOptions{Engine: EngineHost})
+			out, err := decompress(t, comp)
 			if err != nil {
-				t.Fatalf("%v/%v host: %v", variant, de, err)
+				t.Fatalf("%v/%v: %v", variant, de, err)
 			}
 			if !bytes.Equal(out, src) {
-				t.Fatalf("%v/%v host: mismatch", variant, de)
-			}
-			// Device engine, strategy per parse mode.
-			strats := []kernels.Strategy{kernels.SC, kernels.MRR}
-			if de != lz77.DEOff {
-				strats = append(strats, kernels.DE)
-			}
-			for _, st := range strats {
-				out, ds, err := Decompress(comp, DecompressOptions{Engine: EngineDevice, Strategy: st})
-				if err != nil {
-					t.Fatalf("%v/%v device/%v: %v", variant, de, st, err)
-				}
-				if !bytes.Equal(out, src) {
-					t.Fatalf("%v/%v device/%v: mismatch", variant, de, st)
-				}
-				if ds.DeviceSeconds <= 0 {
-					t.Fatalf("%v/%v device/%v: no simulated time", variant, de, st)
-				}
+				t.Fatalf("%v/%v: mismatch", variant, de)
 			}
 		}
 	}
@@ -78,76 +62,14 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d %v: %v", n, variant, err)
 			}
-			for _, eng := range []Engine{EngineHost, EngineDevice} {
-				out, _, err := Decompress(comp, DecompressOptions{Engine: eng, Strategy: kernels.MRR})
-				if err != nil {
-					t.Fatalf("n=%d %v eng=%d: %v", n, variant, eng, err)
-				}
-				if !bytes.Equal(out, src) {
-					t.Fatalf("n=%d %v eng=%d: mismatch", n, variant, eng)
-				}
+			out, err := decompress(t, comp)
+			if err != nil {
+				t.Fatalf("n=%d %v: %v", n, variant, err)
+			}
+			if !bytes.Equal(out, src) {
+				t.Fatalf("n=%d %v: mismatch", n, variant)
 			}
 		}
-	}
-}
-
-func TestPCIeModesIncreaseSimTime(t *testing.T) {
-	src := corpus(2 << 20)
-	comp, _, err := Compress(src, Options{Variant: format.VariantByte, DE: lz77.DEStrict})
-	if err != nil {
-		t.Fatal(err)
-	}
-	times := make(map[PCIeMode]float64)
-	for _, m := range []PCIeMode{PCIeNone, PCIeIn, PCIeInOut} {
-		_, ds, err := Decompress(comp, DecompressOptions{Engine: EngineDevice, Strategy: kernels.DE, PCIe: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		times[m] = ds.SimSeconds
-	}
-	// Output transfer overlaps compute, so In/Out may equal In when the
-	// kernels dominate; it must never be cheaper.
-	if !(times[PCIeNone] < times[PCIeIn] && times[PCIeIn] <= times[PCIeInOut]) {
-		t.Fatalf("PCIe ordering violated: %v", times)
-	}
-}
-
-func TestDEStreamDecompressesWithDEStrategy(t *testing.T) {
-	src := corpus(512 << 10)
-	comp, _, err := Compress(src, Options{DE: lz77.DEStrict, Variant: format.VariantBit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ds, err := Decompress(comp, DecompressOptions{Engine: EngineDevice, Strategy: kernels.DE})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Rounds.MaxRounds > 1 {
-		t.Fatalf("DE stream needed %d rounds", ds.Rounds.MaxRounds)
-	}
-}
-
-func TestGreedyStreamNeedsMRR(t *testing.T) {
-	src := []byte(strings.Repeat("abcdefghij", 60000))
-	comp, cs, err := Compress(src, Options{DE: lz77.DEOff, Variant: format.VariantByte})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.GroupsDep == 0 {
-		t.Skip("no dependent groups in corpus")
-	}
-	if _, _, err := Decompress(comp, DecompressOptions{Engine: EngineDevice, Strategy: kernels.DE}); err == nil {
-		t.Fatal("DE strategy accepted dependent stream")
-	}
-	out, ds, err := Decompress(comp, DecompressOptions{Engine: EngineDevice, Strategy: kernels.MRR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, src) {
-		t.Fatal("MRR mismatch")
-	}
-	if ds.Rounds.MaxRounds < 2 {
-		t.Fatalf("expected multi-round resolution, got max %d", ds.Rounds.MaxRounds)
 	}
 }
 
@@ -168,7 +90,7 @@ func TestCompressRejectsBadOptions(t *testing.T) {
 }
 
 func TestDecompressRejectsGarbage(t *testing.T) {
-	if _, _, err := Decompress([]byte("not a gompresso file"), DecompressOptions{}); err == nil {
+	if _, err := decompress(t, []byte("not a gompresso file")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	src := corpus(100_000)
@@ -181,35 +103,10 @@ func TestDecompressRejectsGarbage(t *testing.T) {
 	for _, pos := range []int{len(comp) / 2, len(comp) - 1, 60} {
 		bad := append([]byte{}, comp...)
 		bad[pos] ^= 0x41
-		out, _, err := Decompress(bad, DecompressOptions{Engine: EngineHost})
+		out, err := decompress(t, bad)
 		if err == nil && bytes.Equal(out, src) {
 			t.Fatalf("corruption at %d silently ignored", pos)
 		}
-	}
-}
-
-func TestHostAndDeviceAgree(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1000 + rng.Intn(200_000)
-		src := corpus(n)
-		variant := format.Variant(seed & 1)
-		comp, _, err := Compress(src, Options{Variant: variant, BlockSize: 32 << 10, DE: lz77.DEStrict})
-		if err != nil {
-			return false
-		}
-		h, _, err := Decompress(comp, DecompressOptions{Engine: EngineHost})
-		if err != nil {
-			return false
-		}
-		d, _, err := Decompress(comp, DecompressOptions{Engine: EngineDevice, Strategy: kernels.DE})
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(h, src) && bytes.Equal(d, src)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -249,10 +146,10 @@ func TestBitBeatsByteRatio(t *testing.T) {
 
 // The encode core's steady state: parser tables, token buffers, histograms,
 // code tables and bit buffer all come from the pooled scratch, so a block
-// encoded into a reused record buffer allocates next to nothing. (DEOff is
-// outside the guard: its AnalyzeMRR statistic allocates per group.)
+// encoded into a reused record buffer allocates next to nothing — in every
+// parse mode, New()'s default DEOff included.
 func TestEncodeBlockRecordAllocs(t *testing.T) {
-	for _, de := range []lz77.DEMode{lz77.DEStrict, lz77.DELit} {
+	for _, de := range []lz77.DEMode{lz77.DEOff, lz77.DEStrict, lz77.DELit} {
 		o, err := Options{Variant: format.VariantBit, DE: de}.Normalize()
 		if err != nil {
 			t.Fatal(err)
@@ -295,7 +192,7 @@ func BenchmarkDecompressHostBit(b *testing.B) {
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Decompress(comp, DecompressOptions{Engine: EngineHost}); err != nil {
+		if _, err := decompress(b, comp); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the single home of option normalization and validation.
-// Every entry point — Compress/Decompress, the public Codec, the streaming
-// Reader and Writer pipelines — routes its configuration through the
+// Every entry point — Compress, the public Codec, the streaming Reader and
+// Writer pipelines — routes its configuration through the
 // Normalize/Validate methods below, so defaults are filled and domains are
 // checked in exactly one place.
 
@@ -91,20 +91,6 @@ func (o Options) lzOptions() lz77.Options {
 		DE:        o.DE,
 		Staleness: o.Staleness,
 	}
-}
-
-// Normalize validates decompression options and fills defaults.
-func (o DecompressOptions) Normalize() (DecompressOptions, error) {
-	if o.Workers < 0 {
-		return o, invalidf("negative worker count %d", o.Workers)
-	}
-	if o.TileTo < 0 {
-		return o, invalidf("negative TileTo %d", o.TileTo)
-	}
-	if o.Engine != EngineDevice && o.Engine != EngineHost {
-		return o, invalidf("unknown engine %d", o.Engine)
-	}
-	return o, nil
 }
 
 // Pipeline holds the tuning knobs shared by the streaming pipelines — the

@@ -37,21 +37,6 @@ func TestOptionsNormalizeRejects(t *testing.T) {
 	}
 }
 
-func TestDecompressOptionsNormalize(t *testing.T) {
-	if _, err := (DecompressOptions{Workers: -1}).Normalize(); !errors.Is(err, ErrInvalidOption) {
-		t.Errorf("negative workers accepted: %v", err)
-	}
-	if _, err := (DecompressOptions{TileTo: -1}).Normalize(); !errors.Is(err, ErrInvalidOption) {
-		t.Errorf("negative TileTo accepted: %v", err)
-	}
-	if _, err := (DecompressOptions{Engine: 9}).Normalize(); !errors.Is(err, ErrInvalidOption) {
-		t.Errorf("unknown engine accepted: %v", err)
-	}
-	if _, err := (DecompressOptions{Engine: EngineHost}).Normalize(); err != nil {
-		t.Errorf("valid options rejected: %v", err)
-	}
-}
-
 func TestPipelineNormalize(t *testing.T) {
 	for _, p := range []Pipeline{{Workers: -1}, {Readahead: -1}} {
 		if _, err := p.Normalize(); !errors.Is(err, ErrInvalidOption) {

@@ -3,9 +3,9 @@
 // A Script is a list of rules parsed from a compact spec string; each
 // rule selects files by path glob and applies one fault kind, optionally
 // limited to a trigger count so a fault can be flaky (fail N times, then
-// recover). Wrappers exist for the three read shapes the repository
-// uses: io.ReaderAt (the server's object files), io.Reader (sequential
-// streams), and fs.FS (whole trees).
+// recover). Wrappers exist for the two read shapes the repository uses:
+// io.ReaderAt (the server's object files) and io.Reader (sequential
+// streams).
 //
 // Spec grammar — rules separated by ';':
 //
@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"path"
 	"strconv"
 	"strings"
@@ -269,9 +268,6 @@ func (s *Script) Reader(name string, r io.Reader) io.Reader {
 	return &faultReader{script: s, rules: rs, r: r}
 }
 
-// FS wraps base so every opened file reads through the script.
-func (s *Script) FS(base fs.FS) fs.FS { return &faultFS{script: s, base: base} }
-
 // apply runs the non-EIO shaping rules for a read of want bytes at off:
 // latency sleeps, truncate clamps, shortread clamps. It returns the
 // allowed read size, whether EOF applies at the clamp (truncation), and
@@ -396,43 +392,4 @@ func (f *faultReader) truncateAt() int64 {
 		}
 	}
 	return at
-}
-
-// faultFS opens files through the script.
-type faultFS struct {
-	script *Script
-	base   fs.FS
-}
-
-func (f *faultFS) Open(name string) (fs.File, error) {
-	file, err := f.base.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	rules := f.script.match(name)
-	if len(rules) == 0 {
-		return file, nil
-	}
-	ff := &faultFile{File: file, r: &faultReader{script: f.script, rules: rules, r: file}}
-	if ra, ok := file.(io.ReaderAt); ok {
-		ff.ra = &faultReaderAt{script: f.script, rules: rules, ra: ra}
-	}
-	return ff, nil
-}
-
-// faultFile is an opened faulted file: sequential reads go through the
-// Reader wrapper, and ReadAt is preserved when the base file offers it.
-type faultFile struct {
-	fs.File
-	r  *faultReader
-	ra *faultReaderAt
-}
-
-func (f *faultFile) Read(p []byte) (int, error) { return f.r.Read(p) }
-
-func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	if f.ra == nil {
-		return 0, fmt.Errorf("fault: %s: underlying file does not support ReadAt", "ReadAt")
-	}
-	return f.ra.ReadAt(p, off)
 }

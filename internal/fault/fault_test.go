@@ -6,7 +6,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"testing/fstest"
 	"time"
 )
 
@@ -234,37 +233,5 @@ func TestMultipleRules(t *testing.T) {
 	rb := s.ReaderAt("bbb", bytes.NewReader(data))
 	if n, err := rb.ReadAt(p, 0); n != 4 || err != io.EOF {
 		t.Fatalf("other file: n=%d err=%v", n, err)
-	}
-}
-
-func TestFS(t *testing.T) {
-	base := fstest.MapFS{
-		"ok.txt":  {Data: []byte("hello world")},
-		"bad.txt": {Data: []byte("hello world")},
-	}
-	s := parse(t, "bad*:eio@3")
-	fsys := s.FS(base)
-
-	okf, err := fsys.Open("ok.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(okf)
-	if err != nil || string(got) != "hello world" {
-		t.Fatalf("ok file: %q, %v", got, err)
-	}
-	okf.Close()
-
-	badf, err := fsys.Open("bad.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer badf.Close()
-	got, err = io.ReadAll(badf)
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("bad file err = %v", err)
-	}
-	if string(got) != "hel" {
-		t.Fatalf("bad file prefix = %q", got)
 	}
 }

@@ -92,16 +92,13 @@ func AblationDEMode(cfg Config) ([]DEModeRow, error) {
 		if mode == lz77.DEOff {
 			strat = kernels.MRR
 		}
-		_, st, err := core.Decompress(comp, core.DecompressOptions{
-			Engine: core.EngineDevice, Strategy: strat,
-			Device: cfg.Device, TileTo: paperScale,
-		})
+		st, gbps, err := cfg.simulate(comp, strat, kernels.PCIeNone)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, DEModeRow{
 			Mode: mode, Ratio: cs.Ratio,
-			DevGBps: GBps(st.RawSize, st.SimSeconds), Strategy: strat,
+			DevGBps: gbps, Strategy: strat,
 			AvgRounds: st.Rounds.AvgRounds(),
 		})
 	}
@@ -144,17 +141,11 @@ func AblationSubBlocks(cfg Config) ([]SubBlockRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, st, err := core.Decompress(comp, core.DecompressOptions{
-			Engine: core.EngineDevice, Strategy: kernels.DE,
-			Device: cfg.Device, TileTo: paperScale,
-		})
+		_, gbps, err := cfg.simulate(comp, kernels.DE, kernels.PCIeNone)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, SubBlockRow{
-			SeqsPerSub: n, Ratio: cs.Ratio,
-			DevGBps: GBps(st.RawSize, st.SimSeconds),
-		})
+		rows = append(rows, SubBlockRow{SeqsPerSub: n, Ratio: cs.Ratio, DevGBps: gbps})
 	}
 	return rows, nil
 }
@@ -195,10 +186,7 @@ func AblationCWL(cfg Config) ([]CWLRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, st, err := core.Decompress(comp, core.DecompressOptions{
-			Engine: core.EngineDevice, Strategy: kernels.DE,
-			Device: cfg.Device, TileTo: paperScale,
-		})
+		st, gbps, err := cfg.simulate(comp, kernels.DE, kernels.PCIeNone)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +196,7 @@ func AblationCWL(cfg Config) ([]CWLRow, error) {
 		}
 		rows = append(rows, CWLRow{
 			CWL: cwl, Ratio: cs.Ratio,
-			DevGBps: GBps(st.RawSize, st.SimSeconds), WarpsPerSM: occ,
+			DevGBps: gbps, WarpsPerSM: occ,
 		})
 	}
 	return rows, nil

@@ -33,10 +33,7 @@ func Fig12(cfg Config) ([]Fig12Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig12 %dKB: %w", kb, err)
 		}
-		_, st, err := core.Decompress(comp, core.DecompressOptions{
-			Engine: core.EngineDevice, Strategy: kernels.DE,
-			Device: cfg.Device, PCIe: core.PCIeInOut, TileTo: paperScale,
-		})
+		st, gbps, err := cfg.simulate(comp, kernels.DE, kernels.PCIeInOut)
 		if err != nil {
 			return nil, fmt.Errorf("fig12 %dKB: %w", kb, err)
 		}
@@ -46,7 +43,7 @@ func Fig12(cfg Config) ([]Fig12Row, error) {
 		}
 		rows = append(rows, Fig12Row{
 			BlockKB:   kb,
-			GBps:      GBps(st.RawSize, st.SimSeconds),
+			GBps:      gbps,
 			Ratio:     cs.Ratio,
 			Occupancy: occ,
 		})

@@ -38,25 +38,19 @@ func gompressoPoints(cfg Config, ds Dataset) ([]Fig13Row, error) {
 		name  string
 		comp  []byte
 		ratio float64
-		pcie  core.PCIeMode
+		pcie  kernels.PCIeMode
 	}{
-		{"Gomp/Bit (In/Out)", bit, bitStats.Ratio, core.PCIeInOut},
-		{"Gomp/Byte (In/Out)", byteComp, byteStats.Ratio, core.PCIeInOut},
-		{"Gomp/Byte (In)", byteComp, byteStats.Ratio, core.PCIeIn},
-		{"Gomp/Byte (No PCIe)", byteComp, byteStats.Ratio, core.PCIeNone},
+		{"Gomp/Bit (In/Out)", bit, bitStats.Ratio, kernels.PCIeInOut},
+		{"Gomp/Byte (In/Out)", byteComp, byteStats.Ratio, kernels.PCIeInOut},
+		{"Gomp/Byte (In)", byteComp, byteStats.Ratio, kernels.PCIeIn},
+		{"Gomp/Byte (No PCIe)", byteComp, byteStats.Ratio, kernels.PCIeNone},
 	}
 	for _, s := range series {
-		_, st, err := core.Decompress(s.comp, core.DecompressOptions{
-			Engine: core.EngineDevice, Strategy: kernels.DE,
-			Device: cfg.Device, PCIe: s.pcie, TileTo: paperScale,
-		})
+		_, gbps, err := cfg.simulate(s.comp, kernels.DE, s.pcie)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s.name, err)
 		}
-		rows = append(rows, Fig13Row{
-			Dataset: ds.Name, System: s.name,
-			GBps: GBps(st.RawSize, st.SimSeconds), Ratio: s.ratio,
-		})
+		rows = append(rows, Fig13Row{Dataset: ds.Name, System: s.name, GBps: gbps, Ratio: s.ratio})
 	}
 	return rows, nil
 }

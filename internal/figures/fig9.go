@@ -43,17 +43,14 @@ func Fig9a(cfg Config) ([]Fig9aRow, error) {
 			strat  kernels.Strategy
 			stream []byte
 		}{{kernels.SC, normal}, {kernels.MRR, normal}, {kernels.DE, deStream}} {
-			_, st, err := core.Decompress(tc.stream, core.DecompressOptions{
-				Engine: core.EngineDevice, Strategy: tc.strat,
-				Device: cfg.Device, PCIe: core.PCIeNone, TileTo: paperScale,
-			})
+			st, gbps, err := cfg.simulate(tc.stream, tc.strat, kernels.PCIeNone)
 			if err != nil {
 				return nil, fmt.Errorf("fig9a %s/%v: %w", ds.Name, tc.strat, err)
 			}
 			row := Fig9aRow{
 				Dataset:  ds.Name,
 				Strategy: tc.strat,
-				GBps:     GBps(st.RawSize, st.SimSeconds),
+				GBps:     gbps,
 			}
 			if st.Rounds != nil {
 				row.AvgRounds = st.Rounds.AvgRounds()
@@ -99,9 +96,7 @@ func Fig9b(cfg Config) ([]Fig9bRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, st, err := core.Decompress(comp, core.DecompressOptions{
-			Engine: core.EngineDevice, Strategy: kernels.MRR, Device: cfg.Device, TileTo: paperScale,
-		})
+		st, _, err := cfg.simulate(comp, kernels.MRR, kernels.PCIeNone)
 		if err != nil {
 			return nil, err
 		}
@@ -160,9 +155,7 @@ func Fig9c(cfg Config) ([]Fig9cRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, st, err := core.Decompress(comp, core.DecompressOptions{
-			Engine: core.EngineDevice, Strategy: kernels.MRR, Device: cfg.Device, TileTo: paperScale,
-		})
+		st, _, err := cfg.simulate(comp, kernels.MRR, kernels.PCIeNone)
 		if err != nil {
 			return nil, err
 		}

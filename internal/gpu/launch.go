@@ -172,11 +172,3 @@ func maxf(a, b float64) float64 {
 	}
 	return b
 }
-
-// Throughput reports bytes/s for a launch that produced n output bytes.
-func (s *LaunchStats) Throughput(n int64) float64 {
-	if s.Time <= 0 {
-		return 0
-	}
-	return float64(n) / s.Time
-}

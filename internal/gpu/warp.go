@@ -27,12 +27,11 @@ type Counters struct {
 	Instr  int64 // warp-instruction issue slots
 	Stalls int64 // dependent-latency cycles (memory round trips the
 	// warp must wait out; hidden only by other resident warps)
-	Ballots     int64
-	Shuffles    int64
-	SmemOps     int64
-	GmemTxns    int64 // global-memory transactions
-	GmemBytes   int64 // global-memory bytes moved (incl. sector overfetch)
-	Divergences int64 // serialized divergent paths taken
+	Ballots   int64
+	Shuffles  int64
+	SmemOps   int64
+	GmemTxns  int64 // global-memory transactions
+	GmemBytes int64 // global-memory bytes moved (incl. sector overfetch)
 }
 
 // Add accumulates other into c.
@@ -44,7 +43,6 @@ func (c *Counters) Add(other Counters) {
 	c.SmemOps += other.SmemOps
 	c.GmemTxns += other.GmemTxns
 	c.GmemBytes += other.GmemBytes
-	c.Divergences += other.Divergences
 }
 
 // Cycles converts the counters into issue-slot cycles for one warp
@@ -83,15 +81,6 @@ func (w *Warp) ChargeLaneWork(n int64, perStep int64) { w.Instr += n * perStep }
 // and Dependency Elimination fast (one chain for the whole warp).
 func (w *Warp) Stall(n int64) { w.Stalls += n }
 
-// ChargeDivergence accounts a branch where the warp splits into paths
-// serialized execution paths (paths-1 extra passes).
-func (w *Warp) ChargeDivergence(paths int) {
-	if paths > 1 {
-		w.Divergences += int64(paths - 1)
-		w.Instr += int64(paths-1) * costALU
-	}
-}
-
 // Ballot implements the CUDA ballot(b) warp vote (paper §II-B): bit i of the
 // result is lane i's predicate. The caller passes the assembled vote mask;
 // Ballot charges the vote and returns it to every lane (by value).
@@ -99,17 +88,6 @@ func (w *Warp) Ballot(votes uint32) uint32 {
 	w.Ballots++
 	w.Instr += costBallot
 	return votes
-}
-
-// BallotFrom assembles and charges a ballot from a per-lane predicate array.
-func (w *Warp) BallotFrom(pred *[WarpSize]bool) uint32 {
-	var m uint32
-	for i, p := range pred {
-		if p {
-			m |= 1 << uint(i)
-		}
-	}
-	return w.Ballot(m)
 }
 
 // Shfl implements the CUDA shfl(v, i) broadcast (paper §II-B): every lane
@@ -175,21 +153,12 @@ func (w *Warp) chargeGmem(n int64, coalesced bool) {
 	w.GmemBytes += n
 }
 
-// SmemRead charges n shared-memory accesses (e.g. LUT lookups).
-func (w *Warp) SmemRead(n int64) {
-	w.SmemOps += n
-	w.Instr += n * costSmem
-}
-
 // SmemWrite charges n shared-memory stores (e.g. building decode tables).
 func (w *Warp) SmemWrite(n int64) {
 	w.SmemOps += n
 	w.Instr += n * costSmem
 }
 
-// Clz returns the number of leading zero bits of v, as used by MRR to find
-// the last writer from a ballot mask (paper Fig. 5, line 9).
-func Clz(v uint32) int { return bits.LeadingZeros32(v) }
-
-// Ctz returns trailing zeros; used to find the first pending lane.
+// Ctz returns trailing zeros; MRR and DE use it to find the first pending
+// lane in a ballot mask (the role clz plays in paper Fig. 5, line 9).
 func Ctz(v uint32) int { return bits.TrailingZeros32(v) }

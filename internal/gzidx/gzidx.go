@@ -28,6 +28,7 @@
 package gzidx
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -189,7 +190,7 @@ func Decode(data []byte) (*deflate.Index, Meta, error) {
 			}
 			cp.Window = append([]byte(nil), stored...)
 		case winEncBit:
-			win, _, err := core.Decompress(stored, core.DecompressOptions{Engine: core.EngineHost, Workers: 1})
+			win, err := core.DecompressContext(context.TODO(), stored, 1) // Decode takes no ctx; a window is one block
 			if err != nil {
 				return nil, meta, badf("checkpoint %d window: %v", i, err)
 			}
@@ -209,9 +210,6 @@ func Decode(data []byte) (*deflate.Index, Meta, error) {
 	}
 	return idx, meta, nil
 }
-
-// SidecarPath is the canonical sidecar name for a source path.
-func SidecarPath(src string) string { return src + Ext }
 
 // WriteFileAtomic persists an encoded sidecar: parents created, written to
 // a temp file in the destination directory, fsynced, then renamed into

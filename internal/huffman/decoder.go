@@ -34,13 +34,6 @@ func (d *Decoder) TableEntries() int { return 1 << d.tableBits }
 // the shared-memory footprint used for occupancy modeling.
 func (d *Decoder) TableBytes() int { return d.TableEntries() * 4 }
 
-// Table exposes the packed LUT together with its window mask for fused decode
-// loops that index it directly (entries decode with EntrySym/EntryLen). The
-// slice must not be modified.
-func (d *Decoder) Table() (table []uint32, mask uint64) {
-	return d.table, uint64(1)<<d.tableBits - 1
-}
-
 // NewDecoder builds the LUT from a code-length array. tableBits must be ≥ the
 // longest code length (Gompresso guarantees this by limiting CWL).
 func NewDecoder(lengths []uint8, tableBits int) (*Decoder, error) {
@@ -140,12 +133,4 @@ func (d *Decoder) Decode(r *bitio.Reader) (int, error) {
 		return 0, err
 	}
 	return EntrySym(e), nil
-}
-
-// Lookup maps a peeked bit window to (symbol, codeLen) without touching a
-// reader. codeLen 0 means the window does not start a valid code. Kernels use
-// this form so they can charge simulated costs around it.
-func (d *Decoder) Lookup(window uint64) (sym int, codeLen uint8) {
-	e := d.table[window&(uint64(1)<<d.tableBits-1)]
-	return EntrySym(e), uint8(EntryLen(e))
 }

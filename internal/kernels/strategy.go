@@ -5,7 +5,10 @@
 //     shared per-block LUTs (paper §III-B1),
 //   - LZ77Launch: one warp per data block resolving 32 sequences at a time
 //     with the SC / MRR / DE back-reference strategies (paper §III-B2, §IV),
-//   - ByteLaunch: the fused single-pass kernel for Gompresso/Byte.
+//   - ByteLaunch: the fused single-pass kernel for Gompresso/Byte,
+//   - Decompress: the device engine — a whole container through those
+//     launches, with the strategy pick, tiling and PCIe composition. It is
+//     the only way the rest of the repository runs the simulator.
 //
 // Kernels produce bit-exact output; the gpu.Warp they run on accumulates the
 // modeled cost.
@@ -18,9 +21,13 @@ import "fmt"
 type Strategy int
 
 const (
+	// Auto, the zero value, lets Decompress choose from the container
+	// header: DE for a DE-parsed stream, MRR otherwise. The launches
+	// themselves take one of the three concrete strategies below.
+	Auto Strategy = iota
 	// SC is Sequential Copying: the baseline in which lanes copy their
 	// back-references strictly one after another (paper §V-A).
-	SC Strategy = iota
+	SC
 	// MRR is Multi-Round Resolution: iterative resolution driven by warp
 	// ballot/shuffle and a high-water mark (paper Fig. 5).
 	MRR
@@ -32,6 +39,8 @@ const (
 
 func (s Strategy) String() string {
 	switch s {
+	case Auto:
+		return "auto"
 	case SC:
 		return "SC"
 	case MRR:

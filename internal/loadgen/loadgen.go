@@ -23,6 +23,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"gompresso/internal/perf"
 )
 
 // Config describes one load run.
@@ -187,8 +189,13 @@ func outcomeName(o int) string {
 
 // phaseStats accumulates one phase while the run is live.
 type phaseStats struct {
-	lat      Recorder // open-loop latency (from intended arrival), OK only
-	svc      Recorder // service latency (from actual send), OK only
+	// Latencies of OK requests, in the histogram the server's /metrics
+	// quantiles come from (32 sub-buckets per octave, within 3.1% of
+	// truth): harness and server are compared like for like.
+	lat      perf.Histogram // open-loop latency (from intended arrival)
+	svc      perf.Histogram // service latency (from actual send)
+	latMax   time.Duration
+	latSum   time.Duration
 	requests int64
 	ok       int64
 	shed     int64
@@ -205,6 +212,8 @@ func (p *phaseStats) record(outcome int, lat, svc time.Duration, n int64) {
 	switch outcome {
 	case outcomeOK:
 		p.ok++
+		p.latSum += lat
+		p.latMax = max(p.latMax, lat)
 	case outcomeShed:
 		p.shed++
 	case outcomeTimeout:
@@ -214,8 +223,8 @@ func (p *phaseStats) record(outcome int, lat, svc time.Duration, n int64) {
 	}
 	p.mu.Unlock()
 	if outcome == outcomeOK {
-		p.lat.Observe(lat)
-		p.svc.Observe(svc)
+		p.lat.Observe(int64(lat))
+		p.svc.Observe(int64(svc))
 	}
 }
 
@@ -229,6 +238,7 @@ const (
 func (p *phaseStats) report(name string, wall time.Duration) PhaseReport {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	quantile := func(h *perf.Histogram, q float64) float64 { return ms(time.Duration(h.Quantile(q))) }
 	r := PhaseReport{
 		Phase:    name,
 		Requests: p.requests,
@@ -237,15 +247,17 @@ func (p *phaseStats) report(name string, wall time.Duration) PhaseReport {
 		Timeout:  p.timeout,
 		Errors:   p.errors,
 		Bytes:    p.bytes,
-		P50Ms:    ms(p.lat.Quantile(0.50)),
-		P95Ms:    ms(p.lat.Quantile(0.95)),
-		P99Ms:    ms(p.lat.Quantile(0.99)),
-		P999Ms:   ms(p.lat.Quantile(0.999)),
-		MaxMs:    ms(p.lat.Max()),
-		MeanMs:   ms(p.lat.Mean()),
+		P50Ms:    quantile(&p.lat, 0.50),
+		P95Ms:    quantile(&p.lat, 0.95),
+		P99Ms:    quantile(&p.lat, 0.99),
+		P999Ms:   quantile(&p.lat, 0.999),
+		MaxMs:    ms(p.latMax),
 
-		ServiceP50Ms: ms(p.svc.Quantile(0.50)),
-		ServiceP99Ms: ms(p.svc.Quantile(0.99)),
+		ServiceP50Ms: quantile(&p.svc, 0.50),
+		ServiceP99Ms: quantile(&p.svc, 0.99),
+	}
+	if p.ok > 0 {
+		r.MeanMs = ms(p.latSum / time.Duration(p.ok))
 	}
 	if p.requests > 0 {
 		r.ErrorRate = float64(p.timeout+p.errors) / float64(p.requests)

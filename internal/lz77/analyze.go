@@ -30,24 +30,6 @@ func (s *MRRStats) AvgRounds() float64 {
 	return float64(total) / float64(s.Groups)
 }
 
-// AvgBytesPerRound divides the total bytes resolved in round r by the number
-// of groups that executed round r, matching the paper's Fig. 9b metric.
-func (s *MRRStats) AvgBytesPerRound() []float64 {
-	out := make([]float64, len(s.BytesPerRound))
-	for r := range out {
-		groupsAtRound := 0
-		for _, g := range s.Rounds {
-			if g > r {
-				groupsAtRound++
-			}
-		}
-		if groupsAtRound > 0 {
-			out[r] = float64(s.BytesPerRound[r]) / float64(groupsAtRound)
-		}
-	}
-	return out
-}
-
 // groupLayout holds the output-coordinate layout of one warp group.
 type groupLayout struct {
 	outStart  int   // output position where the group's first literal lands

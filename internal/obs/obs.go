@@ -254,12 +254,6 @@ func Start(ctx context.Context, stage Stage) (context.Context, *Span) {
 	return &sp.ref, sp
 }
 
-// Cum is Trace.Cum through a context, for layers that hold a ctx but
-// not the trace.
-func Cum(ctx context.Context, stage Stage, d time.Duration, n int64) {
-	FromContext(ctx).Cum(stage, d, n)
-}
-
 // SourceReaderAt wraps ra so every ReadAt accrues to the trace's
 // source_read stage. Without a trace it returns ra unchanged, so the
 // disabled path pays nothing — not even the indirection.

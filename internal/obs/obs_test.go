@@ -23,7 +23,7 @@ func TestDisabledPathIsNoop(t *testing.T) {
 	}
 	sp.SetN(7)
 	sp.End() // must not panic
-	Cum(ctx, StageBodyWrite, time.Millisecond, 1)
+	FromContext(ctx).Cum(StageBodyWrite, time.Millisecond, 1)
 
 	ra := strings.NewReader("hello")
 	if got := SourceReaderAt(ctx, ra); got != io.ReaderAt(ra) {

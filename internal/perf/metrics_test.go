@@ -120,17 +120,17 @@ func TestHistogram(t *testing.T) {
 	if h.Count() != 100 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	// Log-linear buckets, 4 per octave: 1000 lands in [896,1024) → bound 1024.
-	if p50 := h.Quantile(0.50); p50 != 1024 {
-		t.Fatalf("p50 = %d, want 1024", p50)
+	// Log-linear buckets, 32 per octave: 1000 lands in [992,1008) → bound 1008.
+	if p50 := h.Quantile(0.50); p50 != 1008 {
+		t.Fatalf("p50 = %d, want 1008", p50)
 	}
-	if p95 := h.Quantile(0.95); p95 != 1024 {
-		t.Fatalf("p95 = %d, want 1024", p95)
+	if p95 := h.Quantile(0.95); p95 != 1008 {
+		t.Fatalf("p95 = %d, want 1008", p95)
 	}
 	// The outlier is exactly the 100th sample: p99 rank 99 is still fast,
-	// p100 (q=1) must see it. 1<<20 lands in [1<<20, 5<<18) → bound 5<<18.
-	if p100 := h.Quantile(1); p100 != 5<<18 {
-		t.Fatalf("p100 = %d, want %d", p100, int64(5)<<18)
+	// p100 (q=1) must see it. 1<<20 lands in [1<<20, 33<<15) → bound 33<<15.
+	if p100 := h.Quantile(1); p100 != 33<<15 {
+		t.Fatalf("p100 = %d, want %d", p100, int64(33)<<15)
 	}
 	// The registry exposes derived samplers.
 	var buf bytes.Buffer
@@ -138,7 +138,7 @@ func TestHistogram(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"req_ns_count 100", "req_ns_p50 1024", "req_ns_p99 "} {
+	for _, want := range []string{"req_ns_count 100", "req_ns_p50 1008", "req_ns_p99 "} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
@@ -158,7 +158,7 @@ func TestHistogram(t *testing.T) {
 // actually contain their values.
 func TestBucketMapping(t *testing.T) {
 	prev := -1
-	for _, v := range []int64{0, 1, 2, 3, 4, 5, 7, 8, 11, 15, 16, 31, 32, 63,
+	for _, v := range []int64{0, 1, 2, 3, 4, 5, 7, 8, 11, 15, 16, 31, 32, 33, 63, 64, 65,
 		1000, 1023, 1024, 1<<20 - 1, 1 << 20, 1<<62 - 1, 1 << 62, 1<<63 - 1} {
 		i := bucketFor(v)
 		if i < prev {
@@ -197,8 +197,9 @@ func TestBucketMapping(t *testing.T) {
 
 // TestHistogramQuantileError bounds the refined quantile estimate
 // against an exact oracle: the estimate must never be below the true
-// quantile and at most one sub-bucket (25%) above it — the property
-// that makes "did p99 move 20%" SLO gating meaningful.
+// quantile and at most one sub-bucket (3.1%) above it — the property
+// that makes "did p99 move 5%" SLO gating meaningful, and lets the load
+// harness keep its ground truth in the same type.
 func TestHistogramQuantileError(t *testing.T) {
 	// Deterministic heavy-tailed-ish sample: a quadratic ramp with a
 	// sprinkle of large outliers, microsecond-to-second scale.
@@ -231,8 +232,8 @@ func TestHistogramQuantileError(t *testing.T) {
 		if est < exact {
 			t.Fatalf("q=%g: estimate %d below exact %d", q, est, exact)
 		}
-		if est*4 > exact*5 {
-			t.Fatalf("q=%g: estimate %d exceeds exact %d by more than one sub-bucket (25%%)", q, est, exact)
+		if est*subBuckets > exact*(subBuckets+1) {
+			t.Fatalf("q=%g: estimate %d exceeds exact %d by more than one sub-bucket (3.1%%)", q, est, exact)
 		}
 	}
 }

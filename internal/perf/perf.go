@@ -26,15 +26,6 @@ const (
 // power.
 func Energy(watts, seconds float64) float64 { return watts * seconds }
 
-// EnergyPerGB normalizes to the paper's Fig. 14 unit (joules for 1 GB of
-// uncompressed data) from any measured size.
-func EnergyPerGB(watts, seconds float64, rawBytes int64) float64 {
-	if rawBytes <= 0 {
-		return 0
-	}
-	return watts * seconds * float64(1<<30) / float64(rawBytes)
-}
-
 // Dataset identifies a calibration corpus.
 type Dataset int
 
@@ -90,6 +81,3 @@ func CalibratedCPU(d Dataset, codec string) (OperatingPoint, error) {
 	}
 	return pt, nil
 }
-
-// CPUCodecs lists the codecs with calibration points, in Fig. 13 order.
-func CPUCodecs() []string { return []string{"Snappy", "LZ4", "Zstd", "zlib"} }

@@ -409,7 +409,7 @@ func (s *Server) Handler() http.Handler {
 // loop instead of pinning worker buffers for the connection's lifetime.
 type statusWriter struct {
 	http.ResponseWriter
-	rc           *http.ResponseController
+	rc           *http.ResponseController // nil unless writeTimeout > 0
 	writeTimeout time.Duration
 	trace        *obs.Trace // nil when tracing is off
 	status       int
@@ -453,11 +453,9 @@ func (s *Server) serveObject(rw http.ResponseWriter, r *http.Request) {
 	if trace != nil {
 		rw.Header()["X-Request-Id"] = []string{trace.ID()} // the key is canonical already
 	}
-	w := &statusWriter{
-		ResponseWriter: rw,
-		rc:             http.NewResponseController(rw),
-		writeTimeout:   s.writeTimeout,
-		trace:          trace,
+	w := &statusWriter{ResponseWriter: rw, writeTimeout: s.writeTimeout, trace: trace}
+	if s.writeTimeout > 0 {
+		w.rc = http.NewResponseController(rw)
 	}
 	start := time.Now()
 	defer func() {
@@ -566,30 +564,20 @@ func (s *Server) serve(ctx context.Context, w *statusWriter, r *http.Request) er
 		ctx, cancel = context.WithTimeout(ctx, s.requestTimeout)
 		defer cancel()
 	}
-	var shedC <-chan time.Time
-	if s.queueWait > 0 {
-		t := time.NewTimer(s.queueWait)
-		defer t.Stop()
-		shedC = t.C
-	}
 	s.gWaiting.Inc()
 	_, qsp := obs.Start(ctx, obs.StageQueueWait)
-	select {
-	case s.sem <- struct{}{}:
-		qsp.End()
-		s.gWaiting.Dec()
-	case <-shedC:
-		qsp.End()
-		s.gWaiting.Dec()
+	shed, err := s.admit(ctx)
+	qsp.End()
+	s.gWaiting.Dec()
+	if shed {
 		s.mShed.Inc()
 		w.trace.SetVerdict("shed")
 		w.Header().Set("Retry-After", s.retryAfterAdvice())
 		http.Error(w, "overloaded, retry later", http.StatusServiceUnavailable)
 		return nil
-	case <-ctx.Done():
-		qsp.End()
-		s.gWaiting.Dec()
-		return s.answerCtxErr(w, ctx.Err())
+	}
+	if err != nil {
+		return s.answerCtxErr(w, err)
 	}
 	defer func() { <-s.sem }()
 	s.gInFlight.Inc()
@@ -682,6 +670,32 @@ func (s *Server) observeBusy(d time.Duration) {
 		return
 	}
 	s.busyEWMANs.Store(old + (sample-old)/8)
+}
+
+// admit takes a limiter slot for the decode section, waiting for one at
+// most queueWait (shed) and no longer than the client does (ctx). A free
+// slot is taken without arming the shed timer, so only requests that
+// actually queue pay for one.
+func (s *Server) admit(ctx context.Context) (shed bool, err error) {
+	select {
+	case s.sem <- struct{}{}:
+		return false, nil
+	default:
+	}
+	var shedC <-chan time.Time
+	if s.queueWait > 0 {
+		t := time.NewTimer(s.queueWait)
+		defer t.Stop()
+		shedC = t.C
+	}
+	select {
+	case s.sem <- struct{}{}:
+		return false, nil
+	case <-shedC:
+		return true, nil
+	case <-ctx.Done():
+		return false, ctx.Err()
+	}
 }
 
 // retryAfterAdvice computes the Retry-After value for a shed or

@@ -80,7 +80,9 @@ func BenchmarkHandlerUntraced(b *testing.B) {
 
 // Tracing a hot request may allocate the request id and its header slot and
 // little else: the access line, the spans and their contexts are all storage
-// the pooled trace already owns.
+// the pooled trace already owns. The untraced request has a budget of its
+// own: admitted without queueing and without a write deadline, it arms no
+// shed timer and builds no ResponseController.
 func TestTracedHandlerAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -92,6 +94,9 @@ func TestTracedHandlerAllocBudget(t *testing.T) {
 	if traced > untraced+6 {
 		t.Fatalf("tracing costs %.0f allocations per request (%.0f traced, %.0f untraced), budget 6",
 			traced-untraced, traced, untraced)
+	}
+	if untraced > 30 {
+		t.Fatalf("an untraced hot request makes %.0f allocations, budget 30", untraced)
 	}
 }
 

@@ -52,9 +52,10 @@ python3 -c "import sys; p=$p99; sys.exit(0 if 0 < p < 2000 else 1)" || {
 # Compare the harness's *service* p99 (clocked from the actual send —
 # the same quantity the handler measures, plus transport overhead), not
 # the open-loop headline number, which also charges dispatch lag the
-# server cannot see. Within 4x: the refined buckets are 1.25x wide, so
-# 4x catches only a broken clock or bucket math while staying robust to
-# scheduler noise between the two clocks on a 1-vCPU runner.
+# server cannot see. Both sides record into the same 1.03x-wide buckets
+# (perf.Histogram), so bucket width explains none of the gap; 4x catches
+# a broken clock or bucket math while staying robust to scheduler noise
+# between the two clocks on a 1-vCPU runner.
 sp99=$(jqget "$work/ok.json" "r['overall']['service_p99_ms']")
 mp99=$(jqget "$work/ok.json" "r.get('metrics_p99_ms', 0)")
 python3 -c "

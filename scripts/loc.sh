@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # loc.sh — non-test Go lines of code per package: lines of *.go files other
-# than *_test.go that are neither blank nor comment-only. ROADMAP tracks this
-# number (aim 2: it should go down); the lint job prints it.
+# than *_test.go and analyzer fixtures under testdata/ that are neither blank
+# nor comment-only. ROADMAP tracks this number (aim 2: it should go down); the
+# lint job prints it.
 #
 #   ./scripts/loc.sh                  # every package, then the total
 #   ./scripts/loc.sh . internal/core  # only the named package directories
@@ -13,8 +14,10 @@ cd "$(dirname "$0")/.."
 if [ "$#" -gt 0 ]; then
     dirs=("$@")
 else
-    # benchmark/ is a module of its own (see BENCHMARK.json), not the product.
+    # benchmark/ is a module of its own (see BENCHMARK.json), not the product;
+    # testdata/ holds the analyzers' fixtures (as lint.sh's gofmt step knows).
     mapfile -t dirs < <(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+        ! -path '*/testdata/*' \
         -printf '%h\n' | sort -u | sed 's|^\./||')
 fi
 

@@ -2,9 +2,12 @@ package gompresso_test
 
 import (
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -98,5 +101,64 @@ func TestPublicSurfacePinned(t *testing.T) {
 	}
 	if !slices.IsSorted(want) {
 		t.Error("testdata/public_surface.txt is not sorted")
+	}
+}
+
+// The device simulator sits behind one seam: the host codec, its container
+// format, the foreign decoder and the sidecar codec are built without it, and
+// outside internal/kernels and internal/figures only this package (for
+// WithEngine(EngineDevice)) imports it.
+func TestSimulatorImportSeam(t *testing.T) {
+	const mod = "gompresso"
+	sim := map[string]bool{mod + "/internal/gpu": true, mod + "/internal/kernels": true}
+	nonTestImports := func(dir string) []string {
+		pkg, err := build.ImportDir(dir, 0)
+		if err != nil {
+			if _, noGo := err.(*build.NoGoError); noGo {
+				return nil
+			}
+			t.Fatal(err)
+		}
+		return pkg.Imports
+	}
+	for _, root := range []string{"internal/core", "internal/format", "internal/deflate", "internal/gzidx"} {
+		seen := map[string]bool{}
+		var walk func(dir string)
+		walk = func(dir string) {
+			for _, imp := range nonTestImports(dir) {
+				rel, local := strings.CutPrefix(imp, mod+"/")
+				if sim[imp] {
+					t.Errorf("%s reaches %s through %s", root, imp, dir)
+				}
+				if local && !seen[rel] {
+					seen[rel] = true
+					walk(rel)
+				}
+			}
+		}
+		walk(root)
+	}
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		switch dir {
+		case ".", "internal/kernels", "internal/figures":
+			return nil // the seam's two sides, and the paper's figures
+		case "benchmark", ".bench_build", ".git":
+			return filepath.SkipDir // a module of its own, pinned to this package's surface
+		}
+		if d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		for _, imp := range nonTestImports(dir) {
+			if sim[imp] {
+				t.Errorf("%s imports %s: the simulator is reached through package gompresso", dir, imp)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
