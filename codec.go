@@ -238,8 +238,8 @@ func (s *DecompressStats) Throughput() float64 {
 // with the default FormatAuto the magic bytes select the Gompresso
 // container, gzip, or zlib (unrecognized input fails with an error
 // wrapping ErrUnknownFormat). Foreign formats decode on the host through
-// internal/deflate's parallel two-pass pipeline at the codec's worker
-// budget; containers use the configured engine.
+// internal/deflate at the codec's worker budget — the calling goroutine and
+// Workers−1 speculative chunk decoders; containers use the configured engine.
 func (c *Codec) Decompress(data []byte) ([]byte, *DecompressStats, error) {
 	form := c.form
 	if form == FormatAuto {

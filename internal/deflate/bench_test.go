@@ -4,19 +4,26 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
+	"math"
+	"strconv"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"gompresso/internal/datagen"
 )
 
 // Benchmarks comparing this decoder against compress/gzip on the wiki
-// bench corpus. The W1 path must beat the stdlib single-threaded. The
-// parallel path pays speculative-decode overhead (16-bit cells, boundary
-// probing, one table lookup per byte to resolve) on top of the same kernel,
-// so two workers gain far less than 2×: EXPERIMENTS.md "Foreign gzip decode
-// (PR 18)" has the measured ratios. On a single-CPU machine Workers > 1
-// degrades to the sequential engine (useParallel), so W2 = W1 there.
+// bench corpus. The W1 path must beat the stdlib single-threaded. With more
+// workers the serving goroutine decodes spans of the stream in byte mode while
+// the others decode chunks further ahead into 16-bit cells (at ~1.45× the
+// cost, plus a probe for their start and a table lookup per byte to resolve),
+// so the gain is the share of bytes kept off the cell route, not a division by
+// the worker count: EXPERIMENTS.md "Foreign gzip: hybrid schedule (PR 22)" has
+// the measured ratios and BenchmarkGzipOneShot is what A/Bs a schedule. On a
+// single-CPU machine Workers > 1 degrades to the sequential engine
+// (useParallel), so W2 = W1 there.
 
 var (
 	gzBenchOnce sync.Once
@@ -73,21 +80,48 @@ func BenchmarkGzipW1(b *testing.B) { benchOurs(b, 1) }
 func BenchmarkGzipW2(b *testing.B) { benchOurs(b, 2) }
 func BenchmarkGzipW4(b *testing.B) { benchOurs(b, 4) }
 
-func benchOneShot(b *testing.B, workers int) {
-	raw, gz := gzBenchData()
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := Decompress(gz, FormatGzip, Options{Workers: workers})
-		if err != nil || len(out) != len(raw) {
-			b.Fatalf("%d bytes, %v", len(out), err)
+// BenchmarkGzipOneShot is Decompress — the gzip-oneshot workload's op — on
+// 16 MiB of each corpus family at one and two workers. cores-busy is process
+// CPU time over wall time: a schedule that buys its MB/s with a second core's
+// worth of speculation shows here, and one that leaves a core idle does too.
+func BenchmarkGzipOneShot(b *testing.B) {
+	const size = 16 << 20
+	for _, c := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"wiki", datagen.WikiXML(size, 1)},
+		{"matrix", datagen.MatrixMarket(size, 1)},
+		{"nesting", datagen.Nesting(size, 4, 1)},
+	} {
+		var buf bytes.Buffer
+		w := gzip.NewWriter(&buf)
+		w.Write(c.raw)
+		w.Close()
+		gz := buf.Bytes()
+		for _, workers := range []int{1, 2} {
+			b.Run(c.name+"/W"+strconv.Itoa(workers), func(b *testing.B) {
+				b.SetBytes(size)
+				b.ReportAllocs()
+				cpu0, t0 := cpuTime(), time.Now()
+				for i := 0; i < b.N; i++ {
+					out, err := Decompress(gz, FormatGzip, Options{Workers: workers})
+					if err != nil || len(out) != size {
+						b.Fatalf("%d bytes, %v", len(out), err)
+					}
+				}
+				b.ReportMetric(float64(cpuTime()-cpu0)/float64(time.Since(t0)), "cores-busy")
+			})
 		}
 	}
 }
 
-func BenchmarkGzipOneShotW1(b *testing.B) { benchOneShot(b, 1) }
-func BenchmarkGzipOneShotW2(b *testing.B) { benchOneShot(b, 2) }
+// cpuTime is the user and system CPU time this process has used.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
 
 // BenchmarkInflate is the decode kernel alone on one thread — block headers,
 // table builds and the bulk and careful loops, no framing, checksum, scan or
@@ -134,7 +168,7 @@ func BenchmarkInflate(b *testing.B) {
 		b.Run(c.name+"/cells", func(b *testing.B) {
 			b.SetBytes(int64(len(c.raw)))
 			for i := 0; i < b.N; i++ {
-				ch := decodeChunk(gz, start*8, -1)
+				ch := decodeChunk(gz, start*8, math.MaxInt64, getCells(DefaultChunkSize))
 				if ch.err != nil || len(ch.cells) != len(c.raw) || !ch.sawEOS {
 					b.Fatalf("%d cells, %v", len(ch.cells), ch.err)
 				}
@@ -155,7 +189,7 @@ func BenchmarkResolve(b *testing.B) {
 	if start < 0 {
 		b.Fatal("no block boundary in the second half of the stream")
 	}
-	c := decodeChunk(gz, start, start+8*DefaultChunkSize)
+	c := decodeChunk(gz, start, start+8*DefaultChunkSize, getCells(DefaultChunkSize))
 	if c.err != nil {
 		b.Fatal(c.err)
 	}

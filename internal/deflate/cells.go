@@ -8,8 +8,12 @@ import "sync"
 // a position in the unseen window (0x8000|i ↦ "the byte produced 32768-i
 // positions before this chunk"). In-chunk match copies move cells, so
 // markers propagate through nested back-references and remain exact; the
-// in-order resolution stage later replaces each marker with one window
-// lookup. This is rapidgzip's two-pass window-resolution scheme.
+// serving goroutine later replaces each marker with one window lookup. This
+// is rapidgzip's two-pass window-resolution scheme, and as there it is kept
+// for the chunks that truly lack a window: cells cost a second pass, twice
+// the memory traffic and a probe for the chunk's start, so whatever the
+// serving goroutine can reach with its window in hand it decodes
+// conventionally, into bytes (Options.span sets the proportion).
 //
 // The encoding doubles as the index of the resolver's table: lut[b] = b for
 // literals and lut[markerBit|i] = window byte i, so resolution is one
@@ -31,11 +35,16 @@ var errOversize = corruptAt(0, "speculative chunk output too large") // internal
 
 var cellsPool sync.Pool
 
-func getCells() []uint16 {
+// getCells returns an empty cell buffer for a chunk of chunk compressed bytes.
+// A new one has room for an eightfold expansion — text does four to six — so
+// that it does not start life by doubling twice and leaving both halves to the
+// collector: every buffer the pool loses to a collection is replaced by a new
+// one.
+func getCells(chunk int) []uint16 {
 	if v := cellsPool.Get(); v != nil {
 		return v.([]uint16)
 	}
-	return make([]uint16, 0, 1<<20)
+	return make([]uint16, 0, 8*chunk)
 }
 
 func putCells(c []uint16) {
@@ -45,17 +54,15 @@ func putCells(c []uint16) {
 }
 
 // chunkResult is one speculative chunk's outcome, delivered in submission
-// order to the resolver. The chunk decoded the bit range [start, end) into
-// cells; sawEOS reports that the member's final block completed inside the
-// chunk. minSrc is the most negative source position any back-reference
-// reached, relative to the chunk start (0: the chunk is marker-free) — the
-// one number the resolver needs to know every marker lands inside the
-// member's real history. err records a speculative decode failure — the
-// resolver never trusts it directly, it re-decodes sequentially to obtain
-// the authoritative error (or to discover the chunk start was a
-// misprediction and the "failure" was garbage).
+// order to the serving goroutine. The chunk decoded the bits from its
+// announced start to end into cells; sawEOS reports that the member's final
+// block completed inside the chunk. minSrc is the most negative source
+// position any back-reference reached, relative to the chunk start (0: the
+// chunk is marker-free) — the one number needed to know every marker lands
+// inside the member's real history. err records a speculative decode failure
+// — never trusted directly: the region is re-decoded sequentially to obtain
+// the authoritative error — and cells is then only a buffer to recycle.
 type chunkResult struct {
-	start  int64
 	end    int64
 	sawEOS bool
 	cells  []uint16
@@ -64,19 +71,15 @@ type chunkResult struct {
 }
 
 // decodeChunk speculatively decodes from absolute bit offset start until it
-// reaches a block boundary at or past endTarget (endTarget < 0: until end
-// of stream). It stops only at block boundaries, so the resolver can splice
-// the next chunk or resume the sequential engine exactly at c.end.
-func decodeChunk(data []byte, start, endTarget int64) chunkResult {
+// reaches a block boundary at or past endTarget or the end of the deflate
+// stream. It stops only at block boundaries, so the serving goroutine can
+// resume the sequential engine exactly at c.end.
+func decodeChunk(data []byte, start, endTarget int64, cells []uint16) chunkResult {
 	t := getTables()
 	defer putTables(t)
-	cells := getCells()
-	c := chunkResult{start: start}
+	var c chunkResult
 	bit := start
-	for {
-		if endTarget >= 0 && bit >= endTarget {
-			break
-		}
+	for bit < endTarget {
 		h, err := readBlockHeader(data, bit, t)
 		if err != nil {
 			c.err = err
@@ -103,13 +106,7 @@ func decodeChunk(data []byte, start, endTarget int64) chunkResult {
 			break
 		}
 	}
-	c.end = bit
-	if c.err != nil {
-		putCells(cells)
-		c.cells = nil
-	} else {
-		c.cells = cells
-	}
+	c.end, c.cells = bit, cells
 	return c
 }
 

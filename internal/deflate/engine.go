@@ -69,9 +69,9 @@ const (
 // buffers whose prefix is the member's live history window, so back-
 // references resolve in place. The engine knows nothing about gzip/zlib
 // framing or checksums; the Reader drives it between member boundaries, and
-// the parallel resolver uses it both for catch-up decoding between
-// speculative chunks and as the authority that re-derives exact error
-// offsets when a speculative chunk fails.
+// under the hybrid schedule it decodes every span between speculative chunks
+// and is the authority that re-derives exact error offsets when a
+// speculative chunk fails.
 type engine struct {
 	data   []byte
 	bit    int64 // absolute bit position of the next unread bit

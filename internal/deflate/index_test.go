@@ -8,6 +8,7 @@ import (
 
 	"gompresso/internal/datagen"
 	"gompresso/internal/deflate/corpus"
+	"gompresso/internal/parallel"
 )
 
 // buildIndex runs a full decode of data with checkpoint capture enabled
@@ -176,27 +177,32 @@ func TestIndexStaleSource(t *testing.T) {
 	}
 }
 
-// TestUseParallel pins the effective-parallelism gate: Workers>1 with a
-// single-slot pool (GOMAXPROCS=1) must take the sequential engine — the
-// PR 5 Gzip_Bit_W2 regression — while real parallelism still starts
-// the scanner.
+// TestUseParallel pins the gate on the hybrid schedule: Workers counts the
+// decode goroutines the shared pool can really run, so a single-slot pool
+// (GOMAXPROCS=1) must take the sequential engine whatever was asked for —
+// the PR 5 Gzip_Bit_W2 regression — and with real parallelism the scanner
+// starts once the input holds one span and one chunk.
 func TestUseParallel(t *testing.T) {
-	opt := Options{Workers: 2}.normalize()
-	long := opt.ChunkSize + minChunkSize
-	cases := []struct {
-		dataLen, pool int
-		opt           Options
-		want          bool
-	}{
-		{long, 1, opt, false},                             // 1-vCPU box: no speculation
-		{long, 2, opt, true},                              // real parallelism
-		{long, 2, Options{Workers: 1}.normalize(), false}, // sequential requested
-		{minChunkSize, 2, opt, false},                     // input below chunk threshold
+	if got, pool := (Options{Workers: 64}).normalize().Workers, parallel.Workers(64, 64); got != pool {
+		t.Errorf("normalize left Workers at %d on a pool of %d", got, pool)
 	}
-	for i, c := range cases {
-		if got := useParallel(c.dataLen, c.opt, c.pool); got != c.want {
-			t.Errorf("case %d: useParallel(%d, workers=%d, pool=%d) = %v, want %v",
-				i, c.dataLen, c.opt.Workers, c.pool, got, c.want)
+	two := Options{Workers: 2, ChunkSize: DefaultChunkSize}
+	many := Options{Workers: 8, ChunkSize: DefaultChunkSize}
+	if two.span() < DefaultChunkSize || many.span() != 0 {
+		t.Errorf("span %d at two workers and %d at eight, want more than a chunk and none", two.span(), many.span())
+	}
+	for i, c := range []struct {
+		dataLen int
+		opt     Options
+		want    bool
+	}{
+		{64 << 20, Options{Workers: 1, ChunkSize: DefaultChunkSize}, false}, // sequential asked for, or all the pool has
+		{two.span() + DefaultChunkSize, two, true},
+		{two.span() + DefaultChunkSize - 1, two, false}, // no room for a chunk behind the first span
+		{DefaultChunkSize, many, true},
+	} {
+		if got := useParallel(c.dataLen, c.opt); got != c.want {
+			t.Errorf("case %d: useParallel(%d, workers=%d) = %v, want %v", i, c.dataLen, c.opt.Workers, got, c.want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -138,7 +139,8 @@ func TestBulkMatchesCareful(t *testing.T) {
 }
 
 // One block can outgrow the cell buffer more than once: a chunk of zeros
-// doubles its way up from the pool's buffer between two end-of-block codes.
+// doubles its way up from a buffer made for a short chunk between two
+// end-of-block codes.
 func TestChunkGrowsWithinOneBlock(t *testing.T) {
 	raw := make([]byte, 6<<20)
 	gz := stdGzip(t, raw)
@@ -147,9 +149,9 @@ func TestChunkGrowsWithinOneBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := len(blockBoundaries(t, gz, start*8)); len(raw)/n < 2<<20 {
-		t.Fatalf("%d blocks: too small to double the pool's 1 Mi-cell buffer twice", n)
+		t.Fatalf("%d blocks: too small to double a 1 Mi-cell buffer twice", n)
 	}
-	c := decodeChunk(gz, start*8, -1)
+	c := decodeChunk(gz, start*8, math.MaxInt64, make([]uint16, 0, 1<<20))
 	defer putCells(c.cells)
 	if c.err != nil || !c.sawEOS || len(c.cells) != len(raw) || slices.Max(c.cells) != 0 {
 		t.Fatalf("%d cells (EOS %v), %v; want %d zeros", len(c.cells), c.sawEOS, c.err, len(raw))

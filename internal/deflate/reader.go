@@ -7,8 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"runtime"
-	"sync"
+	"sync/atomic"
 
 	"gompresso/internal/parallel"
 )
@@ -25,15 +24,25 @@ const (
 	// asked to stop at: the last symbol may start just short of it, and a
 	// match copy runs to completion.
 	runSlack = maxMatch
+	// What the two things done to a speculative chunk cost, in byte-mode
+	// decodes of the same compressed bytes: a speculator's cell decode, with
+	// the probe for its start and two decoders sharing a cache, and the
+	// serving goroutine's resolve with the checksum. Fitted, not derived:
+	// EXPERIMENTS.md "Foreign gzip: hybrid schedule (PR 22)" has the sweep.
+	cellCost, resolveCost = 1.7, 0.3
 )
 
 // Options tunes the decoder.
 type Options struct {
-	// Workers is the number of chunks decoded concurrently. 0 selects
-	// GOMAXPROCS; 1 selects the purely sequential path.
+	// Workers is the number of decode goroutines including the caller's,
+	// which decodes in byte mode while the other Workers−1 decode speculative
+	// chunks ahead of it. 0 selects GOMAXPROCS, which is also the most that
+	// are used; 1 selects the purely sequential path.
 	Workers int
-	// Readahead bounds how many speculative chunk results may be buffered
-	// ahead of the consumer. 0 selects 2×Workers.
+	// Readahead bounds how many speculative chunks may be ahead of the
+	// consumer, being decoded or waiting to be spliced. 0 selects 2×(Workers−1),
+	// one running and one ready per speculator; fewer than Workers−1 would
+	// idle one and is raised to that.
 	Readahead int
 	// ChunkSize is the compressed bytes per speculative chunk (0 selects
 	// DefaultChunkSize; the floor is 4 KiB).
@@ -41,22 +50,24 @@ type Options struct {
 }
 
 func (o Options) normalize() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
+	o.Workers = parallel.Workers(math.MaxInt, o.Workers) // at most the pool's; 0: all of them
 	if o.Readahead <= 0 {
-		o.Readahead = 2 * o.Workers
-	}
-	if o.Readahead < o.Workers {
-		o.Readahead = o.Workers
+		o.Readahead = 2 * (o.Workers - 1)
 	}
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = DefaultChunkSize
 	}
-	if o.ChunkSize < minChunkSize {
-		o.ChunkSize = minChunkSize
-	}
+	o.ChunkSize = max(o.ChunkSize, minChunkSize)
 	return o
+}
+
+// span is how many compressed bytes the serving goroutine decodes in byte
+// mode between two speculative chunks so that it reaches each chunk's start as
+// that chunk's decode finishes: per chunk the Workers−1 speculators need
+// cellCost/(Workers−1) and the serving goroutine span + resolveCost. From
+// seven workers on it is zero and chunks follow each other back to back.
+func (o Options) span() int {
+	return int(float64(o.ChunkSize) * max(0, cellCost/float64(o.Workers-1)-resolveCost))
 }
 
 // memberState is the framing-level position within the stream.
@@ -70,14 +81,17 @@ const (
 )
 
 // Reader streams the decompressed contents of an in-memory DEFLATE, gzip,
-// or zlib stream. With Workers > 1 it runs the two-pass parallel pipeline:
-// a scanner goroutine probes for block-boundary candidates and submits
-// speculative chunk decodes to the shared worker pool through
-// parallel.Ordered; the Reader's serving goroutine is the in-order
-// resolution stage, splicing each verified chunk (patching its window
-// markers against the live 32 KiB history) or decoding sequentially across
-// mispredicted gaps, member boundaries, and error regions. Output bytes,
-// checksums, and error offsets are identical at every worker count.
+// or zlib stream. With Workers > 1 it runs the hybrid schedule: the Reader's
+// serving goroutine runs the sequential engine in byte mode over every span
+// of the stream whose 32 KiB window it holds, while a scanner goroutine
+// probes for a block-boundary candidate one span further on and submits the
+// chunk that starts there to the shared worker pool through parallel.Ordered
+// for a speculative decode into cells. When the engine arrives at a chunk's
+// start the serving goroutine splices the chunk (patching its window markers
+// against the live history) and decodes on from its end; a candidate the
+// engine steps over, a chunk that failed and the stream's tail cost nothing
+// but the sequential decode they get anyway. Output bytes, checksums, and
+// error offsets are identical at every worker count.
 //
 // Every byte comes out of one primitive, next: "append the next run of
 // member output to dst, whose own tail is the history". ReadAll runs it over
@@ -88,7 +102,6 @@ const (
 type Reader struct {
 	data []byte
 	form Format
-	opt  Options
 	ctx  context.Context
 
 	eng     engine
@@ -105,18 +118,19 @@ type Reader struct {
 	closed bool
 
 	par     *parRun
-	lut     *[1 << 16]byte // cell → byte, see resolveCells; nil unless par != nil
 	stats   Stats
 	collect *collector // seek-index capture; nil unless CollectIndex enabled
 }
 
-// Stats counts the resolver's speculation decisions: what became of every
-// chunk result it looked at, and which route the output bytes took.
+// Stats counts the serving goroutine's speculation decisions: what became of
+// every chunk the scanner announced to it, and which route the output bytes
+// took.
 type Stats struct {
 	ChunksSpliced  int   // start matched the verified position; resolved in place
-	ChunksStale    int   // start already passed by sequential progress
+	ChunksStale    int   // start stepped over by sequential progress
 	ChunksFailed   int   // speculative decode failed; region re-decoded sequentially
 	ChunksRejected int   // a marker reached before the member's history
+	ChunksWaited   int   // reached while still decoding: the serving goroutine idled (span too short)
 	BytesSpliced   int64 // output delivered by spliced chunks
 	BytesSeq       int64 // output delivered by the sequential engine
 }
@@ -138,30 +152,24 @@ func NewReaderBytes(ctx context.Context, data []byte, form Format, opt Options) 
 		ctx = context.Background()
 	}
 	opt = opt.normalize()
-	r := &Reader{data: data, form: form, opt: opt, ctx: ctx, ms: msHeader}
+	r := &Reader{data: data, form: form, ctx: ctx, ms: msHeader}
 	if err := r.beginMember(); err != nil {
 		r.eng.release()
 		return nil, err
 	}
-	if useParallel(len(data), opt, parallel.Workers(opt.Workers, opt.Workers)) {
+	if useParallel(len(data), opt) {
 		r.par = startScan(ctx, data, r.eng.bit, opt)
-		r.lut = new([1 << 16]byte)
-		for b := 0; b < 256; b++ {
-			r.lut[b] = byte(b)
-		}
 	}
 	return r, nil
 }
 
-// useParallel reports whether the speculative two-pass pipeline is worth
-// starting: the caller asked for more than one worker, the shared pool can
-// actually run more than one share at once, and the input is long enough
-// to split. On a GOMAXPROCS=1 box Workers>1 used to start the scanner
-// anyway and pay scan+marker overhead with zero concurrency (PR 5's
-// Gzip_Bit_W2 row: 0.138 GB/s vs 0.213 sequential); now effective parallelism
-// of 1 degrades to the sequential engine.
-func useParallel(dataLen int, opt Options, poolWorkers int) bool {
-	return opt.Workers > 1 && poolWorkers > 1 && dataLen >= opt.ChunkSize+minChunkSize
+// useParallel reports whether the scanner is worth starting: there is more
+// than one worker — normalize counts only those the shared pool can run at
+// once, so on a GOMAXPROCS=1 box every stream takes the sequential engine
+// rather than pay scan and marker overhead with zero concurrency — and the
+// input holds a span and a chunk.
+func useParallel(dataLen int, opt Options) bool {
+	return opt.Workers > 1 && dataLen >= opt.span()+opt.ChunkSize
 }
 
 // Decompress expands a whole in-memory stream.
@@ -412,19 +420,17 @@ func (r *Reader) checkFooter() error {
 }
 
 // decodeSome appends the next run of output within a member: a spliced
-// speculative chunk when the next pending result starts exactly at the
+// speculative chunk when the next announced one starts exactly at the
 // verified stream position, otherwise a sequentially decoded segment.
 func (r *Reader) decodeSome(dst []byte) ([]byte, error) {
 	hist := r.hist()
-	c, err := r.spliceable(hist)
-	if err != nil {
-		return dst, err
-	}
-	if c != nil {
+	if c, ok := r.spliceable(hist); ok {
 		dst = r.splice(dst, c, hist)
-		putCells(c.cells)
-	} else if dst, err = r.decodeSeq(dst, hist); err != nil {
-		return dst, err
+	} else {
+		var err error
+		if dst, err = r.decodeSeq(dst, hist); err != nil {
+			return dst, err
+		}
 	}
 	// Checkpoint capture: with the engine parked at a block boundary
 	// mid-member, dst's tail is exactly the history visible at r.eng.bit —
@@ -439,55 +445,79 @@ func (r *Reader) decodeSome(dst []byte) ([]byte, error) {
 // that many bytes must end the dst handed to next.
 func (r *Reader) hist() int { return int(min(r.mout, winSize)) }
 
-// spliceable takes the pending chunk result off the queue if it can be
-// spliced at the verified position and discards results that never can; a
-// nil chunk sends the caller to the sequential engine. It is the one place
-// chunk results are judged, so it keeps their Stats.
-func (r *Reader) spliceable(hist int) (*chunkResult, error) {
-	if r.par == nil || r.eng.st != stBlock {
-		return nil, nil
-	}
-	for {
-		c := r.par.peek()
-		switch {
-		case c == nil || c.start > r.eng.bit:
-			return nil, nil
-		case c.start < r.eng.bit:
-			r.stats.ChunksStale++ // superseded by sequential progress
-			r.par.drop()
-			continue
-		case c.err != nil && !isDecodeErr(c.err):
-			return nil, c.err // context cancellation
-		case c.err != nil:
-			// The chunk start is verified, so the failure is real — but
-			// re-derive it sequentially for the authoritative offset and
-			// the exact served prefix.
-			r.stats.ChunksFailed++
-		case -c.minSrc > hist:
-			// A marker reaches before the member's history: the stream is
-			// corrupt, and the sequential engine will say where.
-			r.stats.ChunksRejected++
-		default:
-			r.stats.ChunksSpliced++
-			return r.par.take(), nil
+// due reports whether the engine stands at the start of the next chunk the
+// scanner has announced. It blocks only where the scanner has yet to say
+// whether a chunk starts at this very position, which keeps the schedule a
+// function of the stream and not of who ran first; a chunk the engine steps
+// over all the same started at no block boundary — the probe makes that
+// rare — and is stale.
+func (r *Reader) due() bool {
+	for p := r.par; p != nil && r.eng.st == stBlock; {
+		if p.head == nil {
+			probed := p.probed.Load() // before the poll: starts below it are all announced
+			select {
+			case p.head = <-p.starts: // nil once closed: no more chunks
+			default:
+				if probed > r.eng.bit {
+					return false
+				}
+				p.head = <-p.starts
+			}
 		}
-		r.par.drop()
-		return nil, nil
+		if p.head == nil || p.head.start >= r.eng.bit {
+			return p.head != nil && p.head.start == r.eng.bit
+		}
+		c, _ := p.take()
+		putCells(c.cells)
+		r.stats.ChunksStale++
 	}
+	return false
+}
+
+// spliceable blocks for the result of the chunk that is due, if one is, and
+// returns it if it can be spliced; !ok sends the caller to the sequential
+// engine. It is the one place chunk results are judged, so it keeps their
+// Stats.
+func (r *Reader) spliceable(hist int) (c chunkResult, ok bool) {
+	if !r.due() {
+		return c, false
+	}
+	c, waited := r.par.take()
+	if waited {
+		r.stats.ChunksWaited++
+	}
+	switch {
+	case c.err != nil:
+		// The chunk start is verified, so the failure is real — but
+		// re-derive it sequentially for the authoritative offset and
+		// the exact served prefix.
+		r.stats.ChunksFailed++
+	case -c.minSrc > hist:
+		// A marker reaches before the member's history: the stream is
+		// corrupt, and the sequential engine will say where.
+		r.stats.ChunksRejected++
+	default:
+		r.stats.ChunksSpliced++
+		return c, true
+	}
+	putCells(c.cells)
+	return c, false
 }
 
 // splice resolves a verified speculative chunk straight into dst's spare
-// capacity and advances the engine past it. The checksum is folded a
-// segment behind the resolve, while those bytes are still in cache.
-func (r *Reader) splice(dst []byte, c *chunkResult, hist int) []byte {
+// capacity, advances the engine past it and sends its cells back to the
+// speculators. The checksum is folded a segment behind the resolve, while
+// those bytes are still in cache.
+func (r *Reader) splice(dst []byte, c chunkResult, hist int) []byte {
 	n := len(c.cells)
 	dst = grow(dst, n)
 	at := len(dst)
-	copy(r.lut[markerBit+winSize-hist:], dst[at-hist:])
+	lut := &r.par.lut
+	copy(lut[markerBit+winSize-hist:], dst[at-hist:])
 	dst = dst[:at+n]
 	for off := 0; off < n; off += segSize {
 		end := min(off+segSize, n)
-		resolveCells(dst[at+off:at+end], c.cells[off:end], r.lut)
+		resolveCells(dst[at+off:at+end], c.cells[off:end], lut)
 		r.fold(dst[at+off : at+end])
 	}
 	r.stats.BytesSpliced += int64(n)
@@ -497,12 +527,17 @@ func (r *Reader) splice(dst []byte, c *chunkResult, hist int) []byte {
 		r.eng.st = stEOS
 		r.ms = msFooter
 	}
+	select {
+	case r.par.free <- c.cells[:0]:
+	default:
+		putCells(c.cells)
+	}
 	return dst
 }
 
 // decodeSeq decodes sequentially onto the end of dst until a segment is
 // done, dst's capacity runs out, the member ends, an error occurs, or (in
-// parallel mode) the stream position reaches the next pending chunk. The
+// parallel mode) the stream position reaches the next announced chunk. The
 // engine works on dst[len-hist:], so the history is read where it lies.
 func (r *Reader) decodeSeq(dst []byte, hist int) ([]byte, error) {
 	if cap(dst)-len(dst) <= runSlack {
@@ -521,18 +556,15 @@ func (r *Reader) decodeSeq(dst []byte, hist int) ([]byte, error) {
 			r.ms = msFooter
 			break
 		}
-		// evBoundary: stop here if the next speculative chunk can splice,
-		// or if index capture owes a checkpoint — ending the run lets
-		// decodeSome snapshot the window at this boundary, giving
-		// checkpoints at the requested spacing rather than segment
-		// (256 KiB) granularity.
+		// evBoundary: stop here if the next speculative chunk starts here, or
+		// if index capture owes a checkpoint — ending the run lets decodeSome
+		// snapshot the window at this boundary, giving checkpoints at the
+		// requested spacing rather than segment (256 KiB) granularity.
 		if r.collect != nil && r.collect.due(pos-hist) {
 			break
 		}
-		if r.par != nil {
-			if c := r.par.peek(); c != nil && c.start == r.eng.bit && c.err == nil {
-				break
-			}
+		if r.due() {
+			break
 		}
 	}
 	r.fold(win[hist:pos])
@@ -569,116 +601,118 @@ func grow(dst []byte, n int) []byte {
 	return bigger
 }
 
-func isDecodeErr(err error) bool {
-	var e *Error
-	return errors.As(err, &e)
+// parRun is the speculative side's lifecycle: one scanner goroutine probing
+// candidates and submitting chunk decodes, and an ordered queue delivering
+// their results. Ordered.Next blocks until the queue's head has finished
+// decoding, which the serving goroutine — a decoder itself — must not do just
+// to learn where that chunk starts: the scanner announces each start on starts
+// before it submits, the engine polls that at block boundaries (due), and only
+// once it stands at an announced start does it block for the result
+// (spliceable).
+type parRun struct {
+	ord    *parallel.Ordered[chunkResult]
+	starts chan *announced
+	probed atomic.Int64  // every chunk that starts below this bit is on starts
+	head   *announced    // received from starts, result not yet taken
+	free   chan []uint16 // spliced chunks' cell buffers, for the next decodes
+	lut    [1 << 16]byte // cell → byte, see resolveCells
+	cancel context.CancelFunc
 }
 
-// parRun is the parallel pipeline's lifecycle: one scanner goroutine
-// probing candidates and submitting speculative chunk decodes, an ordered
-// queue delivering results to the resolver, and a one-result lookahead the
-// resolver uses to match chunk starts against the verified position.
-type parRun struct {
-	ord     *parallel.Ordered[chunkResult]
-	stop    chan struct{}
-	done    chan struct{}
-	once    sync.Once
-	cur     *chunkResult
-	drained bool
+// announced is a submitted chunk: where it starts, and whether its decode
+// has finished.
+type announced struct {
+	start int64
+	done  atomic.Bool
 }
 
 func startScan(ctx context.Context, data []byte, firstBit int64, opt Options) *parRun {
+	ctx, cancel := context.WithCancel(ctx)
 	p := &parRun{
-		ord:  parallel.NewOrdered[chunkResult](opt.Workers, opt.Readahead),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		ord: parallel.NewOrdered[chunkResult](opt.Workers-1, opt.Readahead),
+		// Room for every chunk Submit admits, so announcing never blocks the
+		// scanner before Submit's own back-pressure does; and for their cell
+		// buffers with the one being spliced.
+		starts: make(chan *announced, opt.Readahead),
+		free:   make(chan []uint16, opt.Readahead+1),
+		cancel: cancel,
 	}
-	go p.scan(ctx, data, firstBit, opt.ChunkSize)
+	for b := range 256 {
+		p.lut[b] = byte(b)
+	}
+	p.probed.Store(firstBit + 8*int64(opt.span()))
+	// Close hands the buffers back to the pool on this goroutine, and the
+	// first of them lands where only this goroutine's processor finds it.
+	p.free <- getCells(opt.ChunkSize)
+	go p.scan(ctx, data, opt)
 	return p
 }
 
-// scan probes for block-start candidates at chunk granularity and submits
-// the chunk between consecutive candidates for speculative decode. A
-// barren span (no verifiable candidate — e.g. a run of fixed-Huffman
-// blocks, which are never primary anchors) just grows the current chunk:
-// the probe keeps advancing span by span so parallelism resumes at the
-// next anchor-bearing region, and the total scan work stays O(input) for
-// the whole stream. Only end of input ends the scanner, with a final
-// chunk that decodes to the end of the stream.
-func (p *parRun) scan(ctx context.Context, data []byte, firstBit int64, chunkBytes int) {
-	defer close(p.done)
+// scan probes for a block-start candidate one span past the stream's first
+// block, submits the chunk from there to the first block boundary ChunkSize
+// further on, probes again one span past that, and so on: the spans between
+// are the serving goroutine's. A barren stretch (no verifiable candidate —
+// e.g. a run of fixed-Huffman blocks, which are never primary anchors) just
+// lengthens a span: the probe keeps advancing so speculation resumes at the
+// next anchor-bearing region, and the total scan work stays O(input). End of
+// input ends the scanner; the stream's tail is a span like any other.
+func (p *parRun) scan(ctx context.Context, data []byte, opt Options) {
 	defer p.ord.Finish()
+	defer close(p.starts)
 	t := getTables()
 	defer putTables(t)
-	prev := firstBit
-	for {
+	span, chunk := opt.span(), opt.ChunkSize
+	for from := int(p.probed.Load() >> 3); ; {
 		cand := int64(-1)
-		for from := int(prev>>3) + chunkBytes; cand < 0 && from < len(data); from += 4 * chunkBytes {
-			select {
-			case <-p.stop:
-				return
-			case <-ctx.Done():
-				p.ord.Submit(func() chunkResult { return chunkResult{start: prev, err: ctx.Err()} })
-				return
-			default:
-			}
-			cand = findCandidate(data, from, 4*chunkBytes, t)
-		}
-		pv, cd := prev, cand
-		if !p.ord.Submit(func() chunkResult { return decodeChunk(data, pv, cd) }) {
-			return
+		for ; cand < 0 && from < len(data) && ctx.Err() == nil; from += 4 * chunk {
+			p.probed.Store(8 * int64(from))
+			cand = findCandidate(data, from, 4*chunk, t)
 		}
 		if cand < 0 {
 			return
 		}
-		prev = cand
-	}
-}
-
-// peek returns the next undelivered chunk result, pulling from the ordered
-// queue as needed; nil once the queue is drained.
-func (p *parRun) peek() *chunkResult {
-	if p.cur == nil && !p.drained {
-		c, ok := p.ord.Next()
-		if !ok {
-			p.drained = true
-			return nil
+		a := &announced{start: cand}
+		select {
+		case p.starts <- a:
+		case <-ctx.Done():
+			return // next reports it, unless this is shutdown
 		}
-		p.cur = &c
+		from = int(cand>>3) + chunk + span
+		p.probed.Store(8 * int64(from))
+		if !p.ord.Submit(func() chunkResult {
+			defer a.done.Store(true)
+			var cells []uint16
+			select {
+			case cells = <-p.free:
+			default:
+				cells = getCells(chunk)
+			}
+			return decodeChunk(data, cand, cand+8*int64(chunk), cells)
+		}) {
+			return
+		}
 	}
-	return p.cur
 }
 
-// drop discards the pending result and recycles its cells.
-func (p *parRun) drop() {
-	if p.cur != nil {
-		putCells(p.cur.cells)
-		p.cur = nil
-	}
+// take blocks for the announced chunk's result, whose cells the caller now
+// owns; waited reports that its decode had not finished.
+func (p *parRun) take() (c chunkResult, waited bool) {
+	waited = !p.head.done.Load()
+	p.head = nil
+	c, _ = p.ord.Next()
+	return c, waited
 }
 
-// take hands ownership of the pending result (cells included) to the
-// caller.
-func (p *parRun) take() *chunkResult {
-	c := p.cur
-	p.cur = nil
-	return c
-}
-
-// shutdown stops the scanner, drains and recycles every outstanding
-// result, and waits for in-flight chunk decodes. Idempotent.
+// shutdown stops the scanner, recycles every outstanding result — the queue
+// ends when the scanner has exited — and waits for in-flight chunk decodes.
 func (p *parRun) shutdown() {
-	p.once.Do(func() { close(p.stop) })
+	p.cancel()
 	p.ord.Stop()
-	<-p.done
-	p.drop()
-	for !p.drained {
-		c, ok := p.ord.Next()
-		if !ok {
-			p.drained = true
-			break
-		}
+	for c, ok := p.ord.Next(); ok; c, ok = p.ord.Next() {
 		putCells(c.cells)
 	}
 	p.ord.Wait()
+	for len(p.free) > 0 {
+		putCells(<-p.free)
+	}
 }

@@ -2,6 +2,7 @@ package format
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -115,15 +116,15 @@ func ReadFullAt(ra io.ReaderAt, p []byte, off int64) error {
 
 // ReadIndexAt reads the index trailer of a size-byte container stored in
 // ra, whose header is h. It reports ErrFormat when the container carries no
-// valid trailer (a failed read included: either way there is no usable
-// trailer, and OpenIndex scans instead).
+// valid trailer, one cut short included; a read that fails for any other
+// reason is the source's error, not the container's (readErr).
 func ReadIndexAt(ra io.ReaderAt, size int64, h FileHeader) (*Index, error) {
 	if size < HeaderSize+IndexFooterSize {
 		return nil, fmt.Errorf("%w: no index trailer", ErrFormat)
 	}
 	var foot [IndexFooterSize]byte
 	if err := ReadFullAt(ra, foot[:], size-IndexFooterSize); err != nil {
-		return nil, fmt.Errorf("%w: reading index footer: %w", ErrFormat, err)
+		return nil, readErr(err, "index footer")
 	}
 	if [4]byte(foot[4:]) != indexMagic {
 		return nil, fmt.Errorf("%w: no index trailer", ErrFormat)
@@ -134,17 +135,19 @@ func ReadIndexAt(ra io.ReaderAt, size int64, h FileHeader) (*Index, error) {
 	}
 	tail := make([]byte, total)
 	if err := ReadFullAt(ra, tail, size-total); err != nil {
-		return nil, fmt.Errorf("%w: reading index trailer: %w", ErrFormat, err)
+		return nil, readErr(err, "index trailer")
 	}
 	return parseIndexBytes(tail, h, size-total)
 }
 
 // OpenIndex returns the block index of a size-byte container stored in ra,
 // whose header is h: the trailer's when it carries a valid one, else the
-// result of one scan of its block records. scanned reports which.
+// result of one scan of its block records. scanned reports which. A source
+// that fails while the trailer is read is not asked for the whole container:
+// its error is returned.
 func OpenIndex(ra io.ReaderAt, size int64, h FileHeader) (idx *Index, scanned bool, err error) {
-	if idx, err = ReadIndexAt(ra, size, h); err == nil {
-		return idx, false, nil
+	if idx, err = ReadIndexAt(ra, size, h); !errors.Is(err, ErrFormat) {
+		return idx, false, err
 	}
 	_, idx, err = ScanIndex(io.NewSectionReader(ra, 0, size))
 	return idx, true, err

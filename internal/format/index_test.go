@@ -203,6 +203,57 @@ func flipByte(data []byte, i int) []byte {
 	return out
 }
 
+// faultyAt fails every read that touches [from, to) with err, and counts
+// the reads it is asked for.
+type faultyAt struct {
+	data     []byte
+	from, to int64
+	err      error
+	reads    int
+}
+
+func (f *faultyAt) ReadAt(p []byte, off int64) (int, error) {
+	f.reads++
+	if off < f.to && off+int64(len(p)) > f.from {
+		return 0, f.err
+	}
+	return bytes.NewReader(f.data).ReadAt(p, off)
+}
+
+// A source that fails while the trailer is read has said nothing about the
+// container: OpenIndex must hand its error up, not answer it by reading the
+// whole container through the same source. Only bytes that are there and
+// wrong — or missing — send it to the scan.
+func TestOpenIndexSourceError(t *testing.T) {
+	src := datagen.WikiXML(10000, 42)
+	comp, h, offsets := indexContainer(t, src, 2048, true)
+	size := int64(len(comp))
+	eio := errors.New("input/output error")
+	for name, f := range map[string]*faultyAt{
+		"footer":  {data: comp, from: size - IndexFooterSize, to: size, err: eio},
+		"trailer": {data: comp, from: offsets[len(offsets)-1], to: size - IndexFooterSize, err: eio},
+	} {
+		idx, scanned, err := OpenIndex(f, size, h)
+		if !errors.Is(err, eio) || errors.Is(err, ErrFormat) || idx != nil || scanned {
+			t.Errorf("%s read failing: index %v, scanned %v, error %v; want the source's error alone", name, idx != nil, scanned, err)
+		}
+		if want := map[string]int{"footer": 1, "trailer": 2}[name]; f.reads != want {
+			t.Errorf("%s read failing: %d reads, want %d and no scan", name, f.reads, want)
+		}
+	}
+	garbage := append([]byte(nil), comp...)
+	copy(garbage[size-4:], "XXXX")
+	cut := &faultyAt{data: comp, from: size - 2, to: size, err: io.ErrUnexpectedEOF}
+	for name, ra := range map[string]io.ReaderAt{"garbage footer": bytes.NewReader(garbage), "short source": cut} {
+		if _, err := ReadIndexAt(ra, size, h); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: ReadIndexAt error %v, want ErrFormat", name, err)
+		}
+		if _, scanned, _ := OpenIndex(ra, size, h); !scanned {
+			t.Errorf("%s: OpenIndex did not fall back to the scan", name)
+		}
+	}
+}
+
 // Lying counts in a tiny crafted container must error without provoking
 // count-proportional allocations (a 35-byte file claiming 2^28 blocks).
 func TestIndexLyingCounts(t *testing.T) {
