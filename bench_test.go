@@ -6,8 +6,8 @@ package gompresso_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -244,50 +244,65 @@ func BenchmarkHostEngine_Byte(b *testing.B) {
 	}
 }
 
+// benchStream times opening, draining and closing a Reader over comp.
+func benchStream(b *testing.B, codec *gompresso.Codec, comp []byte, rawLen int) {
+	b.SetBytes(int64(rawLen))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, err := codec.NewReader(bytes.NewReader(comp))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, r)
+		if err != nil || n != int64(rawLen) {
+			b.Fatalf("streamed %d bytes, err %v", n, err)
+		}
+		r.Close()
+	}
+}
+
 // Streaming decompression through Codec.NewReader at the default budget.
 func BenchmarkStreamReader_Bit(b *testing.B) {
 	w, _ := corpora()
-	comp := compressFor(b, w, gompresso.VariantBit, gompresso.DEStrict)
-	codec := newCodec(b)
-	b.SetBytes(int64(len(w)))
-	for i := 0; i < b.N; i++ {
-		r, err := codec.NewReader(bytes.NewReader(comp))
-		if err != nil {
-			b.Fatal(err)
+	benchStream(b, newCodec(b), compressFor(b, w, gompresso.VariantBit, gompresso.DEStrict), len(w))
+}
+
+// The streaming pipelines at fixed worker counts over a 4 MiB wiki object —
+// the shapes of the benchmark's stream-byte and encode-bit workloads. W1 is
+// the branch that runs each block on the caller, W2 goes through the queue.
+func BenchmarkStream(b *testing.B) {
+	raw := datagen.WikiXML(4<<20, 1)
+	for _, v := range []struct {
+		name    string
+		variant gompresso.Variant
+	}{{"byte", gompresso.VariantByte}, {"bit", gompresso.VariantBit}} {
+		comp := compress(b, raw, gompresso.WithVariant(v.variant), gompresso.WithDE(gompresso.DEStrict))
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/W%d", v.name, workers), func(b *testing.B) {
+				benchStream(b, newCodec(b, gompresso.WithWorkers(workers)), comp, len(raw))
+			})
 		}
-		n, err := io.Copy(io.Discard, r)
-		if err != nil || n != int64(len(w)) {
-			b.Fatalf("streamed %d bytes, err %v", n, err)
-		}
-		r.Close()
 	}
 }
 
-// Streaming decompression through the parallel pipeline at fixed worker
-// counts; W1 is the synchronous path, higher counts should scale with
-// GOMAXPROCS (see EXPERIMENTS.md "Pipeline scaling").
-func benchStreamWorkers(b *testing.B, workers int) {
-	w, _ := corpora()
-	comp := compressFor(b, w, gompresso.VariantBit, gompresso.DEStrict)
-	codec := newCodec(b, gompresso.WithWorkers(workers))
-	b.SetBytes(int64(len(w)))
-	for i := 0; i < b.N; i++ {
-		r, err := codec.NewReader(bytes.NewReader(comp))
-		if err != nil {
-			b.Fatal(err)
-		}
-		n, err := io.Copy(io.Discard, r)
-		if err != nil || n != int64(len(w)) {
-			b.Fatalf("streamed %d bytes, err %v", n, err)
-		}
-		r.Close()
+func BenchmarkWriter(b *testing.B) {
+	raw := datagen.WikiXML(4<<20, 1)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("W%d", workers), func(b *testing.B) {
+			codec := newCodec(b, gompresso.WithDE(gompresso.DEStrict), gompresso.WithWorkers(workers))
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := codec.NewWriter(io.Discard)
+				if _, err := w.Write(raw); err != nil {
+					b.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-}
-
-func BenchmarkStreamReader_Bit_W1(b *testing.B) { benchStreamWorkers(b, 1) }
-func BenchmarkStreamReader_Bit_W2(b *testing.B) { benchStreamWorkers(b, 2) }
-func BenchmarkStreamReader_Bit_WMax(b *testing.B) {
-	benchStreamWorkers(b, runtime.GOMAXPROCS(0))
 }
 
 // Random range reads through ReaderAt — the object-store serving shape.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -43,7 +44,7 @@ func indexCmd(args []string) error {
 	default:
 		return fmt.Errorf("%s: not a gzip or zlib stream", in)
 	}
-	idx, err := gzidx.Build(data, form, *spacing, deflate.Options{Workers: *workers})
+	idx, err := gzidx.Build(context.Background(), data, form, *spacing, deflate.Options{Workers: *workers})
 	if err != nil {
 		return err
 	}

@@ -259,7 +259,6 @@ func decompressCmd(args []string) error {
 func catCmd(args []string) error {
 	fs := flag.NewFlagSet("cat", flag.ExitOnError)
 	workers := fs.Int("workers", 0, "concurrent block decodes (0 = GOMAXPROCS)")
-	readahead := fs.Int("readahead", 0, "decoded blocks buffered ahead (0 = 2x workers)")
 	offset := fs.Int64("offset", 0, "start at this decompressed byte offset")
 	length := fs.Int64("length", -1, "stop after this many bytes (-1 = to the end)")
 	fs.Parse(args)
@@ -271,7 +270,7 @@ func catCmd(args []string) error {
 		return err
 	}
 	defer f.Close()
-	c, err := gompresso.New(gompresso.WithWorkers(*workers), gompresso.WithReadahead(*readahead))
+	c, err := gompresso.New(gompresso.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}

@@ -31,7 +31,6 @@ func serveCmd(args []string) error {
 	root := fs.String("root", ".", "directory of objects to serve")
 	cacheMB := fs.Int64("cache", 64, "decoded-block cache budget in MiB (0 disables)")
 	workers := fs.Int("workers", 0, "decode worker budget shared by all requests (0 = GOMAXPROCS)")
-	readahead := fs.Int("readahead", 0, "pipeline readahead in blocks (0 = 2x workers)")
 	maxInFlight := fs.Int("max-inflight", 0, "max requests decoding concurrently (0 = 4x GOMAXPROCS)")
 	queueWait := fs.Duration("queue-wait", 5*time.Second, "max time a request queues on the limiter before a 503 shed (negative = wait forever)")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request decode deadline (0 disables)")
@@ -74,7 +73,6 @@ func serveCmd(args []string) error {
 		Root:           *root,
 		CacheBytes:     *cacheMB << 20,
 		Workers:        *workers,
-		Readahead:      *readahead,
 		MaxInFlight:    *maxInFlight,
 		QueueWait:      *queueWait,
 		RequestTimeout: *reqTimeout,

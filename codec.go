@@ -28,15 +28,13 @@ var ErrInvalidOption = core.ErrInvalidOption
 // Decompress), streams (NewWriter / NewReader), or random access
 // (NewReaderAt). The paper's block-parallel design is symmetric — blocks
 // are independent on both sides — and so is the Codec: compression and
-// decompression share one worker budget, one readahead bound, and one
-// context.
+// decompression share one worker budget and one context.
 //
 // A Codec is immutable after New and safe for concurrent use; Readers and
 // Writers created from it each carry their own streaming state but draw on
 // the same shared worker pool.
 type Codec struct {
-	copt   core.Options
-	pipe   core.Pipeline
+	copt   core.Options // Workers is the budget of every operation, decode included
 	ctx    context.Context
 	form   Format
 	engine Engine
@@ -78,20 +76,10 @@ func WithIndex(on bool) Option { return func(c *Codec) { c.copt.Index = on } }
 
 // WithWorkers sets the codec's worker budget — the number of blocks
 // compressed or decompressed concurrently by Compress, Decompress, and the
-// streaming Writer/Reader pipelines. 0 selects GOMAXPROCS; 1 selects the
-// synchronous single-goroutine paths.
-func WithWorkers(n int) Option {
-	return func(c *Codec) {
-		c.copt.Workers = n
-		c.pipe.Workers = n
-	}
-}
-
-// WithReadahead bounds how many finished blocks the streaming pipelines
-// may buffer ahead of their consumer (default 2×Workers) — the
-// back-pressure bound that keeps pipeline memory at
-// O((Workers+Readahead) × BlockSize).
-func WithReadahead(n int) Option { return func(c *Codec) { c.pipe.Readahead = n } }
+// streaming Writer/Reader pipelines, which keep at most twice that many
+// blocks in flight. 0 selects GOMAXPROCS; with 1 every block is processed on
+// the calling goroutine.
+func WithWorkers(n int) Option { return func(c *Codec) { c.copt.Workers = n } }
 
 // WithEngine selects the decompression engine for Codec.Decompress. New's
 // default is EngineHost, the production fast path; EngineDevice is the
@@ -156,9 +144,6 @@ func New(opts ...Option) (*Codec, error) {
 	}
 	var err error
 	if c.copt, err = c.copt.Normalize(); err != nil {
-		return nil, err
-	}
-	if c.pipe, err = c.pipe.Normalize(); err != nil {
 		return nil, err
 	}
 	if c.cacheBytes < 0 {
@@ -257,7 +242,7 @@ func (c *Codec) Decompress(data []byte) ([]byte, *DecompressStats, error) {
 	case form != FormatGompresso:
 		out, err = decompressForeign(data, form, c)
 	case c.engine == EngineHost:
-		out, err = core.DecompressContext(c.ctx, data, c.pipe.Workers)
+		out, err = core.DecompressContext(c.ctx, data, c.copt.Workers)
 	default:
 		if err = c.ctx.Err(); err == nil {
 			out, dev, err = kernels.Decompress(data, c.dev)

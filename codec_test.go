@@ -39,7 +39,6 @@ func TestCodecDefaults(t *testing.T) {
 func TestInvalidOptionsRejected(t *testing.T) {
 	bad := [][]gompresso.Option{
 		{gompresso.WithWorkers(-1)},
-		{gompresso.WithReadahead(-2)},
 		{gompresso.WithBlockSize(-4096)},
 		{gompresso.WithBlockSize(100)},
 		{gompresso.WithVariant(gompresso.Variant(9))},

@@ -3,15 +3,17 @@ package gompresso_test
 import (
 	"bytes"
 	"compress/gzip"
-	"io"
+	"context"
 	"testing"
 
 	"gompresso"
 	"gompresso/internal/datagen"
+	"gompresso/internal/deflate"
+	"gompresso/internal/gzidx"
 )
 
 // foreignFixture builds a gzip stream, its oracle decode, and a SeekIndex
-// captured through the facade Reader — the exact path the server uses.
+// captured by gzidx.Build — the exact path the server uses.
 func foreignFixture(t *testing.T, rawLen int, spacing int64) ([]byte, []byte, *gompresso.SeekIndex) {
 	t.Helper()
 	raw := datagen.WikiXML(rawLen, 1234)
@@ -22,31 +24,9 @@ func foreignFixture(t *testing.T, rawLen int, spacing int64) ([]byte, []byte, *g
 	}
 	zw.Close()
 	data := buf.Bytes()
-	c, err := gompresso.New()
+	idx, err := gzidx.Build(context.Background(), data, deflate.FormatGzip, spacing, deflate.Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	r, err := c.NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if !r.CollectForeignIndex(spacing) {
-		t.Fatal("CollectForeignIndex refused a foreign stream")
-	}
-	if r.ForeignIndex() != nil {
-		t.Fatal("ForeignIndex non-nil before EOF")
-	}
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, raw) {
-		t.Fatal("foreign decode differs from input")
-	}
-	idx := r.ForeignIndex()
-	if idx == nil {
-		t.Fatal("ForeignIndex nil after EOF")
 	}
 	return data, raw, idx
 }
@@ -65,29 +45,5 @@ func TestForeignReaderAtRejectsMismatch(t *testing.T) {
 	}
 	if _, err := c.NewReaderAtWithIndex(bytes.NewReader(data), int64(len(data)), nil); err == nil {
 		t.Fatal("accepted nil index")
-	}
-}
-
-// TestCollectForeignIndexNative: native containers carry their own block
-// index; CollectForeignIndex must refuse rather than pretend.
-func TestCollectForeignIndexNative(t *testing.T) {
-	c, err := gompresso.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, _, err := c.Compress(datagen.WikiXML(32<<10, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := c.NewReader(bytes.NewReader(comp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.CollectForeignIndex(0) {
-		t.Fatal("CollectForeignIndex accepted a native container")
-	}
-	if r.ForeignIndex() != nil {
-		t.Fatal("ForeignIndex non-nil for native container")
 	}
 }

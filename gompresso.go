@@ -96,5 +96,6 @@ const (
 	PCIeInOut = kernels.PCIeInOut
 )
 
-// Info parses and returns a container's header without decompressing.
-func Info(data []byte) (FileHeader, error) { return core.Info(data) }
+// Info parses and returns a container's header: it reads the first 35 bytes
+// of data and nothing behind them.
+func Info(data []byte) (FileHeader, error) { return format.ParseHeader(data) }

@@ -2,10 +2,12 @@ package gompresso_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"gompresso"
 	"gompresso/internal/datagen"
+	"gompresso/internal/format"
 )
 
 // The facade must expose a complete compress/decompress lifecycle.
@@ -43,5 +45,24 @@ func TestFacadeRoundtrip(t *testing.T) {
 				t.Fatalf("%v: no throughput", variant)
 			}
 		}
+	}
+}
+
+// Info reads the header and nothing else: a container cut off right behind it
+// answers like the whole one, and two bytes are a format error.
+func TestInfoReadsOnlyTheHeader(t *testing.T) {
+	comp := compress(t, datagen.WikiXML(100_000, 5), gompresso.WithDE(gompresso.DELit))
+	want, err := gompresso.Info(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Variant != gompresso.VariantBit || want.DEMode != gompresso.DELit || want.RawSize != 100_000 {
+		t.Fatalf("header %+v", want)
+	}
+	if got, err := gompresso.Info(comp[:format.HeaderSize]); err != nil || got != want {
+		t.Fatalf("header-only container: %+v, %v; want %+v", got, err, want)
+	}
+	if _, err := gompresso.Info(comp[:2]); !errors.Is(err, format.ErrFormat) {
+		t.Fatalf("two bytes: %v, want format.ErrFormat", err)
 	}
 }

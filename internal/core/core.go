@@ -240,12 +240,3 @@ func DecompressContext(ctx context.Context, data []byte, workers int) ([]byte, e
 	}
 	return out, nil
 }
-
-// Info parses and returns the container header without decompressing.
-func Info(data []byte) (format.FileHeader, error) {
-	f, err := format.ParseFile(data)
-	if err != nil {
-		return format.FileHeader{}, err
-	}
-	return f.Header, nil
-}

@@ -110,24 +110,6 @@ func TestDecompressRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestInfo(t *testing.T) {
-	src := corpus(100_000)
-	comp, _, err := Compress(src, Options{Variant: format.VariantBit, DE: lz77.DELit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := Info(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Variant != format.VariantBit || h.DEMode != lz77.DELit || h.RawSize != uint64(len(src)) {
-		t.Fatalf("header %+v", h)
-	}
-	if _, err := Info([]byte("xx")); err == nil {
-		t.Fatal("Info accepted garbage")
-	}
-}
-
 func TestBitBeatsByteRatio(t *testing.T) {
 	src := corpus(1 << 20)
 	_, byteStats, err := Compress(src, Options{Variant: format.VariantByte})

@@ -12,8 +12,7 @@ import (
 
 // This file is the single home of option normalization and validation.
 // Every entry point — Compress, the public Codec, the streaming Reader and
-// Writer pipelines — routes its configuration through the
-// Normalize/Validate methods below, so defaults are filled and domains are
+// Writer pipelines — routes its configuration through Normalize below, so defaults are filled and domains are
 // checked in exactly one place.
 
 // ErrInvalidOption reports a configuration value outside its domain (a
@@ -91,46 +90,4 @@ func (o Options) lzOptions() lz77.Options {
 		DE:        o.DE,
 		Staleness: o.Staleness,
 	}
-}
-
-// Pipeline holds the tuning knobs shared by the streaming pipelines — the
-// decompressing Reader and the compressing Writer — which are symmetric:
-// both fan blocks out to the shared worker pool through an ordered queue
-// with bounded readahead back-pressure.
-type Pipeline struct {
-	// Workers is the number of blocks processed concurrently. 0 selects
-	// GOMAXPROCS; 1 selects the synchronous single-goroutine path.
-	Workers int
-	// Readahead bounds how many finished blocks may be buffered ahead of
-	// the consumer. 0 selects 2×Workers; values below Workers are raised
-	// to Workers.
-	Readahead int
-}
-
-// Validate rejects negative pipeline values with ErrInvalidOption.
-func (p Pipeline) Validate() error {
-	if p.Workers < 0 {
-		return invalidf("negative Workers %d", p.Workers)
-	}
-	if p.Readahead < 0 {
-		return invalidf("negative Readahead %d", p.Readahead)
-	}
-	return nil
-}
-
-// Normalize validates and fills pipeline defaults.
-func (p Pipeline) Normalize() (Pipeline, error) {
-	if err := p.Validate(); err != nil {
-		return p, err
-	}
-	if p.Workers == 0 {
-		p.Workers = runtime.GOMAXPROCS(0)
-	}
-	if p.Readahead == 0 {
-		p.Readahead = 2 * p.Workers
-	}
-	if p.Readahead < p.Workers {
-		p.Readahead = p.Workers
-	}
-	return p, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 
 	"gompresso/internal/format"
@@ -34,27 +33,5 @@ func TestOptionsNormalizeRejects(t *testing.T) {
 		if _, err := o.Normalize(); !errors.Is(err, ErrInvalidOption) {
 			t.Errorf("case %d (%+v): want ErrInvalidOption, got %v", i, o, err)
 		}
-	}
-}
-
-func TestPipelineNormalize(t *testing.T) {
-	for _, p := range []Pipeline{{Workers: -1}, {Readahead: -1}} {
-		if _, err := p.Normalize(); !errors.Is(err, ErrInvalidOption) {
-			t.Errorf("%+v: want ErrInvalidOption, got %v", p, err)
-		}
-	}
-	p, err := Pipeline{}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Workers != runtime.GOMAXPROCS(0) || p.Readahead != 2*p.Workers {
-		t.Fatalf("defaults: %+v", p)
-	}
-	p, err = Pipeline{Workers: 8, Readahead: 3}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Readahead != 8 {
-		t.Fatalf("readahead below workers not raised: %+v", p)
 	}
 }

@@ -85,11 +85,11 @@ func (m Meta) Stale(size int64, mtime time.Time) bool {
 	return m.SrcSize != size || m.SrcMtime != mtime.UnixNano()
 }
 
-// Build runs a full sequential decode of data purely to capture an index —
-// the offline path (`gompresso index`) and tests. Servers should not call
-// this: they hook CollectIndex into a decode they were doing anyway.
-func Build(data []byte, form deflate.Format, spacing int64, opt deflate.Options) (*deflate.Index, error) {
-	r, err := deflate.NewReaderBytes(nil, data, form, opt)
+// Build runs a full decode of data purely to capture an index: the offline
+// path (`gompresso index`) and the daemon's discovery pass over a foreign
+// object, which cancels it through ctx.
+func Build(ctx context.Context, data []byte, form deflate.Format, spacing int64, opt deflate.Options) (*deflate.Index, error) {
+	r, err := deflate.NewReaderBytes(ctx, data, form, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -238,19 +238,30 @@ func WriteFileAtomic(path string, data []byte) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// LoadFile reads, decodes, and validates the sidecar at path against the
-// live source's size and mtime. A missing file returns an error satisfying
-// os.IsNotExist; a present-but-unusable sidecar wraps ErrSidecar.
+// LoadFile loads the sidecar at path for a source of the given size and
+// mtime. A missing file returns an error satisfying os.IsNotExist; a
+// present-but-unusable sidecar wraps ErrSidecar.
 func LoadFile(path string, srcSize int64, srcMtime time.Time) (*deflate.Index, error) {
-	st, err := os.Stat(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if st.Size() > MaxSidecar {
-		return nil, badf("sidecar is %d bytes", st.Size())
-	}
-	data, err := os.ReadFile(path)
+	defer f.Close()
+	st, err := f.Stat()
 	if err != nil {
+		return nil, err
+	}
+	return Load(f, st.Size(), srcSize, srcMtime)
+}
+
+// Load reads a size-byte sidecar from r, decodes it, and validates it
+// against the live source's size and mtime.
+func Load(r io.Reader, size, srcSize int64, srcMtime time.Time) (*deflate.Index, error) {
+	if size > MaxSidecar {
+		return nil, badf("sidecar is %d bytes", size)
+	}
+	data := make([]byte, size)
+	if _, err := io.ReadFull(r, data); err != nil {
 		return nil, err
 	}
 	idx, meta, err := Decode(data)

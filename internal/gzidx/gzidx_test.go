@@ -2,6 +2,7 @@ package gzidx
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -15,7 +16,7 @@ import (
 func testIndex(t *testing.T) (*deflate.Index, []byte) {
 	t.Helper()
 	data := corpus.Files()["window.gz"]
-	idx, err := Build(data, deflate.FormatGzip, 8<<10, deflate.Options{Workers: 1})
+	idx, err := Build(context.Background(), data, deflate.FormatGzip, 8<<10, deflate.Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}

@@ -13,6 +13,11 @@ import "sync"
 //     handed to Next. When the consumer stalls, Submit blocks: that is the
 //     back-pressure bound that keeps memory O(readahead × task footprint).
 //
+// One goroutine may be both: it submits, takes, submits. Then nobody else can
+// relieve the back-pressure, so that caller must never Submit with `readahead`
+// results out — it takes one first (the streaming Reader and Writer work this
+// way; TestOrderedSingleGoroutine pins that the rule is sufficient).
+//
 // Tasks run on the persistent pool when it has a free slot and inline on
 // the submitting goroutine otherwise, so an Ordered can never deadlock
 // behind other pool users. Tasks must not block indefinitely: a task queued

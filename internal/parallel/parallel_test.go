@@ -69,6 +69,43 @@ func TestOrderedDelivery(t *testing.T) {
 	o.Wait()
 }
 
+// One goroutine that feeds and drains the queue itself — fill to the
+// readahead bound, then take one and submit one to the end — never blocks on
+// itself and keeps the order, at every worker count.
+func TestOrderedSingleGoroutine(t *testing.T) {
+	for workers := 1; workers <= 4; workers++ {
+		const n = 200
+		readahead := 2 * workers
+		o := NewOrdered[int](workers, readahead)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			out, next := 0, 0
+			take := func() {
+				if v, _ := o.Next(); v != next {
+					t.Errorf("workers=%d: result %d delivered in place of %d", workers, v, next)
+				}
+				out, next = out-1, next+1
+			}
+			for i := 0; i < n; i++ {
+				if out == readahead {
+					take()
+				}
+				o.Submit(func() int { return i })
+				out++
+			}
+			for out > 0 {
+				take()
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: a single goroutine deadlocked on its own queue", workers)
+		}
+	}
+}
+
 // With a stalled consumer, Submit must block once readahead results are
 // pending — the pipeline's back-pressure bound.
 func TestOrderedBackPressure(t *testing.T) {

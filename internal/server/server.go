@@ -73,8 +73,6 @@ type Options struct {
 	// Workers is the decode worker budget shared by all requests
 	// (0 = GOMAXPROCS).
 	Workers int
-	// Readahead is the streaming pipelines' readahead bound (0 = 2×Workers).
-	Readahead int
 	// MaxInFlight bounds the requests concurrently inside the decode
 	// section; excess requests queue until a slot frees, the client
 	// gives up, or QueueWait elapses (shed with 503). 0 selects
@@ -237,8 +235,8 @@ type object struct {
 // re-resolves it.
 const maxOpenObjects = 512
 
-// New builds a Server over root. The codec — worker pool, readahead,
-// decoded-block cache — is constructed here and shared by every request.
+// New builds a Server over root. The codec — worker pool, decoded-block
+// cache — is constructed here and shared by every request.
 func New(o Options) (*Server, error) {
 	if o.Source == nil {
 		st, err := os.Stat(o.Root)
@@ -267,10 +265,7 @@ func New(o Options) (*Server, error) {
 	if o.QuarantineTTL == 0 {
 		o.QuarantineTTL = 30 * time.Second
 	}
-	copts := []gompresso.Option{
-		gompresso.WithWorkers(o.Workers),
-		gompresso.WithReadahead(o.Readahead),
-	}
+	copts := []gompresso.Option{gompresso.WithWorkers(o.Workers)}
 	if o.CacheBytes > 0 {
 		copts = append(copts, gompresso.WithCache(o.CacheBytes))
 	}
@@ -1045,25 +1040,30 @@ func (s *Server) discover(ctx context.Context, obj *object) (*gompresso.ReaderAt
 
 // openAccess is one discovery attempt. A native container opens through
 // its index trailer or, lacking one, one scan of its block section. A
-// foreign stream pays one counting decode that captures seek checkpoints
-// along the way (CollectForeignIndex — no extra pass); the index is
-// persisted as a sidecar when an index directory is configured. The
-// singleflight token means concurrent cold requests do this exactly once.
+// foreign stream is read once and pays one counting decode that captures
+// seek checkpoints along the way (gzidx.Build); the index is persisted as a
+// sidecar when an index directory is configured. The singleflight token
+// means concurrent cold requests do this exactly once.
 func (s *Server) openAccess(ctx context.Context, obj *object) (*gompresso.ReaderAt, error) {
 	if obj.form == gompresso.FormatGompresso {
 		return s.codec.NewReaderAt(obj.file, obj.fsize)
 	}
-	src := obs.SourceReaderAt(ctx, obj.file)
-	r, err := s.codec.NewReaderContext(ctx, io.NewSectionReader(src, 0, obj.fsize))
+	// A source that ends before the size it reported is a truncated object,
+	// which is the decoder's error to name.
+	data := make([]byte, obj.fsize)
+	src := io.NewSectionReader(obs.SourceReaderAt(ctx, obj.file), 0, obj.fsize)
+	n, err := io.ReadFull(src, data)
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return nil, err
+	}
+	form := deflate.FormatGzip
+	if obj.form == gompresso.FormatZlib {
+		form = deflate.FormatZlib
+	}
+	idx, err := gzidx.Build(ctx, data[:n], form, s.indexSpacing, deflate.Options{Workers: s.codec.Options().Workers})
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	r.CollectForeignIndex(s.indexSpacing)
-	if _, err := io.Copy(io.Discard, r); err != nil {
-		return nil, err
-	}
-	idx := r.ForeignIndex()
 	ra, err := s.codec.NewReaderAtWithIndex(obj.file, obj.fsize, idx)
 	if err != nil {
 		s.mIdxErr.Inc()
@@ -1114,26 +1114,12 @@ func (s *Server) loadSourceSidecar(name string, st os.FileInfo) (*gompresso.Seek
 	if err != nil {
 		return nil, err
 	}
-	if sst.Size() > gzidx.MaxSidecar {
-		return nil, fmt.Errorf("sidecar is %d bytes", sst.Size())
-	}
 	f, err := s.src.Open(scName)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	data := make([]byte, sst.Size())
-	if _, err := io.ReadFull(io.NewSectionReader(f, 0, sst.Size()), data); err != nil {
-		return nil, err
-	}
-	idx, meta, err := gzidx.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Stale(st.Size(), st.ModTime()) {
-		return nil, errors.New("stale sidecar")
-	}
-	return idx, nil
+	return gzidx.Load(io.NewSectionReader(f, 0, sst.Size()), sst.Size(), st.Size(), st.ModTime())
 }
 
 // persistSidecar writes the object's freshly built index durably when an

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -149,7 +150,7 @@ func TestSidecarAlongsideSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := gzidx.Build(data, deflate.FormatGzip, 32<<10, deflate.Options{Workers: 1})
+	idx, err := gzidx.Build(context.Background(), data, deflate.FormatGzip, 32<<10, deflate.Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -219,7 +220,7 @@ func TestSidecarStaleReplaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := gzidx.Build(data, deflate.FormatGzip, 32<<10, deflate.Options{Workers: 1})
+	idx, err := gzidx.Build(context.Background(), data, deflate.FormatGzip, 32<<10, deflate.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,7 @@ func (c *Codec) NewReaderAtWithIndex(ra io.ReaderAt, size int64, idx *SeekIndex)
 }
 
 func (c *Codec) openReaderAt(ra io.ReaderAt, hdr format.FileHeader, src blockSource) *ReaderAt {
-	r := &ReaderAt{ra: ra, hdr: hdr, src: src, workers: c.pipe.Workers, ctx: c.ctx, cache: c.cache}
+	r := &ReaderAt{ra: ra, hdr: hdr, src: src, workers: c.copt.Workers, ctx: c.ctx, cache: c.cache}
 	if c.cache != nil {
 		r.obj = blockcache.NextObject()
 	}

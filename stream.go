@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 
-	"gompresso/internal/core"
 	"gompresso/internal/deflate"
 	"gompresso/internal/format"
 	"gompresso/internal/obs"
@@ -17,16 +16,16 @@ import (
 
 // Reader streams the decompressed contents of a Gompresso container from an
 // io.Reader through the host engine's fused fast path. Because every block
-// is independently decompressible, the Reader runs a three-stage pipeline: a
-// fetch stage reads compressed blocks ahead of the consumer, a decode stage
-// fans them out to the shared worker pool, and an in-order delivery stage
-// hands finished blocks to Read/WriteTo in stream order. Readahead is
-// bounded, so a stalled consumer back-pressures the pipeline and memory stays
-// at O((Workers+Readahead) × BlockSize).
+// is independently decompressible, the Reader keeps a queue of block decodes
+// running on the shared worker pool ahead of the consumer, and the calling
+// goroutine drives it: each Read/WriteTo that needs a block first frames
+// compressed records off the source and submits their decodes until
+// 2×Workers blocks are out, then takes the oldest. The Reader starts no
+// goroutines of its own — the source is only ever read by the caller, and a
+// Reader dropped without Close leaves nothing running — and memory stays at
+// O(Workers × BlockSize).
 //
-// With one worker (or a single-block container) the Reader degrades to the
-// PR-1 synchronous loop: one block buffered, no extra goroutines. Either way
-// records and decoded-block buffers come from package pools and go back as
+// Records and decoded-block buffers come from package pools and are returned as
 // blocks are served and at Close, so a warm process allocates a few fixed
 // objects per stream, not its blocks.
 //
@@ -37,18 +36,20 @@ import (
 // reconstructed by a one-time scan. A Reader is not safe for concurrent
 // use; for concurrent random access see ReaderAt.
 type Reader struct {
-	src  io.Reader
-	base int64 // container start offset within src; -1 if src cannot seek
-	hdr  format.FileHeader
-	pipe core.Pipeline // normalized by the codec
-	ctx  context.Context
-	idx  *format.Index
+	src     io.Reader
+	base    int64 // container start offset within src; -1 if src cannot seek
+	hdr     format.FileHeader
+	workers int // the codec's worker budget
+	ctx     context.Context
+	idx     *format.Index
 
-	// Synchronous mode (one worker):
-	br *format.BlockReader
-
-	// Pipelined mode:
-	pl *pipe
+	// Native mode: br frames records off src in stream order; ord, when the
+	// stream has one, holds the decodes of the `out` blocks framed and not
+	// yet taken, and tail is what ends the stream once they have been.
+	br   *format.BlockReader
+	ord  *parallel.Ordered[blockResult]
+	out  int
+	tail error
 
 	// Foreign-format mode (gzip/zlib/raw deflate): all reads delegate to
 	// the two-pass parallel deflate pipeline; Seek is unsupported and
@@ -76,7 +77,7 @@ func (c *Codec) NewReader(r io.Reader) (*Reader, error) {
 // NewReaderContext is NewReader under an explicit context, overriding
 // the codec's own for this one stream — the shape a server needs, where
 // cancellation is per request while the codec (worker budget, cache) is
-// shared by all of them. A nil ctx selects the codec's context.
+// shared by all of them. A nil ctx means the codec's context.
 func (c *Codec) NewReaderContext(ctx context.Context, r io.Reader) (*Reader, error) {
 	if ctx == nil {
 		ctx = c.ctx
@@ -113,13 +114,12 @@ func (c *Codec) NewReaderContext(ctx context.Context, r io.Reader) (*Reader, err
 		}
 		data := buf.Bytes()
 		fr, err := deflate.NewReaderBytes(ctx, data, foreignForm(form), deflate.Options{
-			Workers: c.pipe.Workers, Readahead: c.pipe.Readahead,
+			Workers: c.copt.Workers, Readahead: readahead(c.copt.Workers),
 		})
 		if err != nil {
 			return nil, err
 		}
-		return &Reader{src: r, base: -1, pipe: c.pipe, ctx: ctx, fr: fr,
-			hdr: format.FileHeader{Window: 32768}}, nil
+		return &Reader{src: r, base: -1, ctx: ctx, fr: fr, hdr: format.FileHeader{Window: 32768}}, nil
 	}
 	// Native container: rewind seekable sources so the block reader owns
 	// the stream from the start (preserving Seek); splice the sniffed
@@ -137,7 +137,7 @@ func (c *Codec) NewReaderContext(ctx context.Context, r io.Reader) (*Reader, err
 	if err != nil {
 		return nil, err
 	}
-	rd := &Reader{src: src, base: base, hdr: br.Header(), pipe: c.pipe, ctx: ctx}
+	rd := &Reader{src: src, base: base, hdr: br.Header(), workers: c.copt.Workers, ctx: ctx}
 	rd.start(br, 0)
 	return rd, nil
 }
@@ -152,57 +152,20 @@ func (r *Reader) Header() FileHeader { return r.hdr }
 // into random access, and what the sidecar tooling persists.
 type SeekIndex = deflate.Index
 
-// CollectForeignIndex arranges for this Reader to capture a SeekIndex as
-// a side effect of fully decoding a foreign stream: checkpoints every
-// `every` decompressed bytes (0 selects the default ~1 MiB spacing). The
-// serving layer calls it before its first counting decode of a `.gz`
-// object, so the index costs no extra pass. It reports false — and
-// captures nothing — on native containers (which carry their own block
-// index) or once reading has begun.
-func (r *Reader) CollectForeignIndex(every int64) bool {
-	return r.fr != nil && r.fr.CollectIndex(every) == nil
-}
+// readahead is the streaming pipelines' back-pressure rule: a Reader, a
+// Writer and the foreign decoder each keep at most 2×workers blocks submitted
+// and not yet taken. The Reader and the Writer feed and drain their queue from
+// one goroutine, so they hold themselves to it: parallel.Ordered would block a
+// Submit past the bound on a Next only the same caller could make.
+func readahead(workers int) int { return 2 * workers }
 
-// ForeignIndex returns the index captured by CollectForeignIndex, or nil
-// before the stream has fully decoded (the index is only complete at
-// EOF).
-func (r *Reader) ForeignIndex() *SeekIndex {
-	if r.fr == nil {
-		return nil
-	}
-	idx, err := r.fr.Index()
-	if err != nil {
-		return nil
-	}
-	return idx
-}
-
-// workersFor returns the decode concurrency for a stream starting at block
-// first: the reader's normalized worker budget, clamped to the blocks
-// that remain. Requests above the shared pool's size keep their pipeline
-// shape (buffering, readahead) but gain no extra concurrency — the ordered
-// queue clamps execution to the pool.
-func (r *Reader) workersFor(first uint32) int {
-	w := r.pipe.Workers
-	if rem := int(r.hdr.NumBlocks) - int(first); w > rem {
-		w = rem
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// start begins decoding blocks from br (positioned at block first),
-// choosing the synchronous loop or the pipeline by worker count.
+// start begins decoding blocks from br (positioned at block first). A stream
+// with more than one worker and more than one block left gets a queue.
 func (r *Reader) start(br *format.BlockReader, first uint32) {
-	w := r.workersFor(first)
-	if w <= 1 {
-		r.br = br
-		return
+	r.br = br
+	if w := min(r.workers, int(r.hdr.NumBlocks)-int(first)); w > 1 {
+		r.ord = parallel.NewOrdered[blockResult](w, readahead(r.workers))
 	}
-	r.pl = newPipe(r.ctx, r.hdr, w, r.pipe.Readahead)
-	go r.pl.fetch(br)
 }
 
 // advance makes the next decompressed block current, recycling the one just
@@ -211,14 +174,7 @@ func (r *Reader) start(br *format.BlockReader, first uint32) {
 // the error instead of undecoded bytes.
 func (r *Reader) advance() {
 	r.releaseBuf()
-	var res blockResult
-	if r.pl == nil {
-		res = r.nextSync()
-	} else if next, ok := r.pl.ord.Next(); ok {
-		res = next
-	} else {
-		res.err = errClosed
-	}
+	res := r.next()
 	if r.err = res.err; r.err != nil {
 		return
 	}
@@ -229,17 +185,35 @@ func (r *Reader) advance() {
 	}
 }
 
-// nextSync is the one-worker path: fetch and decode the next block inline.
-func (r *Reader) nextSync() blockResult {
-	if err := r.ctx.Err(); err != nil {
-		return blockResult{err: err}
+// next frames records off the source and submits their decodes until
+// readahead blocks are out or the source ends, then takes the oldest. What
+// ends the source — io.EOF, a malformed-container error, a cancelled context —
+// is kept in r.tail and delivered after every block framed before it.
+func (r *Reader) next() blockResult {
+	for r.tail == nil && r.out < readahead(r.workers) {
+		rec := recordPool.Get().(*record)
+		err := r.ctx.Err()
+		if err == nil {
+			err = r.br.Next(&rec.blk)
+		}
+		if err != nil {
+			recordPool.Put(rec)
+			r.tail = err
+			break
+		}
+		if r.ord == nil {
+			// With one worker the caller is that worker: run the task here.
+			return decodeBlock(r.ctx, r.hdr, rec)
+		}
+		r.ord.Submit(func() blockResult { return decodeBlock(r.ctx, r.hdr, rec) })
+		r.out++
 	}
-	rec := recordPool.Get().(*record)
-	if err := r.br.Next(&rec.blk); err != nil {
-		recordPool.Put(rec)
-		return blockResult{err: err}
+	if r.out == 0 {
+		return blockResult{err: r.tail}
 	}
-	return decodeBlock(r.ctx, r.hdr, rec)
+	r.out--
+	res, _ := r.ord.Next()
+	return res
 }
 
 // releaseBuf returns the current block's buffer to the pool.
@@ -250,14 +224,13 @@ func (r *Reader) releaseBuf() {
 	r.bp, r.buf, r.off = nil, nil, 0
 }
 
-// decodeBlock is the Reader's per-block body, shared by the synchronous
-// loop and the pipeline's decode stage: decode rec's block through format's
-// single entry point into a pooled buffer that travels on to the consumer,
-// recycle rec — its bytes are consumed — and accrue the decode to ctx's
-// trace. Accrual is cumulative — one span per block would swamp the trace
-// table on long streams — atomic, so pool workers may call this
-// concurrently, and reads the clock only when a trace rode in on the
-// context.
+// decodeBlock is the Reader's per-block body, run on the caller or on the
+// pool: decode rec's block through format's single entry point into a pooled
+// buffer that travels on to the consumer, recycle rec — its bytes are
+// consumed — and accrue the decode to ctx's trace. Accrual is cumulative —
+// one span per block would swamp the trace table on long streams — atomic,
+// so pool workers may call this concurrently, and reads the clock only when
+// a trace rode in on the context.
 func decodeBlock(ctx context.Context, hdr format.FileHeader, rec *record) blockResult {
 	bp := pooledBlockBuf(rec.blk.RawLen)
 	trace := obs.FromContext(ctx)
@@ -375,8 +348,7 @@ func (r *Reader) Seek(offset int64, whence int) (int64, error) {
 			return target, nil
 		}
 	}
-	// The underlying reader is shared with the fetch goroutine; stop the
-	// pipeline before moving the source out from under it.
+	// The block reader's position in the source is about to be lost.
 	r.stopDecoding()
 	if err := r.ensureIndex(rs); err != nil {
 		r.err = err
@@ -400,14 +372,15 @@ func (r *Reader) Seek(offset int64, whence int) (int64, error) {
 	return target, nil
 }
 
-// stopDecoding tears down the decode machinery (pipeline or sync reader)
-// and recycles the current buffer, leaving the Reader ready for restart.
+// stopDecoding waits for the blocks that are out, returns their buffers and
+// the current one to the pool, and leaves the Reader ready for restart.
 func (r *Reader) stopDecoding() {
-	if r.pl != nil {
-		r.pl.shutdown()
-		r.pl = nil
+	for ; r.out > 0; r.out-- {
+		if res, _ := r.ord.Next(); res.bp != nil {
+			blockBufPool.Put(res.bp)
+		}
 	}
-	r.br = nil
+	r.br, r.ord, r.tail = nil, nil, nil
 	r.releaseBuf()
 }
 
@@ -435,10 +408,9 @@ type readerAtFunc func(p []byte, off int64) (int, error)
 
 func (f readerAtFunc) ReadAt(p []byte, off int64) (int, error) { return f(p, off) }
 
-// restart repositions the stream at the given block, discarding inner bytes
-// of its decoded output, and spins the decode machinery back up.
+// restart repositions the stopped stream at the given block, discarding inner
+// bytes of its decoded output.
 func (r *Reader) restart(rs io.ReadSeeker, block uint32, inner int64) error {
-	r.stopDecoding()
 	r.err = nil
 	r.skip = int(inner)
 	off := r.idx.Offsets[block]
@@ -449,11 +421,11 @@ func (r *Reader) restart(rs io.ReadSeeker, block uint32, inner int64) error {
 	return nil
 }
 
-// Close shuts down the pipeline, waits for in-flight block decodes, and
-// returns every pooled buffer the Reader holds. It does not close the
-// underlying reader. Closing an exhausted Reader is optional but
-// recommended for pipelined readers, since it is what stops the fetch
-// goroutine early when the stream is abandoned mid-way.
+// Close waits for in-flight block decodes and returns every pooled buffer
+// the Reader holds. It does not close the underlying reader. Closing is
+// optional for a native container — an abandoned Reader's decodes finish on
+// the pool and are collected with it — and is what stops a foreign stream's
+// decoder.
 func (r *Reader) Close() error {
 	if r.closed {
 		return nil
@@ -476,63 +448,4 @@ func (r *Reader) Close() error {
 type blockResult struct {
 	bp  *[]byte
 	err error
-}
-
-// pipe is the pipelined Reader's machinery. Everything a block needs comes
-// from a package pool when a stage needs it and goes back when the stage is
-// done: the fetch stage takes a record per block and the decode task returns
-// it; the decode task takes an output buffer, which the consumer returns once
-// served, and borrows Bit decode scratch for the call. The ordered queue
-// admits at most `readahead` submitted-and-undelivered blocks, which bounds
-// records and output buffers at readahead+1 each per Reader.
-type pipe struct {
-	hdr  format.FileHeader
-	ctx  context.Context
-	ord  *parallel.Ordered[blockResult]
-	done chan struct{} // fetch goroutine exited
-}
-
-func newPipe(ctx context.Context, hdr format.FileHeader, workers, readahead int) *pipe {
-	return &pipe{hdr: hdr, ctx: ctx, ord: parallel.NewOrdered[blockResult](workers, readahead), done: make(chan struct{})}
-}
-
-// fetch is the pipeline's first stage: it reads compressed blocks and
-// submits their decodes to the shared worker pool in stream order, blocking
-// in Submit while readahead blocks are undelivered. The terminal br.Next
-// error (io.EOF, or a malformed-container error) is submitted through the
-// same ordered queue, so the consumer sees every decoded block before it. A
-// cancelled Reader context ends the stream the same way, with ctx.Err()
-// delivered after the blocks already submitted.
-func (p *pipe) fetch(br *format.BlockReader) {
-	defer close(p.done)
-	defer p.ord.Finish()
-	for {
-		rec := recordPool.Get().(*record)
-		err := p.ctx.Err()
-		if err == nil {
-			err = br.Next(&rec.blk)
-		}
-		if err != nil {
-			recordPool.Put(rec)
-			p.ord.Submit(func() blockResult { return blockResult{err: err} })
-			return
-		}
-		if !p.ord.Submit(func() blockResult { return decodeBlock(p.ctx, p.hdr, rec) }) {
-			recordPool.Put(rec)
-			return
-		}
-	}
-}
-
-// shutdown stops the fetch stage, waits for every in-flight decode, and
-// returns the undelivered blocks' buffers to the pool. Idempotent.
-func (p *pipe) shutdown() {
-	p.ord.Stop()
-	<-p.done
-	p.ord.Wait()
-	for res, ok := p.ord.Next(); ok; res, ok = p.ord.Next() {
-		if res.bp != nil {
-			blockBufPool.Put(res.bp)
-		}
-	}
 }

@@ -3,7 +3,11 @@ package gompresso_test
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -133,20 +137,14 @@ func TestStreamingReaderTruncated(t *testing.T) {
 }
 
 // The pipelined reader (workers > 1) must be byte-identical to the
-// synchronous path for every variant, worker count, and readahead bound,
-// via both small Read calls and WriteTo.
+// synchronous path for every variant and worker count, via both small Read
+// calls and WriteTo.
 func TestStreamingReaderParallel(t *testing.T) {
 	src := datagen.WikiXML(1<<20, 13)
 	for _, variant := range []gompresso.Variant{gompresso.VariantBit, gompresso.VariantByte} {
 		comp := compress(t, src, gompresso.WithVariant(variant), gompresso.WithDE(gompresso.DEStrict), gompresso.WithBlockSize(64<<10))
-		for _, opt := range []struct{ Workers, Readahead int }{
-			{Workers: 2},
-			{Workers: 4},
-			{Workers: 4, Readahead: 1}, // raised to Workers
-			{Workers: 4, Readahead: 16},
-			{Workers: 64}, // clamped to the block count
-		} {
-			codec := newCodec(t, gompresso.WithWorkers(opt.Workers), gompresso.WithReadahead(opt.Readahead))
+		for _, workers := range []int{2, 4, 64} { // 64: clamped to the block count
+			codec := newCodec(t, gompresso.WithWorkers(workers))
 			r, err := codec.NewReader(bytes.NewReader(comp))
 			if err != nil {
 				t.Fatal(err)
@@ -160,11 +158,11 @@ func TestStreamingReaderParallel(t *testing.T) {
 					break
 				}
 				if err != nil {
-					t.Fatalf("%v/%+v: read: %v", variant, opt, err)
+					t.Fatalf("%v/w%d: read: %v", variant, workers, err)
 				}
 			}
 			if !bytes.Equal(got.Bytes(), src) {
-				t.Fatalf("%v/%+v: Read stream mismatch", variant, opt)
+				t.Fatalf("%v/w%d: Read stream mismatch", variant, workers)
 			}
 			r.Close()
 
@@ -174,10 +172,10 @@ func TestStreamingReaderParallel(t *testing.T) {
 			}
 			var got2 bytes.Buffer
 			if _, err := io.Copy(&got2, r2); err != nil {
-				t.Fatalf("%v/%+v: copy: %v", variant, opt, err)
+				t.Fatalf("%v/w%d: copy: %v", variant, workers, err)
 			}
 			if !bytes.Equal(got2.Bytes(), src) {
-				t.Fatalf("%v/%+v: WriteTo stream mismatch", variant, opt)
+				t.Fatalf("%v/w%d: WriteTo stream mismatch", variant, workers)
 			}
 			r2.Close()
 		}
@@ -415,4 +413,135 @@ func TestStreamingReaderSeek(t *testing.T) {
 		t.Fatalf("non-seekable stream broken: %v", err)
 	}
 	r.Close()
+}
+
+// Streams dropped without Close — Readers that served one byte, Writers that
+// submitted one block — leave no goroutine behind at any worker count: the
+// pipelines have none of their own, and the decodes and encodes in flight on
+// the shared pool finish by themselves.
+func TestAbandonedStreamsLeakNothing(t *testing.T) {
+	const blockSize = 32 << 10
+	src := datagen.WikiXML(1<<20, 37)
+	comp := compress(t, src, byteVariant, gompresso.WithBlockSize(blockSize)) // starts the pool
+	runtime.GC()
+	base := runtime.NumGoroutine()
+
+	for _, workers := range []int{1, 4} {
+		c := newCodec(t, byteVariant, gompresso.WithBlockSize(blockSize), gompresso.WithWorkers(workers))
+		for i := 0; i < 10; i++ {
+			r, err := c.NewReader(bytes.NewReader(comp))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(r, make([]byte, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.NewWriter(io.Discard).Write(src[:blockSize+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if n := runtime.NumGoroutine(); n <= base {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked by abandoned streams: %d running, baseline %d", n, base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// goroutines records which goroutines touched a stream's source or sink.
+type goroutines struct {
+	mu  sync.Mutex
+	ids map[string]bool
+}
+
+func (g *goroutines) note() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.ids == nil {
+		g.ids = make(map[string]bool)
+	}
+	g.ids[goid()] = true
+}
+
+// goid is the calling goroutine's number, from the head of its stack trace
+// ("goroutine 17 [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// tracedFile is a seekable source or sink that notes the goroutine of every
+// call made on it.
+type tracedFile struct {
+	f *os.File
+	g *goroutines
+}
+
+func (t tracedFile) Read(p []byte) (int, error)          { t.g.note(); return t.f.Read(p) }
+func (t tracedFile) Write(p []byte) (int, error)         { t.g.note(); return t.f.Write(p) }
+func (t tracedFile) Seek(o int64, wh int) (int64, error) { t.g.note(); return t.f.Seek(o, wh) }
+
+// The source of a Reader and the sink of a Writer are only ever touched by
+// the goroutine that calls the stream — whatever the call and the worker
+// count — so neither needs to be safe for anything else.
+func TestStreamSourceAndSinkSeeOneGoroutine(t *testing.T) {
+	const blockSize = 16 << 10
+	src := datagen.WikiXML(512<<10, 41)
+	dir := t.TempDir()
+	open := func(name string, g *goroutines) tracedFile {
+		f, err := os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return tracedFile{f, g}
+	}
+	for _, workers := range []int{1, 4} {
+		var seen goroutines
+		c := newCodec(t, byteVariant, gompresso.WithBlockSize(blockSize), gompresso.WithWorkers(workers))
+		raw, comp, back := open("raw", &seen), open("comp", &seen), open("back", &seen)
+		if _, err := raw.f.Write(src); err != nil {
+			t.Fatal(err)
+		}
+		raw.f.Seek(0, io.SeekStart)
+
+		w := c.NewWriter(comp)
+		if _, err := w.ReadFrom(io.LimitReader(raw, 300<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(src[300<<10:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		comp.f.Seek(0, io.SeekStart)
+		r, err := c.NewReader(comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(r, make([]byte, 100<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Seek(50<<10, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := r.WriteTo(back); err != nil || n != int64(len(src)-50<<10) {
+			t.Fatalf("workers=%d: WriteTo after Seek: %d bytes, %v", workers, n, err)
+		}
+		r.Close()
+
+		if len(seen.ids) != 1 || !seen.ids[goid()] {
+			t.Errorf("workers=%d: source and sink were touched by goroutines %v; the caller is %s", workers, seen.ids, goid())
+		}
+	}
 }

@@ -24,13 +24,12 @@ import (
 //
 // The pipeline mirrors the Reader's: Write/ReadFrom fill one raw block at
 // a time and submit full blocks to a parallel.Ordered queue; encode tasks
-// run on the shared pool, at most Workers concurrently; a drain goroutine
-// receives finished records in submission order and writes them out. At
-// most Readahead blocks may be finished-but-unwritten, so a stalled
-// destination back-pressures Write and memory stays at
-// O((Workers+Readahead) × BlockSize). With Workers=1 the Writer degrades
-// to a synchronous encoder: no extra goroutines, each block compressed and
-// written inline.
+// run on the shared pool, at most Workers concurrently, and the calling
+// goroutine drives the rest: with 2×Workers blocks out, submitting another
+// first takes the oldest finished record and writes it, and Flush and Close
+// take what is left. The Writer starts no goroutines of its own — the
+// destination is only ever written by the caller — and memory stays at
+// O(Workers × BlockSize).
 //
 // The container header carries the total raw size and block count, which a
 // streaming compressor only knows at Close. When the destination is an
@@ -51,24 +50,18 @@ type Writer struct {
 	wsBase int64          // container start offset within ws
 	spool  bytes.Buffer   // non-seekable mode: compressed block records
 
-	opt   core.Options  // normalized compression options
-	pipe  core.Pipeline // normalized workers/readahead
+	opt   core.Options // normalized compression options
 	ctx   context.Context
 	begin time.Time
 
-	cur []byte // raw block being filled; cap is always opt.BlockSize
-	rec []byte // sync mode: reusable encoded-record buffer
+	cur   []byte   // raw block being filled; cap is always opt.BlockSize
+	spare [][]byte // raw block buffers whose blocks have been written
 
-	// Parallel pipeline, nil until the first block completes:
-	ord     *parallel.Ordered[writeResult]
-	free    chan []byte   // recycled raw block buffers
-	drained chan struct{} // drain goroutine exited
-	failed  chan struct{} // closed by drain after setting derr
-	derr    error         // drain-side error; read after failed or drained
-	unwatch chan struct{} // stops the context watcher
+	// The encodes of the `out` blocks submitted and not yet written; nil
+	// until the first block of a stream with more than one worker completes.
+	ord *parallel.Ordered[writeResult]
+	out int
 
-	// Serialization state: owned by the drain goroutine in parallel mode
-	// (until drained closes), by the calling goroutine otherwise.
 	offsets  []int64 // container offset of each emitted record
 	written  int64   // compressed bytes emitted after the header
 	rawTotal uint64
@@ -80,21 +73,18 @@ type Writer struct {
 	closeErr   error
 }
 
-// writeResult is one block's trip through the parallel pipeline: its
-// encoded record, or the error that poisons the stream. A result with a
-// flush channel is a Flush barrier marker.
+// writeResult is one block's trip through the encoder: the raw buffer it
+// came in, and its encoded record or the error that poisons the stream.
 type writeResult struct {
-	rec    []byte
-	rawLen int
-	bs     core.BlockStats
-	err    error
-	flush  chan struct{}
+	raw []byte
+	rec []byte
+	bs  core.BlockStats
+	err error
 }
 
 var errWriterClosed = errors.New("gompresso: writer closed")
 
-// recPool recycles encoded-record buffers across every Writer's parallel
-// pipeline. It is deliberately not a field of Writer: the runtime's pool
+// recPool recycles encoded-record buffers across every Writer. It is deliberately not a field of Writer: the runtime's pool
 // registry references each sync.Pool it has seen for two collection cycles,
 // and a Pool embedded in a Writer would keep the whole closed Writer — spool,
 // block buffers and all — reachable that long.
@@ -105,7 +95,7 @@ var recPool = sync.Pool{New: func() any { return new([]byte) }}
 // pipeline and output-mode details. The container's bytes are identical to
 // what Codec.Compress would produce for the concatenated input.
 func (c *Codec) NewWriter(w io.Writer) *Writer {
-	wr := &Writer{dst: w, opt: c.copt, pipe: c.pipe, ctx: c.ctx, begin: time.Now()}
+	wr := &Writer{dst: w, opt: c.copt, ctx: c.ctx, begin: time.Now()}
 	if ws, ok := w.(io.WriteSeeker); ok {
 		// Probe: a pipe or terminal satisfies the interface but cannot
 		// actually seek; fall back to the spool for those.
@@ -118,8 +108,7 @@ func (c *Codec) NewWriter(w io.Writer) *Writer {
 }
 
 // check returns the error that should abort the current call, making it
-// sticky: a previous failure, a closed Writer, a pipeline (drain-side)
-// failure, or a cancelled context.
+// sticky: a previous failure, a closed Writer, or a cancelled context.
 func (w *Writer) check() error {
 	if w.err != nil {
 		return w.err
@@ -127,14 +116,6 @@ func (w *Writer) check() error {
 	if w.closed {
 		w.err = errWriterClosed
 		return w.err
-	}
-	if w.failed != nil {
-		select {
-		case <-w.failed:
-			w.err = w.derr
-			return w.err
-		default:
-		}
 	}
 	if err := w.ctx.Err(); err != nil {
 		w.err = err
@@ -166,7 +147,7 @@ func (w *Writer) Write(p []byte) (int, error) {
 }
 
 // ReadFrom implements io.ReaderFrom, reading r directly into the Writer's
-// block buffers (io.Copy selects it automatically, so streaming a file
+// block buffers (io.Copy picks it automatically, so streaming a file
 // into the Writer performs no intermediate copies).
 func (w *Writer) ReadFrom(r io.Reader) (int64, error) {
 	if err := w.check(); err != nil {
@@ -196,7 +177,8 @@ func (w *Writer) ReadFrom(r io.Reader) (int64, error) {
 }
 
 // submit hands the current (full, or final partial) block to the encoder
-// and readies a fresh buffer. Workers=1 encodes and emits inline.
+// and readies a buffer for the next, first writing out the oldest block when
+// readahead of them are out already.
 func (w *Writer) submit() error {
 	if len(w.cur) == 0 {
 		return nil
@@ -204,129 +186,66 @@ func (w *Writer) submit() error {
 	if err := w.ensureHeader(); err != nil {
 		return err
 	}
-	if w.pipe.Workers <= 1 {
-		return w.encodeSync()
-	}
-	w.ensurePipeline()
 	raw := w.cur
-	if !w.ord.Submit(func() writeResult { return w.encode(raw) }) {
-		// Only the context watcher stops the queue.
-		if err := w.ctx.Err(); err != nil {
+	if w.opt.Workers <= 1 {
+		// With one worker the caller is that worker: run the task here.
+		if err := w.finish(w.encode(raw)); err != nil {
 			return err
 		}
-		return errWriterClosed
+	} else {
+		if w.ord == nil {
+			w.ord = parallel.NewOrdered[writeResult](w.opt.Workers, readahead(w.opt.Workers))
+		}
+		if w.out == readahead(w.opt.Workers) {
+			if err := w.takeOldest(); err != nil {
+				return err
+			}
+		}
+		w.ord.Submit(func() writeResult { return w.encode(raw) })
+		w.out++
 	}
-	// Never blocks indefinitely: every in-flight encode task deposits its
-	// raw buffer here when it finishes, and tasks never block.
-	w.cur = (<-w.free)[:0]
-	if cap(w.cur) < w.opt.BlockSize {
+	if n := len(w.spare); n > 0 {
+		w.cur, w.spare = w.spare[n-1], w.spare[:n-1]
+	} else {
 		w.cur = make([]byte, 0, w.opt.BlockSize)
 	}
 	return nil
 }
 
-// encodeSync is the Workers=1 path: compress and emit the block inline,
-// reusing one record buffer.
-func (w *Writer) encodeSync() error {
-	if err := w.ctx.Err(); err != nil {
-		return err
-	}
-	rec, bs, err := core.EncodeBlockRecord(w.rec[:0], w.cur, w.opt)
-	w.rec = rec
-	if err != nil {
-		return fmt.Errorf("gompresso: block %d: %w", len(w.offsets), err)
-	}
-	if err := w.emit(rec, len(w.cur), bs); err != nil {
-		return err
-	}
-	w.cur = w.cur[:0]
-	return nil
-}
-
-// ensurePipeline lazily starts the parallel machinery: the ordered queue,
-// the raw-buffer free list, the drain goroutine, and (for cancellable
-// contexts) a watcher that stops the queue on cancellation.
-func (w *Writer) ensurePipeline() {
-	if w.ord != nil {
-		return
-	}
-	ra := w.pipe.Readahead
-	w.ord = parallel.NewOrdered[writeResult](w.pipe.Workers, ra)
-	// Raw buffers in flight ≤ readahead (the queue's undelivered bound)
-	// plus the one being filled; the free list's capacity covers all of
-	// them so encode-side deposits never block.
-	w.free = make(chan []byte, ra+1)
-	for i := 0; i < ra; i++ {
-		w.free <- nil // grown to BlockSize on first use
-	}
-	w.drained = make(chan struct{})
-	w.failed = make(chan struct{})
-	if w.ctx.Done() != nil {
-		w.unwatch = make(chan struct{})
-		go func() {
-			select {
-			case <-w.ctx.Done():
-				w.ord.Stop()
-			case <-w.unwatch:
-			}
-		}()
-	}
-	go w.drain()
-}
-
-// encode runs on the worker pool: it compresses one raw block into a
-// pooled record buffer and recycles the raw buffer as soon as its bytes
-// are consumed.
+// encode compresses one raw block into a pooled record buffer; it runs on
+// the worker pool, or on the caller when that is the one worker.
 func (w *Writer) encode(raw []byte) writeResult {
-	res := writeResult{rawLen: len(raw)}
-	if err := w.ctx.Err(); err != nil {
-		res.err = err
-	} else {
+	res := writeResult{raw: raw}
+	if res.err = w.ctx.Err(); res.err == nil {
 		rp := recPool.Get().(*[]byte)
-		rec, bs, err := core.EncodeBlockRecord((*rp)[:0], raw, w.opt)
-		*rp = rec
-		res.rec, res.bs, res.err = rec, bs, err
+		res.rec, res.bs, res.err = core.EncodeBlockRecord((*rp)[:0], raw, w.opt)
 	}
-	w.free <- raw
 	return res
 }
 
-// drain is the pipeline's ordered consumer: it writes finished records to
-// the destination in submission order, releases Flush barriers, and after
-// the first failure keeps consuming (recycling buffers) so producers are
-// never stranded on back-pressure.
-func (w *Writer) drain() {
-	defer close(w.drained)
-	for {
-		res, ok := w.ord.Next()
-		if !ok {
-			return
-		}
-		if res.flush != nil {
-			close(res.flush)
-			continue
-		}
-		if w.derr == nil {
-			if res.err != nil {
-				w.fail(fmt.Errorf("gompresso: block %d: %w", len(w.offsets), res.err))
-			} else if err := w.emit(res.rec, res.rawLen, res.bs); err != nil {
-				w.fail(err)
-			}
-		}
-		if res.rec != nil {
-			rec := res.rec
-			recPool.Put(&rec)
-		}
-	}
+// takeOldest waits for the oldest block out and finishes it.
+func (w *Writer) takeOldest() error {
+	res, _ := w.ord.Next()
+	w.out--
+	return w.finish(res)
 }
 
-// fail records the drain-side error and signals producers. Only the first
-// error is kept.
-func (w *Writer) fail(err error) {
-	if w.derr == nil {
-		w.derr = err
-		close(w.failed)
+// finish writes an encoded block's record to the destination — unless the
+// stream has failed already — and recycles its buffers.
+func (w *Writer) finish(res writeResult) error {
+	var err error
+	if w.err != nil {
+		// Only recycle.
+	} else if res.err != nil {
+		err = fmt.Errorf("gompresso: block %d: %w", len(w.offsets), res.err)
+	} else {
+		err = w.emit(res.rec, len(res.raw), res.bs)
 	}
+	if rec := res.rec; rec != nil {
+		recPool.Put(&rec)
+	}
+	w.spare = append(w.spare, res.raw[:0])
+	return err
 }
 
 // emit writes one encoded block record to the destination (directly in
@@ -384,24 +303,17 @@ func (w *Writer) Flush() error {
 			return err
 		}
 	}
-	if w.ord == nil {
-		return nil // sync mode emits eagerly; nothing in flight
-	}
-	ch := make(chan struct{})
-	if !w.ord.Submit(func() writeResult { return writeResult{flush: ch} }) {
-		if err := w.ctx.Err(); err != nil {
+	for w.out > 0 {
+		if err := w.takeOldest(); err != nil {
 			w.err = err
 			return err
 		}
-		w.err = errWriterClosed
-		return w.err
 	}
-	<-ch
-	return w.check()
+	return nil
 }
 
-// Close seals the container: it compresses the final partial block, waits
-// for the pipeline to drain, writes the optional index trailer, and
+// Close seals the container: it compresses the final partial block, writes
+// out every block still in the encoder, writes the optional index trailer, and
 // finalizes the header (backpatching it in seekable mode; writing header,
 // spooled records, and trailer in spool mode). Close does not close the
 // underlying writer. After Close, Stats reports the compression totals.
@@ -413,9 +325,8 @@ func (w *Writer) Close() error {
 	w.closeErr = w.finalize()
 	// A closed Writer only answers Stats: drop the block buffers and the
 	// spool so a caller holding on to it does not hold on to them. No encode
-	// task can still reach them — finalize returned after the drain goroutine
-	// consumed every task's result.
-	w.cur, w.rec, w.free, w.spool = nil, nil, nil, bytes.Buffer{}
+	// task can still reach them — finalize took every task's result.
+	w.cur, w.spare, w.ord, w.spool = nil, nil, nil, bytes.Buffer{}
 	if w.err == nil && w.closeErr != nil {
 		w.err = w.closeErr
 	}
@@ -423,25 +334,19 @@ func (w *Writer) Close() error {
 }
 
 func (w *Writer) finalize() error {
-	err := w.err
-	if err == nil && len(w.cur) > 0 {
-		err = w.submit()
+	if w.err == nil && len(w.cur) > 0 {
+		w.err = w.submit()
 	}
-	if w.ord != nil {
-		w.ord.Finish()
-		<-w.drained
-		if w.unwatch != nil {
-			close(w.unwatch)
-		}
-		if err == nil {
-			err = w.derr // visible: drained closed after the last write
+	for w.out > 0 {
+		if err := w.takeOldest(); w.err == nil {
+			w.err = err
 		}
 	}
-	if err == nil {
-		err = w.ctx.Err()
+	if w.err == nil {
+		w.err = w.ctx.Err()
 	}
-	if err != nil {
-		return err
+	if w.err != nil {
+		return w.err
 	}
 	return w.seal()
 }

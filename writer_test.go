@@ -389,27 +389,32 @@ func TestWriterDestinationError(t *testing.T) {
 	}
 }
 
-// Workers=1 must not spin up any pipeline goroutines.
-func TestWriterSyncModeNoGoroutines(t *testing.T) {
+// A Writer starts no goroutines at any worker count: its encodes run on the
+// shared pool (warmed here, so that its workers are part of the baseline) or
+// on the caller.
+func TestWriterStartsNoGoroutines(t *testing.T) {
 	src := datagen.WikiXML(256<<10, 21)
-	c, err := gompresso.New(gompresso.WithBlockSize(16<<10), gompresso.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.GC()
-	base := runtime.NumGoroutine()
-	var buf bytes.Buffer
-	w := c.NewWriter(&buf)
-	writeAll(t, w, src)
-	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("sync writer started goroutines: %d > %d", n, base)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := c.Decompress(buf.Bytes())
-	if err != nil || !bytes.Equal(out, src) {
-		t.Fatalf("sync round trip: %v", err)
+	compress(t, src, gompresso.WithBlockSize(16<<10))
+	for _, workers := range []int{1, 4} {
+		c, err := gompresso.New(gompresso.WithBlockSize(16<<10), gompresso.WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		base := runtime.NumGoroutine()
+		var buf bytes.Buffer
+		w := c.NewWriter(&buf)
+		writeAll(t, w, src)
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("workers=%d: writer started goroutines: %d > %d", workers, n, base)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := c.Decompress(buf.Bytes())
+		if err != nil || !bytes.Equal(out, src) {
+			t.Fatalf("workers=%d: round trip: %v", workers, err)
+		}
 	}
 }
 
