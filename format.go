@@ -137,9 +137,7 @@ func foreignForm(f Format) deflate.Format {
 
 // decompressForeign expands a foreign stream on the codec's worker budget.
 func decompressForeign(data []byte, f Format, c *Codec) ([]byte, error) {
-	r, err := deflate.NewReaderBytes(c.ctx, data, foreignForm(f), deflate.Options{
-		Workers: c.copt.Workers, Readahead: readahead(c.copt.Workers),
-	})
+	r, err := deflate.NewReaderBytes(c.ctx, data, foreignForm(f), deflate.Options{Workers: c.copt.Workers})
 	if err != nil {
 		return nil, err
 	}

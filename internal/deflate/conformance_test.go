@@ -33,25 +33,23 @@ func stdGunzip(t *testing.T, data []byte) []byte {
 	return out
 }
 
-// decodeMatrix decodes data at every worker-count × readahead × chunk-size
-// combination and asserts each result is byte-identical to want — the
-// PR-2-style pipeline-parity matrix for the foreign-format path. Small
-// chunk sizes force the speculative scanner/resolver machinery to engage
-// even on small files.
+// decodeMatrix decodes data at every worker-count × chunk-size combination
+// and asserts each result is byte-identical to want — the PR-2-style
+// pipeline-parity matrix for the foreign-format path. Small chunk sizes
+// force the speculative scanner/resolver machinery to engage even on small
+// files.
 func decodeMatrix(t *testing.T, name string, data, want []byte, form Format) {
 	t.Helper()
 	workers := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, w := range workers {
-		for _, ra := range []int{0, 2} {
-			for _, chunk := range []int{0, minChunkSize} {
-				got, err := Decompress(data, form, Options{Workers: w, Readahead: ra, ChunkSize: chunk})
-				if err != nil {
-					t.Fatalf("%s W=%d RA=%d chunk=%d: %v", name, w, ra, chunk, err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s W=%d RA=%d chunk=%d: output differs (%d vs %d bytes)",
-						name, w, ra, chunk, len(got), len(want))
-				}
+		for _, chunk := range []int{0, minChunkSize} {
+			got, err := Decompress(data, form, Options{Workers: w, ChunkSize: chunk})
+			if err != nil {
+				t.Fatalf("%s W=%d chunk=%d: %v", name, w, chunk, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s W=%d chunk=%d: output differs (%d vs %d bytes)",
+					name, w, chunk, len(got), len(want))
 			}
 		}
 	}

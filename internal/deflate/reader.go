@@ -39,11 +39,6 @@ type Options struct {
 	// chunks ahead of it. 0 selects GOMAXPROCS, which is also the most that
 	// are used; 1 selects the purely sequential path.
 	Workers int
-	// Readahead bounds how many speculative chunks may be ahead of the
-	// consumer, being decoded or waiting to be spliced. 0 selects 2×(Workers−1),
-	// one running and one ready per speculator; fewer than Workers−1 would
-	// idle one and is raised to that.
-	Readahead int
 	// ChunkSize is the compressed bytes per speculative chunk (0 selects
 	// DefaultChunkSize; the floor is 4 KiB).
 	ChunkSize int
@@ -51,9 +46,6 @@ type Options struct {
 
 func (o Options) normalize() Options {
 	o.Workers = parallel.Workers(math.MaxInt, o.Workers) // at most the pool's; 0: all of them
-	if o.Readahead <= 0 {
-		o.Readahead = 2 * (o.Workers - 1)
-	}
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = DefaultChunkSize
 	}
@@ -628,13 +620,16 @@ type announced struct {
 
 func startScan(ctx context.Context, data []byte, firstBit int64, opt Options) *parRun {
 	ctx, cancel := context.WithCancel(ctx)
+	// At most two speculative chunks per speculator are ahead of the serving
+	// goroutine, being decoded or waiting to be spliced: one running, one ready.
+	readahead := 2 * (opt.Workers - 1)
 	p := &parRun{
-		ord: parallel.NewOrdered[chunkResult](opt.Workers-1, opt.Readahead),
+		ord: parallel.NewOrdered[chunkResult](opt.Workers-1, readahead),
 		// Room for every chunk Submit admits, so announcing never blocks the
 		// scanner before Submit's own back-pressure does; and for their cell
 		// buffers with the one being spliced.
-		starts: make(chan *announced, opt.Readahead),
-		free:   make(chan []uint16, opt.Readahead+1),
+		starts: make(chan *announced, readahead),
+		free:   make(chan []uint16, readahead+1),
 		cancel: cancel,
 	}
 	for b := range 256 {

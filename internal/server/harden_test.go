@@ -166,15 +166,35 @@ func TestQuarantine(t *testing.T) {
 	}
 	s, ts := startServer(t, Options{Root: fx.root, QuarantineTTL: 300 * time.Millisecond})
 	url := ts.URL + "/corpus.txt.gz"
+	// A revalidation builds the registry entry from the validators alone.
+	resp := get(t, url, map[string]string{"If-None-Match": "*"})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotModified {
+		t.Fatalf("revalidation: status %d, want 304", resp.StatusCode)
+	}
+	s.mu.Lock()
+	live := s.objects["corpus.txt.gz"]
+	s.mu.Unlock()
 
-	resp := get(t, url, nil)
+	resp = get(t, url, nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("first request: status %d, want 502", resp.StatusCode)
 	}
 	first := metricsJSON(t, ts.URL)
-	if first["quarantined_total"] != 1 {
-		t.Fatalf("quarantined_total = %v", first["quarantined_total"])
+	if first["quarantined_total"] != 1 || first["quarantined_objects"] != 1 {
+		t.Fatalf("quarantined_total = %v, quarantined_objects = %v", first["quarantined_total"], first["quarantined_objects"])
+	}
+	// The verdict replaced the entry with a descriptor-less tombstone and
+	// retired its predecessor, closing the file nobody reads any more.
+	s.mu.Lock()
+	tomb, stale, refs := s.objects["corpus.txt.gz"], live.stale, live.refs
+	s.mu.Unlock()
+	if tomb == live || tomb.until.IsZero() || tomb.file != nil || !stale || refs != 0 {
+		t.Fatalf("after the verdict: tombstone %+v, predecessor stale=%v refs=%d", tomb, stale, refs)
+	}
+	if _, err := live.file.ReadAt(make([]byte, 1), 0); err == nil {
+		t.Fatal("the quarantined predecessor's file is still open")
 	}
 	// Repeats fail fast: same 502, zero additional decodes.
 	for i := 0; i < 5; i++ {
@@ -218,11 +238,8 @@ func TestQuarantine(t *testing.T) {
 	if b := body(t, resp); resp.StatusCode != http.StatusOK || !bytes.Equal(b, fx.src) {
 		t.Fatalf("rewritten object: status %d, %d bytes", resp.StatusCode, len(b))
 	}
-	s.quarMu.Lock()
-	n := len(s.quar)
-	s.quarMu.Unlock()
-	if n != 0 {
-		t.Fatalf("%d quarantine entries survive the rewrite", n)
+	if n := metricsJSON(t, ts.URL)["quarantined_objects"]; n != 0 {
+		t.Fatalf("%v quarantine entries survive the rewrite", n)
 	}
 }
 

@@ -1,67 +1,71 @@
 package server
 
 import (
+	"fmt"
+	"math"
 	"net/http"
 	"testing"
 	"time"
 )
 
-// RFC 7233 edge cases for parseRange: every row resolves a raw Range
-// header against an object size and checks the exact disposition —
-// 200-full (ok=false, err=nil), 206 with a specific slice, or 416.
+// parseRangeRows are RFC 7233 edge cases for parseRange: every row
+// resolves a raw Range header against an object size with its exact
+// disposition — 200-full (ok=false, err=nil), 206 with a specific slice,
+// or 416. They also seed FuzzParseRange.
+var parseRangeRows = []struct {
+	name string
+	spec string
+	size int64
+
+	wantOK  bool
+	wantOff int64
+	wantLen int64
+	want416 bool
+}{
+	// Plain ranges.
+	{name: "first byte", spec: "bytes=0-0", size: 100, wantOK: true, wantOff: 0, wantLen: 1},
+	{name: "interior", spec: "bytes=10-19", size: 100, wantOK: true, wantOff: 10, wantLen: 10},
+	{name: "open ended", spec: "bytes=90-", size: 100, wantOK: true, wantOff: 90, wantLen: 10},
+	{name: "exact last byte", spec: "bytes=99-99", size: 100, wantOK: true, wantOff: 99, wantLen: 1},
+
+	// End clamping: last-byte-pos past the end is clamped, not
+	// rejected (RFC 7233 §2.1).
+	{name: "end clamped to size-1", spec: "bytes=90-1000", size: 100, wantOK: true, wantOff: 90, wantLen: 10},
+	{name: "end exactly size", spec: "bytes=0-100", size: 100, wantOK: true, wantOff: 0, wantLen: 100},
+	{name: "end exactly size-1", spec: "bytes=0-99", size: 100, wantOK: true, wantOff: 0, wantLen: 100},
+
+	// First-byte-pos at or past the end selects nothing: 416.
+	{name: "start at size", spec: "bytes=100-", size: 100, want416: true},
+	{name: "start past size", spec: "bytes=500-600", size: 100, want416: true},
+	{name: "start at size on size 1", spec: "bytes=1-1", size: 1, want416: true},
+
+	// Suffix ranges ("-n": final n bytes).
+	{name: "suffix interior", spec: "bytes=-10", size: 100, wantOK: true, wantOff: 90, wantLen: 10},
+	{name: "suffix longer than object", spec: "bytes=-500", size: 100, wantOK: true, wantOff: 0, wantLen: 100},
+	{name: "suffix whole of size 1", spec: "bytes=-1", size: 1, wantOK: true, wantOff: 0, wantLen: 1},
+	{name: "suffix overlong on size 1", spec: "bytes=-2", size: 1, wantOK: true, wantOff: 0, wantLen: 1},
+	// A zero-length suffix or any suffix of an empty object selects
+	// no bytes: 416, not an ignored header.
+	{name: "suffix zero", spec: "bytes=-0", size: 100, want416: true},
+	{name: "suffix on size 0", spec: "bytes=-1", size: 0, want416: true},
+	{name: "suffix zero on size 0", spec: "bytes=-0", size: 0, want416: true},
+	// Any first-byte-pos against an empty object is past the end.
+	{name: "open range on size 0", spec: "bytes=0-", size: 0, want416: true},
+
+	// Ignored forms: full 200 response.
+	{name: "no header", spec: "", size: 100},
+	{name: "unknown unit", spec: "lines=0-10", size: 100},
+	{name: "multipart", spec: "bytes=0-1,5-6", size: 100},
+	{name: "bare dash", spec: "bytes=-", size: 100},
+	{name: "no dash", spec: "bytes=5", size: 100},
+	{name: "garbage first", spec: "bytes=x-10", size: 100},
+	{name: "garbage last", spec: "bytes=0-x", size: 100},
+	{name: "negative first", spec: "bytes=--5", size: 100},
+	{name: "end before start", spec: "bytes=10-5", size: 100},
+}
+
 func TestParseRangeTable(t *testing.T) {
-	tests := []struct {
-		name string
-		spec string
-		size int64
-
-		wantOK  bool
-		wantOff int64
-		wantLen int64
-		want416 bool
-	}{
-		// Plain ranges.
-		{name: "first byte", spec: "bytes=0-0", size: 100, wantOK: true, wantOff: 0, wantLen: 1},
-		{name: "interior", spec: "bytes=10-19", size: 100, wantOK: true, wantOff: 10, wantLen: 10},
-		{name: "open ended", spec: "bytes=90-", size: 100, wantOK: true, wantOff: 90, wantLen: 10},
-		{name: "exact last byte", spec: "bytes=99-99", size: 100, wantOK: true, wantOff: 99, wantLen: 1},
-
-		// End clamping: last-byte-pos past the end is clamped, not
-		// rejected (RFC 7233 §2.1).
-		{name: "end clamped to size-1", spec: "bytes=90-1000", size: 100, wantOK: true, wantOff: 90, wantLen: 10},
-		{name: "end exactly size", spec: "bytes=0-100", size: 100, wantOK: true, wantOff: 0, wantLen: 100},
-		{name: "end exactly size-1", spec: "bytes=0-99", size: 100, wantOK: true, wantOff: 0, wantLen: 100},
-
-		// First-byte-pos at or past the end selects nothing: 416.
-		{name: "start at size", spec: "bytes=100-", size: 100, want416: true},
-		{name: "start past size", spec: "bytes=500-600", size: 100, want416: true},
-		{name: "start at size on size 1", spec: "bytes=1-1", size: 1, want416: true},
-
-		// Suffix ranges ("-n": final n bytes).
-		{name: "suffix interior", spec: "bytes=-10", size: 100, wantOK: true, wantOff: 90, wantLen: 10},
-		{name: "suffix longer than object", spec: "bytes=-500", size: 100, wantOK: true, wantOff: 0, wantLen: 100},
-		{name: "suffix whole of size 1", spec: "bytes=-1", size: 1, wantOK: true, wantOff: 0, wantLen: 1},
-		{name: "suffix overlong on size 1", spec: "bytes=-2", size: 1, wantOK: true, wantOff: 0, wantLen: 1},
-		// A zero-length suffix or any suffix of an empty object selects
-		// no bytes: 416, not an ignored header.
-		{name: "suffix zero", spec: "bytes=-0", size: 100, want416: true},
-		{name: "suffix on size 0", spec: "bytes=-1", size: 0, want416: true},
-		{name: "suffix zero on size 0", spec: "bytes=-0", size: 0, want416: true},
-		// Any first-byte-pos against an empty object is past the end.
-		{name: "open range on size 0", spec: "bytes=0-", size: 0, want416: true},
-
-		// Ignored forms: full 200 response.
-		{name: "no header", spec: "", size: 100},
-		{name: "unknown unit", spec: "lines=0-10", size: 100},
-		{name: "multipart", spec: "bytes=0-1,5-6", size: 100},
-		{name: "bare dash", spec: "bytes=-", size: 100},
-		{name: "no dash", spec: "bytes=5", size: 100},
-		{name: "garbage first", spec: "bytes=x-10", size: 100},
-		{name: "garbage last", spec: "bytes=0-x", size: 100},
-		{name: "negative first", spec: "bytes=--5", size: 100},
-		{name: "end before start", spec: "bytes=10-5", size: 100},
-	}
-	for _, tt := range tests {
+	for _, tt := range parseRangeRows {
 		t.Run(tt.name, func(t *testing.T) {
 			rng, ok, err := parseRange(tt.spec, tt.size)
 			if tt.want416 {
@@ -82,6 +86,44 @@ func TestParseRangeTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseRange holds parseRange to its contract for any header and any
+// size ≥ 0: it never panics; a served range lies inside the object, is not
+// empty, and parses back from its own "bytes=first-last" spelling; and a
+// 416 only answers a range that selects no byte of the object — grown by
+// a byte or doubled, the object either still serves none of the range or
+// serves it from the old end on.
+func FuzzParseRange(f *testing.F) {
+	for _, tt := range parseRangeRows {
+		f.Add(tt.spec, tt.size)
+	}
+	f.Fuzz(func(t *testing.T, spec string, size int64) {
+		if size < 0 {
+			return
+		}
+		rng, ok, err := parseRange(spec, size)
+		if err != nil && (ok || err != errUnsatisfiable) {
+			t.Fatalf("parseRange(%q, %d) = ok %v, err %v", spec, size, ok, err)
+		}
+		if ok {
+			if rng.off < 0 || rng.off >= size || rng.length < 1 || rng.length > size-rng.off {
+				t.Fatalf("parseRange(%q, %d) = [%d,+%d]: not a non-empty range of the object", spec, size, rng.off, rng.length)
+			}
+			back := fmt.Sprintf("bytes=%d-%d", rng.off, rng.off+rng.length-1)
+			if again, ok, err := parseRange(back, size); !ok || err != nil || again != rng {
+				t.Fatalf("parseRange(%q, %d) = [%d,+%d], but %q parses to [%d,+%d] ok %v err %v",
+					spec, size, rng.off, rng.length, back, again.off, again.length, ok, err)
+			}
+		}
+		if err == errUnsatisfiable && size < math.MaxInt64/2 {
+			for _, grown := range []int64{size + 1, 2*size + 1} {
+				if g, ok, _ := parseRange(spec, grown); ok && g.off < size {
+					t.Fatalf("parseRange(%q, %d) is 416, yet at size %d it serves [%d,+%d]", spec, size, grown, g.off, g.length)
+				}
+			}
+		}
+	})
 }
 
 // RFC 7232 conditional-GET evaluation: If-None-Match lists (weak

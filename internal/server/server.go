@@ -2,19 +2,21 @@
 // that exposes the *decompressed* contents of compressed objects under a
 // root directory, built on the repository's block-parallel machinery.
 //
-// Request lifecycle: a GET/HEAD for /<path> resolves to root/<path>,
-// whose format is sniffed (Gompresso container, gzip, or zlib). Range
-// and If-Range headers are interpreted over the decompressed stream —
-// clients address raw bytes and never see the compression. Every body is
-// served through gompresso.ReaderAt, which decodes only the blocks the
-// range overlaps; with a decoded-block cache attached
-// (Options.CacheBytes), hot blocks are decoded once and streamed to every
-// requester from shared refcounted buffers, and concurrent requests for
-// the same block coalesce into a single decode. An object gets its
-// ReaderAt from a one-time, singleflighted discovery pass on first use:
-// a container's index trailer (or, lacking one, a scan of its block
-// section), a foreign .gz/.zz stream's seek index captured by one
-// counting decode.
+// Request lifecycle: a GET/HEAD for /<path> maps to the registry entry
+// for root/<path>, built from its Stat alone. Range and If-Range headers
+// are interpreted over the decompressed stream — clients address raw
+// bytes and never see the compression. Every body is served through
+// gompresso.ReaderAt, which decodes only the blocks the range overlaps;
+// with a decoded-block cache attached (Options.CacheBytes), hot blocks
+// are decoded once and streamed to every requester from shared
+// refcounted buffers, and concurrent requests for the same block
+// coalesce into a single decode. An object gets its ReaderAt from a
+// one-time, singleflighted discovery pass on first use — the only code
+// that reads an object before that: it opens the file, sniffs the format
+// (Gompresso container, gzip, or zlib), and loads a container's index
+// trailer (or, lacking one, scans its block section), or a foreign
+// .gz/.zz stream's persisted sidecar (or, lacking one, captures its seek
+// index with one counting decode).
 //
 // All requests share one codec — one worker pool, one cache, one
 // budget — and a concurrency limiter bounds how many are actively
@@ -27,8 +29,9 @@
 // decode deadline and rolling write deadlines; the limiter sheds
 // queued requests with 503 + Retry-After after a bounded wait; a
 // panicking handler answers 500 and the process survives; and an
-// object whose bytes prove corrupt is quarantined — repeat requests
-// fail fast with 502 until a TTL passes or the file changes. /healthz
+// object whose bytes prove corrupt is quarantined — its registry entry
+// becomes a tombstone, and repeat requests fail fast with 502 until a
+// TTL passes or the file changes. /healthz
 // answers liveness, /readyz readiness (503 once draining); /metrics
 // exposes request, byte, failure, and cache-effectiveness counters
 // (Prometheus-style text, or JSON with ?format=json).
@@ -105,10 +108,10 @@ type Options struct {
 	Source Source
 	// IndexDir, when set, persists foreign seek-index sidecars there
 	// (mirroring the object tree, atomic temp+rename) after the first
-	// full decode of a `.gz`/`.zz` object, and loads them back on
-	// resolve. Set it to Root to keep sidecars alongside their objects.
-	// Empty (the default, safe for read-only roots) keeps indexes
-	// in-memory only, living and dying with the object resolution.
+	// full decode of a `.gz`/`.zz` object, and loads them back in the
+	// object's discovery pass. Set it to Root to keep sidecars alongside
+	// their objects. Empty (the default, safe for read-only roots) keeps
+	// indexes in-memory only, living and dying with the registry entry.
 	IndexDir string
 	// IndexSpacing is the decompressed-byte gap between seek-index
 	// checkpoints (0 selects the ~1 MiB default). Smaller spacing means
@@ -144,6 +147,7 @@ type Server struct {
 	quarTTL        time.Duration // <= 0 means quarantine disabled
 	indexDir       string
 	indexSpacing   int64
+	workers        int // Options.Workers, for the foreign counting decode
 
 	// ready is true from construction until BeginDrain; /readyz keys
 	// off it so load balancers stop routing before Shutdown closes
@@ -158,11 +162,10 @@ type Server struct {
 	shedSeq    atomic.Int64
 	busyEWMANs atomic.Int64
 
+	// mu guards the registry: every entry, live or quarantined, and each
+	// entry's file, refs, stale and lastUse.
 	mu      sync.Mutex
 	objects map[string]*object
-
-	quarMu sync.Mutex
-	quar   map[string]*quarEntry
 
 	reg       *perf.Registry
 	mRequests *perf.Counter
@@ -184,55 +187,54 @@ type Server struct {
 	hLatency  *perf.Histogram
 }
 
-// quarEntry is one quarantined object: requests for name with matching
-// validators fail fast with 502 until the TTL expires or the file
-// changes.
-type quarEntry struct {
-	until  time.Time
-	fsize  int64
-	mtime  time.Time
-	reason string
-}
-
-// object is one resolved file under the root, cached across requests so
-// its header parse / index load / decompressed-size discovery happen
-// once. Validators (size+mtime) staleness-check it on every request.
+// object is one registry entry: a generation of a file under the root,
+// keyed by name and pinned to its validators (size+mtime), which open
+// checks against a fresh Stat on every request. The entry is built from
+// that Stat alone; the discovery pass (access) opens the file and builds
+// its block access, once per entry.
 type object struct {
 	name  string
-	file  File
 	fsize int64
 	mtime time.Time
-	form  gompresso.Format
 
-	// Response header values, the same for every request of a resolution.
+	// Response header values, the same for every request of an entry.
 	etag, lastMod, ctype string
 
+	// file is nil until the discovery pass opens it; it is published
+	// under Server.mu, where retire and release close it.
+	file File
+
 	// ra is the object's block access — every body and the decompressed
-	// size come from it. nil until discovered: a foreign object with a
-	// persisted sidecar gets it at resolve, everything else from the
-	// first request's discovery pass (see access), hence the atomic.
-	// raTok is the capacity-1 token serializing that discovery; waiters
-	// block on it with their request context, not a bare mutex.
+	// size come from it. nil until the first request's discovery pass
+	// (see access) stores it, hence the atomic. raTok is the capacity-1
+	// token serializing that discovery; waiters block on it with their
+	// request context, not a bare mutex.
 	ra    atomic.Pointer[gompresso.ReaderAt]
 	raTok chan struct{}
 
+	// until and reason make the entry a quarantine tombstone — no file,
+	// no block access — from which open answers 502 until the TTL passes
+	// or the file changes. A live entry has a zero until.
+	until  time.Time
+	reason string
+
 	// refs counts requests currently serving from this object and stale
-	// marks a resolution dropped from the registry (replaced, or evicted
-	// by the registry cap); both are guarded by Server.mu. The last
-	// releaser of a stale object closes its file, so rotated or evicted
-	// files do not leak descriptors until a GC finalizer. lastUse
+	// marks an entry dropped from the registry (replaced, quarantined, or
+	// evicted by the registry cap); both are guarded by Server.mu. The
+	// last releaser of a stale object closes its file, so rotated or
+	// evicted files do not leak descriptors until a GC finalizer. lastUse
 	// (also under mu) orders cap eviction.
 	refs    int
 	stale   bool
 	lastUse time.Time
 }
 
-// maxOpenObjects caps the registry: each resolved object pins one open
+// maxOpenObjects caps the registry: each discovered object pins one open
 // file descriptor, so a root with more distinct files than ulimit -n
-// must recycle resolutions instead of exhausting descriptors. Eviction
-// is least-recently-used; an evicted object only loses its cached
-// resolution (header parse, index, discovered size) — the next request
-// re-resolves it.
+// must recycle entries instead of exhausting descriptors. Eviction is
+// least-recently-used; an evicted object only loses what its discovery
+// pass built (index, discovered size) — the next request rebuilds it. An
+// evicted tombstone ends its quarantine early.
 const maxOpenObjects = 512
 
 // New builds a Server over root. The codec — worker pool, decoded-block
@@ -284,8 +286,8 @@ func New(o Options) (*Server, error) {
 		quarTTL:        o.QuarantineTTL,
 		indexDir:       o.IndexDir,
 		indexSpacing:   o.IndexSpacing,
+		workers:        o.Workers,
 		objects:        make(map[string]*object),
-		quar:           make(map[string]*quarEntry),
 		reg:            perf.NewRegistry(),
 	}
 	s.ready.Store(true)
@@ -312,21 +314,17 @@ func New(o Options) (*Server, error) {
 	s.mPanics = s.reg.Counter("panics_total", "request handlers that panicked (answered 500, process survived)")
 	s.mQuar = s.reg.Counter("quarantined_total", "objects quarantined after a corrupt decode")
 	s.mQuarHits = s.reg.Counter("quarantine_hits_total", "requests failed fast with 502 by a quarantine entry")
-	s.mSeqDec = s.reg.Counter("sequential_decodes_total", "block-access discovery passes started (index load or scan, foreign counting decode)")
+	s.mSeqDec = s.reg.Counter("sequential_decodes_total", "discovery attempts that read an object for its block access (index load or scan, foreign counting decode; not a sidecar load)")
 	s.mRetries = s.reg.Counter("source_retries_total", "transient source-read errors retried inside a discovery pass")
 	s.mIdxLoad = s.reg.Counter("sidecar_loads_total", "foreign objects promoted to random access from a persisted sidecar")
 	s.mIdxBuild = s.reg.Counter("sidecar_builds_total", "seek indexes captured during a first decode and promoted")
 	s.mIdxErr = s.reg.Counter("sidecar_errors_total", "sidecars that failed to load (corrupt/stale) or persist")
 	s.hLatency = s.reg.Histogram("request_latency_ns", "object request wall time in nanoseconds")
-	s.reg.Func("quarantined_objects", "quarantine entries currently active", func() float64 {
-		s.quarMu.Lock()
-		defer s.quarMu.Unlock()
-		return float64(len(s.quar))
+	s.reg.Func("quarantined_objects", "registry entries that are quarantine tombstones", func() float64 {
+		return s.countEntries(func(o *object) bool { return !o.until.IsZero() })
 	})
-	s.reg.Func("objects_open", "distinct objects resolved and cached", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(len(s.objects))
+	s.reg.Func("objects_open", "registry entries holding an open file", func() float64 {
+		return s.countEntries(func(o *object) bool { return o.file != nil })
 	})
 	s.reg.Func("cache_hits_total", "block requests served from the decoded-block cache", func() float64 {
 		return float64(codec.CacheStats().Hits)
@@ -526,22 +524,18 @@ func (s *Server) serve(ctx context.Context, w *statusWriter, r *http.Request) er
 		return nil
 	}
 	_, rsp := obs.Start(ctx, obs.StageResolve)
-	obj, err := s.open(r.URL.Path)
+	obj, rej := s.open(r.URL.Path)
 	rsp.End()
-	if err != nil {
-		var he *httpError
-		if errors.As(err, &he) {
-			w.trace.SetVerdict(he.class)
-			http.Error(w, he.msg, he.code)
-			return nil
-		}
-		http.Error(w, "internal error", http.StatusInternalServerError)
-		return err
+	if rej != nil {
+		w.trace.SetVerdict(rej.class)
+		http.Error(w, rej.msg, rej.code)
+		return nil
 	}
 	defer s.release(obj)
 
 	// Conditional GET resolves on the validators alone — before the
-	// limiter and before any size discovery, so revalidations are free.
+	// limiter and before the object is opened, so revalidations are free
+	// (and an object in a format we cannot serve still revalidates).
 	if notModified(r.Header.Get("If-None-Match"), r.Header.Get("If-Modified-Since"), obj.etag, obj.mtime) {
 		h := w.Header()
 		h.Set("ETag", obj.etag)
@@ -584,9 +578,13 @@ func (s *Server) serve(ctx context.Context, w *statusWriter, r *http.Request) er
 
 	ra, err := s.access(ctx, obj)
 	if err != nil {
+		var he *httpError // escapes through errors.As: only a failing request allocates it
 		switch {
 		case ctx.Err() != nil:
 			return s.answerCtxErr(w, err)
+		case errors.As(err, &he): // the object cannot be served: 404, 415
+			http.Error(w, he.msg, he.code)
+			return nil
 		case s.maybeQuarantine(obj, err):
 			w.trace.SetVerdict("quarantined")
 			http.Error(w, "object corrupt", http.StatusBadGateway)
@@ -723,92 +721,68 @@ func (s *Server) retryAfterAdvice() string {
 	return strconv.FormatInt(1+s.shedSeq.Add(1)%spread, 10)
 }
 
-// open resolves a request path to a served object, reusing the cached
-// resolution while the file's size and mtime are unchanged. The
-// returned object is pinned for the caller (refs incremented); it must
-// be handed to release exactly once.
-func (s *Server) open(urlPath string) (*object, error) {
+// errNotFound answers a path that names no servable file.
+var errNotFound = &httpError{code: http.StatusNotFound, msg: "not found"}
+
+// open maps a request path to its registry entry — Stat and one locked
+// lookup, nothing opened. The entry is reused while the file's size and
+// mtime are unchanged; otherwise, or once a quarantine tombstone's TTL has
+// passed, it is replaced by one built from the Stat alone. A live
+// tombstone answers the fast 502 here: no open, no limiter slot, no
+// decode. The returned object is pinned for the caller (refs incremented);
+// it must be handed to release exactly once.
+func (s *Server) open(urlPath string) (*object, *httpError) {
 	name := path.Clean("/" + urlPath)[1:]
-	if name == "" || name == "." {
-		return nil, errf(http.StatusNotFound, "not found")
+	if name == "" {
+		return nil, errNotFound
 	}
 	st, err := s.src.Stat(name)
 	if err != nil || st.IsDir() {
-		return nil, errf(http.StatusNotFound, "not found")
+		return nil, errNotFound
 	}
-
-	// Quarantine fast path: a known-corrupt generation answers 502
-	// immediately — no open, no limiter slot, no decode.
-	if reason, bad := s.quarantined(name, st); bad {
-		s.mQuarHits.Inc()
-		return nil, &httpError{
-			code:  http.StatusBadGateway,
-			msg:   fmt.Sprintf("object quarantined: %s", reason),
-			class: "quarantined",
-		}
-	}
-
 	now := time.Now()
 	s.mu.Lock()
-	if cached, ok := s.objects[name]; ok && cached.fsize == st.Size() && cached.mtime.Equal(st.ModTime()) {
-		cached.refs++
-		cached.lastUse = now
-		s.mu.Unlock()
-		return cached, nil
-	}
-	s.mu.Unlock()
-
-	f, err := s.src.Open(name)
-	if err != nil {
-		if os.IsNotExist(err) || os.IsPermission(err) {
-			return nil, errf(http.StatusNotFound, "not found")
+	defer s.mu.Unlock()
+	obj := s.objects[name]
+	if obj == nil || obj.fsize != st.Size() || !obj.mtime.Equal(st.ModTime()) ||
+		(!obj.until.IsZero() && now.After(obj.until)) {
+		if obj != nil {
+			s.retire(obj)
 		}
-		return nil, err // e.g. EMFILE: a server problem, not a 404
+		obj = &object{
+			name:    name,
+			fsize:   st.Size(),
+			mtime:   st.ModTime(),
+			etag:    fmt.Sprintf(`"g-%x-%x"`, st.Size(), st.ModTime().UnixNano()),
+			lastMod: st.ModTime().UTC().Format(http.TimeFormat),
+			ctype:   contentTypeFor(name),
+			raTok:   make(chan struct{}, 1),
+			lastUse: now, // set before the cap check, which evicts the oldest
+		}
+		s.objects[name] = obj
+		for len(s.objects) > maxOpenObjects {
+			s.evictOldest()
+		}
 	}
-	obj, err := s.resolve(name, f, st)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	s.mu.Lock()
-	// A concurrent request may have resolved the same file; keep the
-	// registry's copy and discard ours so every request for one
-	// generation shares one object (and one set of cache keys).
-	if cur, ok := s.objects[name]; ok && cur.fsize == st.Size() && cur.mtime.Equal(st.ModTime()) {
-		cur.refs++
-		cur.lastUse = now
-		s.mu.Unlock()
-		f.Close()
-		return cur, nil
-	}
-	old := s.objects[name]
-	obj.refs = 1
 	obj.lastUse = now
-	s.objects[name] = obj
-	// A replaced predecessor stays open while in-flight requests read
-	// it; the last release closes it. Its cache entries (keyed under
-	// the old ReaderAt's object id) age out of the LRU.
-	if old != nil {
-		s.retire(old)
+	if !obj.until.IsZero() {
+		s.mQuarHits.Inc()
+		return nil, &httpError{code: http.StatusBadGateway, msg: "object quarantined: " + obj.reason, class: "quarantined"}
 	}
-	for len(s.objects) > maxOpenObjects {
-		s.evictOldest()
-	}
-	s.mu.Unlock()
+	obj.refs++
 	return obj, nil
 }
 
-// retire marks a resolution dropped from the registry, closing its file
-// now if no request holds it. Caller holds s.mu.
+// retire marks an entry dropped from the registry. A predecessor stays
+// open while in-flight requests read it; its cache entries (keyed under
+// the old ReaderAt's object id) age out of the LRU. Caller holds s.mu.
 func (s *Server) retire(obj *object) {
 	obj.stale = true
-	if obj.refs == 0 {
-		obj.file.Close()
-	}
+	closeIdle(obj)
 }
 
-// evictOldest drops the least-recently-used registry entry to keep the
-// open-descriptor count bounded. Caller holds s.mu.
+// evictOldest drops the least-recently-used entry of a non-empty registry
+// to keep the open-descriptor count bounded. Caller holds s.mu.
 func (s *Server) evictOldest() {
 	var lru *object
 	for _, o := range s.objects {
@@ -816,166 +790,96 @@ func (s *Server) evictOldest() {
 			lru = o
 		}
 	}
-	if lru == nil {
-		return
-	}
 	delete(s.objects, lru.name)
 	s.retire(lru)
 }
 
-// release unpins an object returned by open, closing a stale object's
-// file once its last request finishes.
+// release unpins an object returned by open.
 func (s *Server) release(obj *object) {
 	s.mu.Lock()
 	obj.refs--
-	if obj.stale && obj.refs == 0 {
-		obj.file.Close()
-	}
+	closeIdle(obj)
 	s.mu.Unlock()
 }
 
-// resolve sniffs the file's format and builds the serving state. Block
-// access is left to the first request's discovery pass (access), except
-// for a foreign object whose seek index is already persisted.
-func (s *Server) resolve(name string, f File, st os.FileInfo) (*object, error) {
-	head := make([]byte, 4)
-	n, err := f.ReadAt(head, 0)
-	if n == 0 && err != nil && err != io.EOF {
-		// Could not read a single byte: a backend fault, not a format
-		// problem — the client should see 502, not 415.
-		return nil, errf(http.StatusBadGateway, "cannot read object: %v", err)
+// closeIdle closes a stale entry's file once no request holds it. Caller
+// holds s.mu.
+func closeIdle(obj *object) {
+	if obj.stale && obj.refs == 0 && obj.file != nil {
+		obj.file.Close()
 	}
-	form := gompresso.DetectFormat(head[:n])
-	if form == gompresso.FormatAuto {
-		return nil, errf(http.StatusUnsupportedMediaType,
-			"unsupported object format (want Gompresso container, gzip, or zlib)")
-	}
-	obj := &object{
-		name:    name,
-		file:    f,
-		fsize:   st.Size(),
-		mtime:   st.ModTime(),
-		form:    form,
-		etag:    fmt.Sprintf(`"g-%x-%x"`, st.Size(), st.ModTime().UnixNano()),
-		lastMod: st.ModTime().UTC().Format(http.TimeFormat),
-		ctype:   contentTypeFor(name),
-		raTok:   make(chan struct{}, 1),
-	}
-	if form == gompresso.FormatGompresso {
-		// A header that does not parse is a 415 here, before the object
-		// can reach the discovery pass and be quarantined as corrupt.
-		if err := checkHeader(f); err != nil {
-			if !isCorrupt(err) {
-				return nil, errf(http.StatusBadGateway, "cannot read object: %v", err)
-			}
-			return nil, errf(http.StatusUnsupportedMediaType, "malformed container: %v", err)
-		}
-	} else if idx := s.loadSidecar(name, st); idx != nil {
-		// A persisted sidecar gives the foreign object block access
-		// immediately: no counting decode, not even on the first request.
-		if ra, err := s.codec.NewReaderAtWithIndex(f, st.Size(), idx); err == nil {
-			obj.ra.Store(ra)
-			s.mIdxLoad.Inc()
-		} else {
-			s.mIdxErr.Inc()
-			s.logf("sidecar for %s rejected: %v", name, err)
-		}
-	}
-	return obj, nil
 }
 
-// checkHeader reads and validates the container file header at the start
-// of f.
-func checkHeader(f io.ReaderAt) error {
-	head := make([]byte, format.HeaderSize)
-	if err := format.ReadFullAt(f, head, 0); err != nil {
-		return err
+// countEntries counts the registry entries pred holds for.
+func (s *Server) countEntries(pred func(*object) bool) float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, o := range s.objects {
+		if pred(o) {
+			n++
+		}
 	}
-	_, err := format.ParseHeader(head)
-	return err
+	return float64(n)
 }
 
 // isCorrupt classifies a decode error as data corruption — the object
 // itself is bad, and will stay bad on retry — as opposed to a
 // transient read failure or cancellation. The typed errors come from
 // the decode stack: deflate.Error (foreign streams), format.ErrFormat
-// (container structure), lz77.ErrCorrupt (block payloads), and the
-// format sniffer's ErrUnknownFormat.
+// (container structure, a header that does not parse included) and
+// lz77.ErrCorrupt (block payloads).
 func isCorrupt(err error) bool {
-	var de *deflate.Error
-	return errors.As(err, &de) ||
+	return errors.As(err, new(*deflate.Error)) ||
 		errors.Is(err, format.ErrFormat) ||
-		errors.Is(err, lz77.ErrCorrupt) ||
-		errors.Is(err, gompresso.ErrUnknownFormat)
+		errors.Is(err, lz77.ErrCorrupt)
 }
 
 // isTransient reports whether a discovery-pass error is worth an
 // in-request retry: read-path failures that are neither corruption
-// (retry cannot help) nor cancellation (nobody is waiting).
+// (retry cannot help), a verdict on the object (404, 415), nor
+// cancellation (nobody is waiting).
 func isTransient(err error) bool {
-	return err != nil && !isCorrupt(err) &&
+	return err != nil && !isCorrupt(err) && !errors.As(err, new(*httpError)) &&
 		!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
-// maybeQuarantine records a TTL'd negative entry for obj when err says
-// its bytes are corrupt, so repeat requests fail fast with 502 instead
-// of re-burning a decode. Returns whether it quarantined. The entry is
-// keyed to the object's validators: a rewritten file clears it on the
-// next request, and the resolution (plus any cached blocks) is dropped
-// so nothing suspect survives in memory.
+// maybeQuarantine replaces obj's registry entry with a tombstone when err
+// says its bytes are corrupt, so repeat requests fail fast with 502 in
+// open instead of re-burning a decode. Returns whether it is a quarantine
+// verdict. The tombstone keeps the generation's validators — a rewritten
+// file replaces it on the next request — and the predecessor is retired
+// with its cached blocks forgotten, so nothing suspect survives in memory.
 func (s *Server) maybeQuarantine(obj *object, err error) bool {
 	if s.quarTTL <= 0 || !isCorrupt(err) {
 		return false
 	}
-	s.quarMu.Lock()
-	_, already := s.quar[obj.name]
-	s.quar[obj.name] = &quarEntry{
-		until:  time.Now().Add(s.quarTTL),
-		fsize:  obj.fsize,
-		mtime:  obj.mtime,
-		reason: err.Error(),
-	}
-	s.quarMu.Unlock()
-	if !already {
-		s.mQuar.Inc()
-	}
 	if ra := obj.ra.Load(); ra != nil {
 		ra.Forget()
 	}
+	now := time.Now()
 	s.mu.Lock()
-	if s.objects[obj.name] == obj {
-		delete(s.objects, obj.name)
-		s.retire(obj)
+	if s.objects[obj.name] != obj { // a concurrent verdict or a new generation replaced it
+		s.mu.Unlock()
+		return true
 	}
+	s.objects[obj.name] = &object{name: obj.name, fsize: obj.fsize, mtime: obj.mtime,
+		lastUse: now, until: now.Add(s.quarTTL), reason: err.Error()}
+	s.retire(obj)
 	s.mu.Unlock()
+	s.mQuar.Inc()
 	s.logf("quarantined %s for %v: %v", obj.name, s.quarTTL, err)
 	return true
 }
 
-// quarantined checks name against the quarantine, dropping entries
-// whose TTL has passed or whose file has changed since the bad decode.
-func (s *Server) quarantined(name string, st os.FileInfo) (string, bool) {
-	s.quarMu.Lock()
-	defer s.quarMu.Unlock()
-	q, ok := s.quar[name]
-	if !ok {
-		return "", false
-	}
-	if time.Now().After(q.until) || q.fsize != st.Size() || !q.mtime.Equal(st.ModTime()) {
-		delete(s.quar, name)
-		return "", false
-	}
-	return q.reason, true
-}
-
 // access returns the object's block access — the ReaderAt every body is
 // written from, which also knows the decompressed size — running the
-// one-time discovery pass on first use (kept for the resolution's
-// lifetime). Discovery is a context-aware singleflight: one request
-// discovers while the rest wait on the token with their own contexts, so
-// a disconnected waiter frees its concurrency-limiter slot instead of
-// queueing blindly behind a slow pass; if the discovering request is
-// itself cancelled, the next waiter takes over.
+// one-time discovery pass on first use (kept for the entry's lifetime).
+// Discovery is a context-aware singleflight: one request discovers while
+// the rest wait on the token with their own contexts, so a disconnected
+// waiter frees its concurrency-limiter slot instead of queueing blindly
+// behind a slow pass; if the discovering request is itself cancelled, the
+// next waiter takes over.
 func (s *Server) access(ctx context.Context, obj *object) (*gompresso.ReaderAt, error) {
 	if ra := obj.ra.Load(); ra != nil {
 		return ra, nil
@@ -1014,7 +918,6 @@ func (s *Server) discover(ctx context.Context, obj *object) (*gompresso.ReaderAt
 	s.gDecoding.Inc()
 	defer s.gDecoding.Dec()
 	for attempt := 0; ; attempt++ {
-		s.mSeqDec.Inc()
 		sctx, sp := obs.Start(ctx, obs.StageSeqDecode)
 		ra, err := s.openAccess(sctx, obj)
 		sp.End()
@@ -1023,13 +926,9 @@ func (s *Server) discover(ctx context.Context, obj *object) (*gompresso.ReaderAt
 		}
 		s.mRetries.Inc()
 		// math/rand/v2: lock-free per-goroutine state, no global mutex
-		// on the request path. Guard the jitter draw — Int64N panics on
-		// a non-positive argument, and backoffBase could plausibly be
-		// configured to 0 someday.
+		// on the request path.
 		delay := backoffBase << attempt
-		if delay > 0 {
-			delay += time.Duration(rand.Int64N(int64(delay)))
-		}
+		delay += time.Duration(rand.Int64N(int64(delay)))
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
@@ -1038,29 +937,65 @@ func (s *Server) discover(ctx context.Context, obj *object) (*gompresso.ReaderAt
 	}
 }
 
-// openAccess is one discovery attempt. A native container opens through
-// its index trailer or, lacking one, one scan of its block section. A
-// foreign stream is read once and pays one counting decode that captures
-// seek checkpoints along the way (gzidx.Build); the index is persisted as a
-// sidecar when an index directory is configured. The singleflight token
-// means concurrent cold requests do this exactly once.
+// openAccess is one discovery attempt, and the only code that reads an
+// object before its block access exists. It opens the file (once per
+// entry; a retry reuses it) and sniffs the magic. A native container then
+// opens through its index trailer or, lacking one, one scan of its block
+// section; NewReaderAt's header parse is the only header check, so a
+// header that does not parse is corruption like any other. A foreign
+// stream is promoted from a fresh, valid sidecar when there is one, and
+// is otherwise read once and pays one counting decode that captures seek
+// checkpoints along the way (gzidx.Build); the index is persisted as a
+// sidecar when an index directory is configured. sequential_decodes_total
+// counts the attempts that load, scan or decode — not sidecar loads.
 func (s *Server) openAccess(ctx context.Context, obj *object) (*gompresso.ReaderAt, error) {
-	if obj.form == gompresso.FormatGompresso {
-		return s.codec.NewReaderAt(obj.file, obj.fsize)
+	if obj.file == nil {
+		f, err := s.src.Open(obj.name)
+		if os.IsNotExist(err) || os.IsPermission(err) {
+			return nil, errNotFound
+		}
+		if err != nil {
+			return nil, err // e.g. EMFILE: a server problem, retried
+		}
+		s.mu.Lock()
+		obj.file = f
+		s.mu.Unlock()
 	}
+	head := make([]byte, 4)
+	n, err := obs.SourceReaderAt(ctx, obj.file).ReadAt(head, 0)
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	form := deflate.FormatGzip
+	switch gompresso.DetectFormat(head[:n]) {
+	case gompresso.FormatGompresso:
+		s.mSeqDec.Inc()
+		return s.codec.NewReaderAt(obj.file, obj.fsize)
+	case gompresso.FormatZlib:
+		form = deflate.FormatZlib
+	case gompresso.FormatAuto:
+		return nil, errf(http.StatusUnsupportedMediaType,
+			"unsupported object format (want Gompresso container, gzip, or zlib)")
+	}
+	if idx := s.loadSidecar(obj); idx != nil {
+		ra, err := s.codec.NewReaderAtWithIndex(obj.file, obj.fsize, idx)
+		if err == nil {
+			s.mIdxLoad.Inc()
+			return ra, nil
+		}
+		s.mIdxErr.Inc()
+		s.logf("sidecar for %s rejected: %v", obj.name, err)
+	}
+	s.mSeqDec.Inc()
 	// A source that ends before the size it reported is a truncated object,
 	// which is the decoder's error to name.
 	data := make([]byte, obj.fsize)
 	src := io.NewSectionReader(obs.SourceReaderAt(ctx, obj.file), 0, obj.fsize)
-	n, err := io.ReadFull(src, data)
+	n, err = io.ReadFull(src, data)
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
 		return nil, err
 	}
-	form := deflate.FormatGzip
-	if obj.form == gompresso.FormatZlib {
-		form = deflate.FormatZlib
-	}
-	idx, err := gzidx.Build(ctx, data[:n], form, s.indexSpacing, deflate.Options{Workers: s.codec.Options().Workers})
+	idx, err := gzidx.Build(ctx, data[:n], form, s.indexSpacing, deflate.Options{Workers: s.workers})
 	if err != nil {
 		return nil, err
 	}
@@ -1079,47 +1014,47 @@ func (s *Server) sidecarPath(name string) string {
 	return filepath.Join(s.indexDir, filepath.FromSlash(name)+gzidx.Ext)
 }
 
-// loadSidecar finds a fresh, valid sidecar for the foreign object name:
-// first in the configured index directory, then alongside the object
-// through the Source seam (sidecars shipped with the data, or built
-// offline by `gompresso index`). Corrupt or stale sidecars are ignored —
-// the first decode rebuilds and, when an index directory is configured,
-// replaces them.
-func (s *Server) loadSidecar(name string, st os.FileInfo) *gompresso.SeekIndex {
+// loadSidecar finds a fresh, valid sidecar for the foreign object: first
+// in the configured index directory, then alongside the object through
+// the Source seam (sidecars shipped with the data, or built offline by
+// `gompresso index`). Corrupt or stale sidecars are counted and ignored —
+// the counting decode rebuilds and, when an index directory is
+// configured, replaces them.
+func (s *Server) loadSidecar(obj *object) *gompresso.SeekIndex {
 	if s.indexDir != "" {
-		idx, err := gzidx.LoadFile(s.sidecarPath(name), st.Size(), st.ModTime())
+		idx, err := gzidx.LoadFile(s.sidecarPath(obj.name), obj.fsize, obj.mtime)
 		if err == nil {
 			return idx
 		}
 		if !os.IsNotExist(err) {
 			s.mIdxErr.Inc()
-			s.logf("sidecar %s: %v", s.sidecarPath(name), err)
+			s.logf("sidecar %s: %v", s.sidecarPath(obj.name), err)
 		}
 	}
-	idx, err := s.loadSourceSidecar(name, st)
+	idx, err := s.loadSourceSidecar(obj)
 	if err == nil {
 		return idx
 	}
 	if !os.IsNotExist(err) {
 		s.mIdxErr.Inc()
-		s.logf("sidecar %s%s: %v", name, gzidx.Ext, err)
+		s.logf("sidecar %s%s: %v", obj.name, gzidx.Ext, err)
 	}
 	return nil
 }
 
-// loadSourceSidecar reads name's sidecar through the Source seam.
-func (s *Server) loadSourceSidecar(name string, st os.FileInfo) (*gompresso.SeekIndex, error) {
-	scName := name + gzidx.Ext
-	sst, err := s.src.Stat(scName)
+// loadSourceSidecar reads the object's sidecar through the Source seam.
+func (s *Server) loadSourceSidecar(obj *object) (*gompresso.SeekIndex, error) {
+	name := obj.name + gzidx.Ext
+	st, err := s.src.Stat(name)
 	if err != nil {
 		return nil, err
 	}
-	f, err := s.src.Open(scName)
+	f, err := s.src.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return gzidx.Load(io.NewSectionReader(f, 0, sst.Size()), sst.Size(), st.Size(), st.ModTime())
+	return gzidx.Load(io.NewSectionReader(f, 0, st.Size()), st.Size(), obj.fsize, obj.mtime)
 }
 
 // persistSidecar writes the object's freshly built index durably when an

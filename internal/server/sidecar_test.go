@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,8 +127,8 @@ func TestSidecarPersistence(t *testing.T) {
 		t.Fatalf("sidecar not persisted: %v", err)
 	}
 
-	// Fresh server, same index dir: promotion happens at resolve, before
-	// any decode.
+	// Fresh server, same index dir: the discovery pass promotes from the
+	// sidecar, without a decode.
 	_, ts2 := startServer(t, Options{Root: fx.root, IndexDir: idxDir})
 	got := rangeBody(t, ts2.URL+"/corpus.txt.gz", 200<<10, 8192, http.StatusPartialContent)
 	if !bytes.Equal(got, fx.src[200<<10:200<<10+8192]) {
@@ -141,10 +143,10 @@ func TestSidecarPersistence(t *testing.T) {
 	}
 }
 
-// TestSidecarAlongsideSource: a sidecar shipped next to the object (built
-// offline, IndexDir unset) is found through the Source seam.
-func TestSidecarAlongsideSource(t *testing.T) {
-	fx := newFixture(t)
+// shipSidecar builds corpus.txt.gz's sidecar offline and writes it next to
+// the object, as `gompresso index` does.
+func shipSidecar(t *testing.T, fx *fixture) {
+	t.Helper()
 	name := filepath.Join(fx.root, "corpus.txt.gz")
 	data, err := os.ReadFile(name)
 	if err != nil {
@@ -165,6 +167,13 @@ func TestSidecarAlongsideSource(t *testing.T) {
 	if err := gzidx.WriteFileAtomic(name+gzidx.Ext, enc); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSidecarAlongsideSource: a sidecar shipped next to the object (built
+// offline, IndexDir unset) is found through the Source seam.
+func TestSidecarAlongsideSource(t *testing.T) {
+	fx := newFixture(t)
+	shipSidecar(t, fx)
 
 	_, ts := startServer(t, Options{Root: fx.root})
 	got := rangeBody(t, ts.URL+"/corpus.txt.gz", 123, 4567, http.StatusPartialContent)
@@ -174,6 +183,54 @@ func TestSidecarAlongsideSource(t *testing.T) {
 	m := metricsJSON(t, ts.URL)
 	if m["sequential_decodes_total"] != 0 || m["sidecar_loads_total"] != 1 {
 		t.Fatalf("seq=%v loads=%v, want 0/1", m["sequential_decodes_total"], m["sidecar_loads_total"])
+	}
+}
+
+// countingSource counts the files opened through it.
+type countingSource struct {
+	Source
+	opens atomic.Int64
+}
+
+func (c *countingSource) Open(name string) (File, error) {
+	c.opens.Add(1)
+	return c.Source.Open(name)
+}
+
+// TestColdObjectResolvedOnce: concurrent cold requests for a .gz with a
+// sidecar beside it open the object and the sidecar once each. Everything
+// that reads an object runs in the one discovery pass behind the token; a
+// request that misses the registry opens nothing of its own.
+func TestColdObjectResolvedOnce(t *testing.T) {
+	fx := newFixture(t)
+	shipSidecar(t, fx)
+	src := &countingSource{Source: NewDirSource(fx.root)}
+	_, ts := startServer(t, Options{Root: fx.root, Source: src})
+
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		off := int64(i * 16 << 10)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, _ := http.NewRequest(http.MethodGet, ts.URL+"/corpus.txt.gz", nil)
+			req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", off, off+1023))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if b, err := io.ReadAll(resp.Body); err != nil || resp.StatusCode != http.StatusPartialContent || !bytes.Equal(b, fx.src[off:off+1024]) {
+				t.Errorf("range at %d: status %d, %d bytes, %v", off, resp.StatusCode, len(b), err)
+			}
+		}()
+	}
+	wg.Wait()
+	m := metricsJSON(t, ts.URL)
+	if opens := src.opens.Load(); opens != 2 || m["sidecar_loads_total"] != 1 || m["sequential_decodes_total"] != 0 {
+		t.Fatalf("16 cold requests: %d opens, %v sidecar loads, %v sequential decodes; want 2, 1, 0",
+			opens, m["sidecar_loads_total"], m["sequential_decodes_total"])
 	}
 }
 

@@ -10,10 +10,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"gompresso/internal/format"
 	"gompresso/internal/race"
 )
 
@@ -141,6 +144,17 @@ func TestErrorPathsCountedAndLoggedOnce(t *testing.T) {
 				h.ServeHTTP(&discardWriter{header: http.Header{}}, httptest.NewRequest("GET", "/noindex.gpz", nil))
 			},
 			want: expect{status: 502, level: "WARN", verdict: "quarantined"}},
+		// The container magic with a header that does not parse is corrupt
+		// like a bad block, not an unsupported format.
+		{name: "502 malformed header", path: "/bad.gpz",
+			setup: func(t *testing.T, fx *fixture, _ http.Handler) {
+				m := format.Magic()
+				data := append(m[:], "garbage where the version and the block geometry belong"...)
+				if err := os.WriteFile(filepath.Join(fx.root, "bad.gpz"), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: expect{status: 502, level: "WARN", verdict: "quarantined", err: "corrupt"}},
 		{name: "503 shed", path: "/corpus.txt.gpz",
 			opts: Options{MaxInFlight: 1, QueueWait: time.Millisecond},
 			setup: func(t *testing.T, _ *fixture, h http.Handler) {

@@ -172,8 +172,8 @@ seq_after=$(grep -o '"sequential_decodes_total": [0-9]*' "$work/metrics2.json" |
 [ "${seq_after:-0}" = "${seq_before:-0}" ] || {
   echo "FAIL: hot .gz ranges reran the discovery pass ($seq_before -> $seq_after)"; exit 1; }
 
-# A fresh server over the same root loads the sidecar at resolve: ranged
-# .gz requests without a single discovery pass.
+# A fresh server over the same root loads the sidecar in the object's
+# discovery pass: ranged .gz requests without a single sequential decode.
 addr2=127.0.0.1:18428
 "$bin" serve -addr "$addr2" -root "$root" -cache 16 -index-dir "$root" -quiet 2>>"$work/serve.log" &
 srv2_pid=$!

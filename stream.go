@@ -113,9 +113,7 @@ func (c *Codec) NewReaderContext(ctx context.Context, r io.Reader) (*Reader, err
 			return nil, err
 		}
 		data := buf.Bytes()
-		fr, err := deflate.NewReaderBytes(ctx, data, foreignForm(form), deflate.Options{
-			Workers: c.copt.Workers, Readahead: readahead(c.copt.Workers),
-		})
+		fr, err := deflate.NewReaderBytes(ctx, data, foreignForm(form), deflate.Options{Workers: c.copt.Workers})
 		if err != nil {
 			return nil, err
 		}
@@ -152,11 +150,12 @@ func (r *Reader) Header() FileHeader { return r.hdr }
 // into random access, and what the sidecar tooling persists.
 type SeekIndex = deflate.Index
 
-// readahead is the streaming pipelines' back-pressure rule: a Reader, a
-// Writer and the foreign decoder each keep at most 2×workers blocks submitted
-// and not yet taken. The Reader and the Writer feed and drain their queue from
-// one goroutine, so they hold themselves to it: parallel.Ordered would block a
-// Submit past the bound on a Next only the same caller could make.
+// readahead is the streaming pipelines' back-pressure rule: a Reader and a
+// Writer each keep at most 2×workers blocks submitted and not yet taken (the
+// foreign decoder has its own, 2×(workers−1) speculative chunks). The Reader
+// and the Writer feed and drain their queue from one goroutine, so they hold
+// themselves to it: parallel.Ordered would block a Submit past the bound on a
+// Next only the same caller could make.
 func readahead(workers int) int { return 2 * workers }
 
 // start begins decoding blocks from br (positioned at block first). A stream
