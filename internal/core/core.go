@@ -72,16 +72,40 @@ func (s *CompressStats) Accumulate(bs BlockStats) {
 }
 
 // encodeScratch is the encode core's per-worker state: the parser's match
-// tables and token buffers and the entropy coder's histograms, code tables
-// and bit buffer. Whichever goroutine encodes a block — a pool worker under
-// the Writer or CompressContext, or the caller — borrows one for the block,
-// so steady-state encoding allocates nothing but growth of dst.
+// tables and token buffers, the entropy coder's histograms, code tables and
+// bit buffer, and the Byte payload buffer. Whichever goroutine encodes a
+// block — a pool worker under the Writer or CompressContext, or the caller —
+// borrows one for the block, so steady-state encoding allocates nothing but
+// growth of dst.
 type encodeScratch struct {
 	parser lz77.Parser
 	bit    format.EncodeScratch
+	byte   []byte
 }
 
 var encodePool = sync.Pool{New: func() any { return new(encodeScratch) }}
+
+// RecordPool recycles encoded block records across both assemblers of a
+// container — CompressContext and the streaming Writer — so that in a warm
+// process encoding a block allocates nothing. Its values are *[]byte; take
+// one through EncodeRecord.
+var RecordPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// EncodeRecord is EncodeBlockRecord into a buffer from RecordPool, which the
+// caller owns until it puts it back. On error it returns no buffer.
+func EncodeRecord(src []byte, o Options) (*[]byte, BlockStats, error) {
+	rp := RecordPool.Get().(*[]byte)
+	var (
+		bs  BlockStats
+		err error
+	)
+	if *rp, bs, err = EncodeBlockRecord((*rp)[:0], src, o); err != nil {
+		RecordPool.Put(rp)
+		return nil, bs, err
+	}
+	//lint:allow poolescape sanctioned lifecycle helper; callers RecordPool.Put when done
+	return rp, bs, nil
+}
 
 // EncodeBlockRecord compresses one raw block and appends its complete
 // container record (fixed header, trees, size lists, payload) to dst.
@@ -99,7 +123,8 @@ func EncodeBlockRecord(dst, src []byte, o Options) ([]byte, BlockStats, error) {
 	}
 	blk := format.Block{RawLen: len(src), NumSeqs: len(ts.Seqs)}
 	if o.Variant == format.VariantByte {
-		blk.Payload, err = format.EncodeByte(ts)
+		sc.byte, err = format.EncodeByte(sc.byte[:0], ts)
+		blk.Payload = sc.byte
 	} else {
 		var bb *format.BitBlock
 		bb, err = sc.bit.EncodeBit(ts, o.CWL, o.SeqsPerSub)
@@ -146,7 +171,8 @@ func Compress(src []byte, o Options) ([]byte, *CompressStats, error) {
 
 // CompressContext is Compress with cancellation: a context cancelled
 // mid-stream makes pending block encodes return early and the call fail
-// with ctx.Err().
+// with ctx.Err(). Blocks encode into pooled records; the container is sized
+// from them and allocated once.
 func CompressContext(ctx context.Context, src []byte, o Options) ([]byte, *CompressStats, error) {
 	o, err := o.Normalize()
 	if err != nil {
@@ -156,39 +182,49 @@ func CompressContext(ctx context.Context, src []byte, o Options) ([]byte, *Compr
 	nb := (len(src) + o.BlockSize - 1) / o.BlockSize
 
 	type result struct {
-		rec []byte
+		rec *[]byte
 		bs  BlockStats
 		err error
 	}
 	results := make([]result, nb)
+	defer func() {
+		for _, r := range results {
+			if r.rec != nil {
+				RecordPool.Put(r.rec)
+			}
+		}
+	}()
 	parallel.For(nb, o.Workers, func(i int) {
 		if err := ctx.Err(); err != nil {
 			results[i].err = err
 			return
 		}
 		lo := i * o.BlockSize
-		hi := lo + o.BlockSize
-		if hi > len(src) {
-			hi = len(src)
-		}
-		results[i].rec, results[i].bs, results[i].err = EncodeBlockRecord(nil, src[lo:hi], o)
+		hi := min(lo+o.BlockSize, len(src))
+		results[i].rec, results[i].bs, results[i].err = EncodeRecord(src[lo:hi], o)
 	})
 
 	stats := &CompressStats{RawSize: int64(len(src)), Blocks: nb}
-	out := format.AppendHeader(nil, o.Header(uint64(len(src)), uint32(nb)))
 	offsets := make([]int64, 0, nb+1)
+	end := int64(format.HeaderSize)
 	for i := range results {
 		if results[i].err != nil {
 			return nil, nil, fmt.Errorf("core: block %d: %w", i, results[i].err)
 		}
-		offsets = append(offsets, int64(len(out)))
+		offsets = append(offsets, end)
+		end += int64(len(*results[i].rec))
 		stats.Accumulate(results[i].bs)
-		out = append(out, results[i].rec...)
 	}
+	var trailer []byte
 	if o.Index {
-		offsets = append(offsets, int64(len(out)))
-		out = format.AppendIndex(out, offsets)
+		trailer = format.AppendIndex(nil, append(offsets, end))
 	}
+	out := make([]byte, 0, end+int64(len(trailer)))
+	out = format.AppendHeader(out, o.Header(uint64(len(src)), uint32(nb)))
+	for i := range results {
+		out = append(out, *results[i].rec...)
+	}
+	out = append(out, trailer...)
 	stats.CompSize = int64(len(out))
 	stats.Seconds = time.Since(start).Seconds()
 	if stats.CompSize > 0 {

@@ -64,7 +64,7 @@ func (o Options) Normalize() (Options, error) {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	switch {
-	case o.BlockSize < 1<<10 || o.BlockSize > 1<<26:
+	case o.BlockSize < 1<<10 || o.BlockSize > format.MaxBlockSize:
 		return o, invalidf("block size %d out of range [1KiB, 64MiB]", o.BlockSize)
 	case o.Variant != format.VariantByte && o.Variant != format.VariantBit:
 		return o, invalidf("unknown variant %d", o.Variant)

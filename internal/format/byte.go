@@ -3,6 +3,7 @@ package format
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"gompresso/internal/lz77"
 )
@@ -65,9 +66,9 @@ func AppendSeqByte(dst []byte, s lz77.Seq, lit []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// EncodeByte encodes a whole token stream as a Byte payload.
-func EncodeByte(ts *lz77.TokenStream) ([]byte, error) {
-	dst := make([]byte, 0, len(ts.Literals)+4*len(ts.Seqs))
+// EncodeByte appends a whole token stream, encoded as a Byte payload, to dst.
+func EncodeByte(dst []byte, ts *lz77.TokenStream) ([]byte, error) {
+	dst = slices.Grow(dst, len(ts.Literals)+4*len(ts.Seqs))
 	lit := ts.Literals
 	for i := range ts.Seqs {
 		s := ts.Seqs[i]

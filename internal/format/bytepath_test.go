@@ -70,7 +70,7 @@ func encodeByteParsed(t testing.TB, src []byte, lz lz77.Options) ([]byte, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := EncodeByte(ts)
+	payload, err := EncodeByte(nil, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func craftedByteStreams(t testing.TB) []craftedStream {
 				push(lz77.Seq{LitLen: uint32(len(ts.Seqs) % 300)})
 			}
 			plain()
-			prefix, err := EncodeByte(ts)
+			prefix, err := EncodeByte(nil, ts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +168,7 @@ func TestDecodeByteIntoMatchesReference(t *testing.T) {
 		}
 	}
 	for _, c := range craftedByteStreams(t) {
-		payload, err := EncodeByte(c.ts)
+		payload, err := EncodeByte(nil, c.ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestDecodeByteIntoTruncationsAndBitFlips(t *testing.T) {
 		blocks = append(blocks, b)
 	}
 	for _, c := range craftedByteStreams(t) {
-		payload, err := EncodeByte(c.ts)
+		payload, err := EncodeByte(nil, c.ts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,6 +86,27 @@ type File struct {
 
 const headerSize = 4 + 1 + 1 + 1 + 1 + 4 + 1 + 4 + 4 + 8 + 2 + 4
 
+// blockHeaderSize is the size of a block record's fixed fields: raw length,
+// sequence count and payload length.
+const blockHeaderSize = 4 + 4 + 4
+
+// MaxBlockSize is the largest block size a container may declare, and the
+// ceiling core.Options.Normalize puts on the encoder.
+const MaxBlockSize = 1 << 26
+
+// A record's raw length and sequence count are bounded by its payload, so
+// that neither can size an allocation the payload could not fill. The
+// cheapest sequence is one code of at least one bit (Bit) or one token byte
+// (Byte). The most raw bytes per payload bit are a longest match's
+// (Bit): MaxLenValue bytes for a length code, its maxLenExtra extra bits and
+// an offset code, at least 18 bits in all. A Byte payload byte adds at most
+// 255 to a length: a literal is one byte per byte, and a match of length
+// 255k+14 at most costs a token, k extension bytes and a 2-byte offset.
+const (
+	maxRawPerBit  = (MaxLenValue + maxLenExtra + 1) / (maxLenExtra + 2)
+	maxRawPerByte = 255
+)
+
 // AppendHeader serializes the file header.
 func AppendHeader(dst []byte, h FileHeader) []byte {
 	dst = append(dst, magic[:]...)
@@ -151,6 +172,9 @@ func ParseHeader(data []byte) (FileHeader, error) {
 	if h.NumBlocks > 1<<28 {
 		return h, fmt.Errorf("%w: implausible block count %d", ErrFormat, h.NumBlocks)
 	}
+	if h.BlockSize > MaxBlockSize {
+		return h, fmt.Errorf("%w: block size %d exceeds %d", ErrFormat, h.BlockSize, MaxBlockSize)
+	}
 	return h, nil
 }
 
@@ -165,13 +189,23 @@ const HeaderSize = headerSize
 // data. It returns the bytes remaining after the record.
 func ParseBlock(h FileHeader, bi uint32, data []byte, b *Block) ([]byte, error) {
 	rest := data
-	if len(rest) < 12 {
+	if len(rest) < blockHeaderSize {
 		return nil, fmt.Errorf("%w: block %d: truncated header", ErrFormat, bi)
 	}
 	b.RawLen = int(binary.LittleEndian.Uint32(rest))
 	b.NumSeqs = int(binary.LittleEndian.Uint32(rest[4:]))
 	payloadLen := int(binary.LittleEndian.Uint32(rest[8:]))
-	rest = rest[12:]
+	rest = rest[blockHeaderSize:]
+	units, rawPerUnit := int64(payloadLen), int64(maxRawPerByte)
+	if h.Variant == VariantBit {
+		units, rawPerUnit = 8*units, maxRawPerBit
+	}
+	if int64(b.NumSeqs) > units {
+		return nil, fmt.Errorf("%w: block %d: %d sequences in a %d-byte payload", ErrFormat, bi, b.NumSeqs, payloadLen)
+	}
+	if int64(b.RawLen) > units*rawPerUnit {
+		return nil, fmt.Errorf("%w: block %d: raw length %d from a %d-byte payload", ErrFormat, bi, b.RawLen, payloadLen)
+	}
 	if h.BlockSize != 0 && uint32(b.RawLen) > h.BlockSize {
 		return nil, fmt.Errorf("%w: block %d: raw length %d exceeds block size %d", ErrFormat, bi, b.RawLen, h.BlockSize)
 	}

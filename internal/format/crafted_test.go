@@ -61,7 +61,7 @@ func TestParseFileShortNonFinalBlock(t *testing.T) {
 	data := AppendHeader(nil, h)
 	for _, part := range [][]byte{src[:half], src[half:]} {
 		ts := parseFor(t, part, lz77.DEOff)
-		p, err := EncodeByte(ts)
+		p, err := EncodeByte(nil, ts)
 		if err != nil {
 			t.Fatal(err)
 		}

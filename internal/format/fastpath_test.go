@@ -293,7 +293,7 @@ func TestDecodeByteIntoZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := EncodeByte(ts)
+	payload, err := EncodeByte(nil, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func BenchmarkDecodeByteInto(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			payload, err := EncodeByte(ts)
+			payload, err := EncodeByte(nil, ts)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -76,7 +76,7 @@ func parseFor(t *testing.T, src []byte, de lz77.DEMode) *lz77.TokenStream {
 func TestByteRoundtrip(t *testing.T) {
 	src := []byte(strings.Repeat("abcabcabc hello world ", 500))
 	ts := parseFor(t, src, lz77.DEOff)
-	payload, err := EncodeByte(ts)
+	payload, err := EncodeByte(nil, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestByteLongLiteralsAndMatches(t *testing.T) {
 		},
 		RawLen: 1600,
 	}
-	payload, err := EncodeByte(ts)
+	payload, err := EncodeByte(nil, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestByteRejectsHugeOffset(t *testing.T) {
 		Seqs:     []lz77.Seq{{LitLen: 4, MatchLen: 4, Offset: 1 << 17}},
 		RawLen:   8,
 	}
-	if _, err := EncodeByte(ts); err == nil {
+	if _, err := EncodeByte(nil, ts); err == nil {
 		t.Fatal("offset beyond 2-byte field accepted")
 	}
 }
@@ -142,7 +142,7 @@ func TestParseSeqByteTruncation(t *testing.T) {
 		Seqs:     []lz77.Seq{{LitLen: 8, MatchLen: 20, Offset: 4}},
 		RawLen:   28,
 	}
-	payload, err := EncodeByte(ts)
+	payload, err := EncodeByte(nil, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestContainerRoundtrip(t *testing.T) {
 			blk.RawLen = len(bsrc)
 			blk.NumSeqs = len(ts.Seqs)
 			if variant == VariantByte {
-				p, err := EncodeByte(ts)
+				p, err := EncodeByte(nil, ts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -64,7 +64,7 @@ func fuzzContainer(t testing.TB, variant Variant, src []byte, blockSize int) []b
 		}
 		blk := Block{RawLen: len(raw), NumSeqs: len(ts.Seqs)}
 		if variant == VariantByte {
-			if blk.Payload, err = EncodeByte(ts); err != nil {
+			if blk.Payload, err = EncodeByte(nil, ts); err != nil {
 				t.Fatal(err)
 			}
 		} else {

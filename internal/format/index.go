@@ -65,8 +65,9 @@ func AppendIndex(dst []byte, offsets []int64) []byte {
 // block section that ended at container offset blocksEnd. It is the only
 // trailer parser: it validates framing (magic, varint-area length), shape
 // (one record length per block, nothing left over) and that the record
-// lengths add up to blocksEnd — an index that does not reproduce the block
-// section it trails is not an index.
+// lengths — each at least a record's fixed fields — run from HeaderSize to
+// exactly blocksEnd: an index that does not reproduce the block section it
+// trails is not an index.
 func parseIndexBytes(tail []byte, h FileHeader, blocksEnd int64) (*Index, error) {
 	if len(tail) < IndexFooterSize {
 		return nil, fmt.Errorf("%w: index trailer too short", ErrFormat)
@@ -93,6 +94,11 @@ func parseIndexBytes(tail []byte, h FileHeader, blocksEnd int64) (*Index, error)
 			return nil, fmt.Errorf("%w: bad index varint for block %d", ErrFormat, i)
 		}
 		area = area[n:]
+		// Every record holds at least its fixed fields, and none runs past
+		// the block section: lengths that only add up modulo 2^64 are lies.
+		if v < blockHeaderSize || v > uint64(max(0, blocksEnd-offsets[i])) {
+			return nil, fmt.Errorf("%w: index entry %d: record length %d", ErrFormat, i, v)
+		}
 		offsets[i+1] = offsets[i] + int64(v)
 	}
 	if len(area) != 0 {

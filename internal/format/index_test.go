@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"gompresso/internal/datagen"
@@ -38,7 +41,7 @@ func indexContainer(t *testing.T, src []byte, blockSize int, withIndex bool) ([]
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := EncodeByte(ts)
+		payload, err := EncodeByte(nil, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,4 +391,71 @@ func TestBlockReaderSteadyStateAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("Next allocates %.1f times per block in the steady state", allocs)
 	}
+}
+
+// FuzzIndexTrailer feeds the one trailer parser arbitrary trailers, block
+// counts and block-section ends. It either refuses them, or returns
+// NumBlocks+1 offsets that run from HeaderSize to blocksEnd in steps that each
+// hold a record's fixed fields, and that AppendIndex re-encodes to a trailer
+// parsing back to the same offsets — offsets, not bytes, because Uvarint
+// accepts non-minimal varints. Either way it allocates at most 16 bytes per
+// trailer byte and 1 KiB more. Seeds: the trailers of containers of the golden
+// inputs, and record lengths that add up to the block section only modulo 2^64.
+func FuzzIndexTrailer(f *testing.F) {
+	const n = 600<<10 + 123
+	var offsets []int64
+	for _, src := range [][]byte{datagen.WikiXML(n, 11), datagen.MatrixMarket(n, 12), datagen.Nesting(n, 4, 13)} {
+		for _, v := range []Variant{VariantBit, VariantByte} {
+			_, idx, err := ScanIndex(bytes.NewReader(fuzzContainer(f, v, src, 256<<10)))
+			if err != nil {
+				f.Fatal(err)
+			}
+			offsets = idx.Offsets
+			f.Add(AppendIndex(nil, offsets), uint32(idx.NumBlocks()), offsets[idx.NumBlocks()])
+		}
+	}
+	wrap := slices.Clone(offsets)
+	wrap[1] = HeaderSize + 1<<31
+	f.Add(AppendIndex(nil, wrap), uint32(len(wrap)-1), wrap[len(wrap)-1])
+	f.Fuzz(func(t *testing.T, tail []byte, numBlocks uint32, blocksEnd int64) {
+		h := FileHeader{NumBlocks: numBlocks}
+		var (
+			idx *Index
+			err error
+		)
+		// A run over the bound is measured again, up to twice: the heap
+		// counters are the process's, and a fuzzing worker has goroutines of
+		// its own.
+		limit := 16*uint64(len(tail)) + 1<<10
+		n := uint64(math.MaxUint64)
+		for try := 0; try < 3 && n > limit; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			idx, err = parseIndexBytes(tail, h, blocksEnd)
+			runtime.ReadMemStats(&after)
+			n = min(n, after.TotalAlloc-before.TotalAlloc)
+		}
+		if n > limit && !race.Enabled {
+			t.Fatalf("parsing a %d-byte trailer allocated %d bytes, want ≤ %d", len(tail), n, limit)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("error %v does not wrap ErrFormat", err)
+			}
+			return
+		}
+		off := idx.Offsets
+		if len(off) != int(numBlocks)+1 || off[0] != HeaderSize || off[numBlocks] != blocksEnd {
+			t.Fatalf("%d offsets from %d to %d for %d blocks ending at %d", len(off), off[0], off[len(off)-1], numBlocks, blocksEnd)
+		}
+		for i := 1; i < len(off); i++ {
+			if off[i]-off[i-1] < blockHeaderSize {
+				t.Fatalf("record %d is %d bytes", i-1, off[i]-off[i-1])
+			}
+		}
+		back, err := parseIndexBytes(AppendIndex(nil, off), h, blocksEnd)
+		if err != nil || !slices.Equal(back.Offsets, off) {
+			t.Fatalf("re-encoded trailer: %v", err)
+		}
+	})
 }

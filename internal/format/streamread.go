@@ -115,7 +115,7 @@ func (br *BlockReader) Next(b *Block) error {
 // four the payload length; for Bit the two fixed-size trees, a sub-block
 // count and two varints per sub-block; then the payload.
 func (br *BlockReader) frame(rec []byte) ([]byte, error) {
-	rec, err := br.fill(rec, 12)
+	rec, err := br.fill(rec, blockHeaderSize)
 	if err != nil {
 		return rec, err
 	}

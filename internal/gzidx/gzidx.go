@@ -190,6 +190,11 @@ func Decode(data []byte) (*deflate.Index, Meta, error) {
 			}
 			cp.Window = append([]byte(nil), stored...)
 		case winEncBit:
+			// The container's header sizes the decode's output: hold it to
+			// the window before anything is allocated.
+			if h, err := format.ParseHeader(stored); err != nil || h.RawSize != uint64(wlen) {
+				return nil, meta, badf("checkpoint %d window container does not hold %d bytes", i, wlen)
+			}
 			win, err := core.DecompressContext(context.TODO(), stored, 1) // Decode takes no ctx; a window is one block
 			if err != nil {
 				return nil, meta, badf("checkpoint %d window: %v", i, err)

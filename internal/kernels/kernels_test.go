@@ -258,7 +258,7 @@ func TestByteLaunchMatchesReference(t *testing.T) {
 		streams, rawLens := splitBlocks(t, src, blockSize, lz77.Options{DE: tc.parse})
 		in := ByteInput{RawLens: rawLens, BlockSize: blockSize, Out: make([]byte, len(src))}
 		for _, ts := range streams {
-			payload, err := format.EncodeByte(ts)
+			payload, err := format.EncodeByte(nil, ts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,7 +283,7 @@ func TestByteLaunchCorruptPayload(t *testing.T) {
 	streams, rawLens := splitBlocks(t, src, 32<<10, lz77.Options{})
 	in := ByteInput{RawLens: rawLens, BlockSize: 32 << 10, Out: make([]byte, len(src))}
 	for _, ts := range streams {
-		payload, err := format.EncodeByte(ts)
+		payload, err := format.EncodeByte(nil, ts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,9 @@ package gompresso
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"runtime/debug"
@@ -9,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gompresso/internal/core"
 	"gompresso/internal/datagen"
 	"gompresso/internal/format"
 	"gompresso/internal/race"
@@ -197,5 +201,206 @@ func TestReaderReturnsPooledBuffers(t *testing.T) {
 		}
 		r.Close()
 		settle("closed after a decode error")
+	}
+}
+
+// memFile is an in-memory io.WriteSeeker, so that a Writer streams and
+// backpatches without a file. Writes past limit bytes fail, when limit > 0.
+type memFile struct {
+	buf   []byte
+	pos   int
+	limit int
+}
+
+func (m *memFile) Write(p []byte) (int, error) {
+	if m.limit > 0 && m.pos+len(p) > m.limit {
+		return 0, errors.New("disk full")
+	}
+	if end := m.pos + len(p); end > len(m.buf) {
+		m.buf = append(m.buf, make([]byte, end-len(m.buf))...)
+	}
+	m.pos += copy(m.buf[m.pos:], p)
+	return len(p), nil
+}
+
+func (m *memFile) Seek(off int64, whence int) (int64, error) {
+	switch whence {
+	case io.SeekCurrent:
+		off += int64(m.pos)
+	case io.SeekEnd:
+		off += int64(len(m.buf))
+	}
+	m.pos = int(off)
+	return off, nil
+}
+
+// stream hides its destination's Seek: the Writer's spool mode.
+type stream struct{ io.Writer }
+
+// However a Writer's stream ends — sealed, failed on its destination,
+// cancelled, flushed at a block boundary first, or closed with nothing
+// written — every raw block buffer and every record it took goes back to its
+// pool exactly once, in both output modes: records as they are written when
+// the destination seeks, from the spool at Close when it does not.
+func TestWriterReturnsPooledBuffers(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items on purpose under -race")
+	}
+	const bs = 64 << 10
+	src := datagen.WikiXML(10*bs+bs/3, 37)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	runtime.GC()
+	bufs, recs := watchPool(t, &blockBufPool), watchPool(t, &core.RecordPool)
+	dec, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 4} {
+		for _, seekable := range []bool{true, false} {
+			name := fmt.Sprintf("workers=%d seekable=%v", workers, seekable)
+			writer := func(ctx context.Context, limit int) (*Writer, *memFile) {
+				c, err := New(WithBlockSize(bs), WithWorkers(workers), WithIndex(true), WithContext(ctx))
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := &memFile{limit: limit}
+				if seekable {
+					return c.NewWriter(f), f
+				}
+				return c.NewWriter(stream{f}), f
+			}
+			settle := func(what string) {
+				bufs.settle(t, name+": "+what+": block buffers")
+				recs.settle(t, name+": "+what+": records")
+			}
+			ctx := context.Background()
+
+			w, f := writer(ctx, 0)
+			if _, err := w.Write(src); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if out, _, err := dec.Decompress(f.buf); err != nil || !bytes.Equal(out, src) {
+				t.Fatalf("%s: round trip: %v", name, err)
+			}
+			settle("a whole stream")
+
+			w, _ = writer(ctx, 3*bs/2)
+			w.Write(src) // fails, or leaves the failure to Close
+			if err := w.Close(); err == nil {
+				t.Fatalf("%s: Close sealed a stream its destination refused", name)
+			}
+			if _, err := w.Write(src[:1]); err == nil {
+				t.Fatalf("%s: Write after a destination error succeeded", name)
+			}
+			settle("a destination error")
+
+			cctx, cancel := context.WithCancel(ctx)
+			w, _ = writer(cctx, 0)
+			if _, err := w.Write(src[:5*bs/2]); err != nil {
+				t.Fatal(err)
+			}
+			cancel()
+			w.Write(src[5*bs/2:])
+			if err := w.Close(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: cancelled stream closed with %v", name, err)
+			}
+			settle("a cancelled context")
+
+			w, _ = writer(ctx, 0)
+			if _, err := w.Write(src[:3*bs]); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			settle("Flush at a block boundary")
+
+			w, _ = writer(ctx, 0)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			settle("Close without a Write")
+		}
+	}
+}
+
+// In a warm process a Writer allocates a few fixed objects per stream — itself,
+// its queue, the offsets, the spool's list of records and the header and
+// trailer — and nothing that grows with the blocks, even into a sink that
+// cannot seek, where the whole compressed stream waits for Close.
+func TestWriterSteadyStateAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items on purpose under -race")
+	}
+	src := datagen.WikiXML(4<<20, 41)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
+	for _, workers := range []int{1, 2} {
+		c, err := New(WithDE(DEStrict), WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := stream{io.Discard}
+		write := func() {
+			w := c.NewWriter(sink)
+			if _, err := w.Write(src); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write() // warm the pools
+		const streams = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < streams; i++ {
+			write()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / streams; per >= 64<<10 {
+			t.Errorf("workers=%d: a warm 4 MiB stream allocates %d bytes, want < %d", workers, per, 64<<10)
+		}
+	}
+}
+
+// Compress encodes into pooled records and allocates the container once, at
+// its exact size: in a warm process the call allocates its output and a
+// little bookkeeping.
+func TestCompressAllocBound(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items on purpose under -race")
+	}
+	src := datagen.WikiXML(4<<20, 43)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, v := range []Variant{VariantBit, VariantByte} {
+		c, err := New(WithVariant(v), WithIndex(true), WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Compress(src); err != nil { // warm the pools
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, _, err := c.Compress(src)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(out) != len(out) {
+			t.Errorf("%v: the container has capacity %d for %d bytes", v, cap(out), len(out))
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(out))*11/10+64<<10; got > limit {
+			t.Errorf("%v: Compress of %d bytes into %d allocated %d, want ≤ %d", v, len(src), len(out), got, limit)
+		}
 	}
 }

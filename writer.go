@@ -1,12 +1,10 @@
 package gompresso
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"gompresso/internal/core"
@@ -31,13 +29,20 @@ import (
 // destination is only ever written by the caller — and memory stays at
 // O(Workers × BlockSize).
 //
+// The Writer owns no buffers: raw blocks come from the pool of block-sized
+// buffers the Reader decodes into, and return to it once encoded; records come
+// from internal/core's record pool, the one Compress encodes into, and return
+// to it once written. A warm process allocates a few fixed objects per stream,
+// not its blocks.
+//
 // The container header carries the total raw size and block count, which a
 // streaming compressor only knows at Close. When the destination is an
 // io.WriteSeeker (an *os.File, say) the Writer streams records directly
 // after a placeholder header and backpatches the header at Close, keeping
-// memory bounded. Otherwise compressed records spool in memory and the
-// container is written at Close — the spool holds compressed bytes only,
-// but very large streams should compress to a seekable destination.
+// memory bounded. Otherwise the records themselves spool in memory, in
+// stream order and never copied, and the container is written at Close — the
+// spool holds one copy of the compressed stream, but very large streams
+// should compress to a seekable destination.
 //
 // Writer implements io.WriteCloser and io.ReaderFrom (io.Copy streams
 // source blocks straight into the block buffer). A Writer is not safe for
@@ -48,14 +53,16 @@ type Writer struct {
 	dst    io.Writer
 	ws     io.WriteSeeker // non-nil: stream-and-backpatch mode
 	wsBase int64          // container start offset within ws
-	spool  bytes.Buffer   // non-seekable mode: compressed block records
+	spool  []*[]byte      // non-seekable mode: the pooled records, in stream order
 
 	opt   core.Options // normalized compression options
 	ctx   context.Context
 	begin time.Time
 
-	cur   []byte   // raw block being filled; cap is always opt.BlockSize
-	spare [][]byte // raw block buffers whose blocks have been written
+	// The raw block being filled: raw is its pooled buffer, nil until input
+	// arrives after a submit, and cur its filled prefix, capped at BlockSize.
+	raw *[]byte
+	cur []byte
 
 	// The encodes of the `out` blocks submitted and not yet written; nil
 	// until the first block of a stream with more than one worker completes.
@@ -73,22 +80,18 @@ type Writer struct {
 	closeErr   error
 }
 
-// writeResult is one block's trip through the encoder: the raw buffer it
-// came in, and its encoded record or the error that poisons the stream.
+// writeResult is one block's trip through the encoder: the pooled buffer its
+// n raw bytes came in, and its pooled record or the error that poisons the
+// stream.
 type writeResult struct {
-	raw []byte
-	rec []byte
+	raw *[]byte
+	n   int
+	rec *[]byte
 	bs  core.BlockStats
 	err error
 }
 
 var errWriterClosed = errors.New("gompresso: writer closed")
-
-// recPool recycles encoded-record buffers across every Writer. It is deliberately not a field of Writer: the runtime's pool
-// registry references each sync.Pool it has seen for two collection cycles,
-// and a Pool embedded in a Writer would keep the whole closed Writer — spool,
-// block buffers and all — reachable that long.
-var recPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // NewWriter returns a parallel streaming compressor writing a Gompresso
 // container to w with the codec's configuration; see Writer for the
@@ -103,7 +106,6 @@ func (c *Codec) NewWriter(w io.Writer) *Writer {
 			wr.ws, wr.wsBase = ws, base
 		}
 	}
-	wr.cur = make([]byte, 0, c.copt.BlockSize)
 	return wr
 }
 
@@ -132,11 +134,9 @@ func (w *Writer) Write(p []byte) (int, error) {
 	}
 	var n int
 	for len(p) > 0 {
-		if len(w.cur) == cap(w.cur) {
-			if err := w.submit(); err != nil {
-				w.err = err
-				return n, err
-			}
+		if err := w.room(); err != nil {
+			w.err = err
+			return n, err
 		}
 		c := copy(w.cur[len(w.cur):cap(w.cur)], p)
 		w.cur = w.cur[:len(w.cur)+c]
@@ -155,11 +155,9 @@ func (w *Writer) ReadFrom(r io.Reader) (int64, error) {
 	}
 	var total int64
 	for {
-		if len(w.cur) == cap(w.cur) {
-			if err := w.submit(); err != nil {
-				w.err = err
-				return total, err
-			}
+		if err := w.room(); err != nil {
+			w.err = err
+			return total, err
 		}
 		n, err := r.Read(w.cur[len(w.cur):cap(w.cur)])
 		w.cur = w.cur[:len(w.cur)+n]
@@ -176,9 +174,23 @@ func (w *Writer) ReadFrom(r io.Reader) (int64, error) {
 	}
 }
 
-// submit hands the current (full, or final partial) block to the encoder
-// and readies a buffer for the next, first writing out the oldest block when
-// readahead of them are out already.
+// room readies the block being filled for more input: a full block is
+// submitted, and a Writer holding no buffer takes one from blockBufPool.
+func (w *Writer) room() error {
+	if len(w.cur) == w.opt.BlockSize {
+		if err := w.submit(); err != nil {
+			return err
+		}
+	}
+	if w.raw == nil {
+		w.raw = pooledBlockBuf(w.opt.BlockSize)
+		w.cur = (*w.raw)[:0:w.opt.BlockSize]
+	}
+	return nil
+}
+
+// submit hands the current (full, or final partial) block to the encoder,
+// first writing out the oldest block when readahead of them are out already.
 func (w *Writer) submit() error {
 	if len(w.cur) == 0 {
 		return nil
@@ -186,39 +198,31 @@ func (w *Writer) submit() error {
 	if err := w.ensureHeader(); err != nil {
 		return err
 	}
-	raw := w.cur
-	if w.opt.Workers <= 1 {
-		// With one worker the caller is that worker: run the task here.
-		if err := w.finish(w.encode(raw)); err != nil {
+	if w.out == readahead(w.opt.Workers) {
+		if err := w.takeOldest(); err != nil {
 			return err
 		}
-	} else {
-		if w.ord == nil {
-			w.ord = parallel.NewOrdered[writeResult](w.opt.Workers, readahead(w.opt.Workers))
-		}
-		if w.out == readahead(w.opt.Workers) {
-			if err := w.takeOldest(); err != nil {
-				return err
-			}
-		}
-		w.ord.Submit(func() writeResult { return w.encode(raw) })
-		w.out++
 	}
-	if n := len(w.spare); n > 0 {
-		w.cur, w.spare = w.spare[n-1], w.spare[:n-1]
-	} else {
-		w.cur = make([]byte, 0, w.opt.BlockSize)
+	raw, n := w.raw, len(w.cur)
+	w.raw, w.cur = nil, nil
+	if w.opt.Workers <= 1 {
+		// With one worker the caller is that worker: run the task here.
+		return w.finish(w.encode(raw, n))
 	}
+	if w.ord == nil {
+		w.ord = parallel.NewOrdered[writeResult](w.opt.Workers, readahead(w.opt.Workers))
+	}
+	w.ord.Submit(func() writeResult { return w.encode(raw, n) })
+	w.out++
 	return nil
 }
 
-// encode compresses one raw block into a pooled record buffer; it runs on
-// the worker pool, or on the caller when that is the one worker.
-func (w *Writer) encode(raw []byte) writeResult {
-	res := writeResult{raw: raw}
+// encode compresses one raw block into a pooled record; it runs on the worker
+// pool, or on the caller when that is the one worker.
+func (w *Writer) encode(raw *[]byte, n int) writeResult {
+	res := writeResult{raw: raw, n: n}
 	if res.err = w.ctx.Err(); res.err == nil {
-		rp := recPool.Get().(*[]byte)
-		res.rec, res.bs, res.err = core.EncodeBlockRecord((*rp)[:0], raw, w.opt)
+		res.rec, res.bs, res.err = core.EncodeRecord((*raw)[:n], w.opt)
 	}
 	return res
 }
@@ -230,39 +234,38 @@ func (w *Writer) takeOldest() error {
 	return w.finish(res)
 }
 
-// finish writes an encoded block's record to the destination — unless the
-// stream has failed already — and recycles its buffers.
+// finish writes an encoded block's record out — unless the stream has failed
+// already — and recycles its buffers: the raw block at once, the record once
+// it has been written.
 func (w *Writer) finish(res writeResult) error {
-	var err error
-	if w.err != nil {
-		// Only recycle.
-	} else if res.err != nil {
-		err = fmt.Errorf("gompresso: block %d: %w", len(w.offsets), res.err)
-	} else {
-		err = w.emit(res.rec, len(res.raw), res.bs)
+	blockBufPool.Put(res.raw)
+	switch {
+	case w.err == nil && res.err != nil:
+		return fmt.Errorf("gompresso: block %d: %w", len(w.offsets), res.err)
+	case w.err == nil:
+		return w.emit(res.rec, res.n, res.bs)
+	case res.rec != nil: // the stream has failed: only recycle
+		core.RecordPool.Put(res.rec)
 	}
-	if rec := res.rec; rec != nil {
-		recPool.Put(&rec)
-	}
-	w.spare = append(w.spare, res.raw[:0])
-	return err
+	return nil
 }
 
-// emit writes one encoded block record to the destination (directly in
-// seekable mode, to the spool otherwise) and updates the container
-// accounting shared with Close.
-func (w *Writer) emit(rec []byte, rawLen int, bs core.BlockStats) error {
+// emit writes one encoded block record to the destination and recycles it in
+// seekable mode, or keeps it on the spool for Close, and updates the
+// container accounting shared with Close.
+func (w *Writer) emit(rec *[]byte, rawLen int, bs core.BlockStats) error {
+	size := int64(len(*rec))
 	w.offsets = append(w.offsets, int64(format.HeaderSize)+w.written)
-	var err error
-	if w.ws != nil {
-		_, err = w.ws.Write(rec)
+	if w.ws == nil {
+		w.spool = append(w.spool, rec)
 	} else {
-		_, err = w.spool.Write(rec)
+		_, err := w.ws.Write(*rec)
+		core.RecordPool.Put(rec)
+		if err != nil {
+			return fmt.Errorf("gompresso: writing block %d: %w", len(w.offsets)-1, err)
+		}
 	}
-	if err != nil {
-		return fmt.Errorf("gompresso: writing block %d: %w", len(w.offsets)-1, err)
-	}
-	w.written += int64(len(rec))
+	w.written += size
 	w.rawTotal += uint64(rawLen)
 	w.stats.Accumulate(bs)
 	return nil
@@ -297,7 +300,7 @@ func (w *Writer) Flush() error {
 	}
 	// A block that filled exactly to the boundary is completed input: it
 	// normally rides along with the next Write, but Flush must push it.
-	if len(w.cur) == cap(w.cur) {
+	if len(w.cur) == w.opt.BlockSize {
 		if err := w.submit(); err != nil {
 			w.err = err
 			return err
@@ -323,10 +326,17 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	w.closeErr = w.finalize()
-	// A closed Writer only answers Stats: drop the block buffers and the
-	// spool so a caller holding on to it does not hold on to them. No encode
-	// task can still reach them — finalize took every task's result.
-	w.cur, w.spare, w.ord, w.spool = nil, nil, nil, bytes.Buffer{}
+	// A closed Writer only answers Stats: every pooled buffer it still holds
+	// goes back — the block being filled, which a failed stream never
+	// submitted, and the spooled records, written or not. No encode task can
+	// still reach them: finalize took every task's result.
+	if w.raw != nil {
+		blockBufPool.Put(w.raw)
+	}
+	for _, rec := range w.spool {
+		core.RecordPool.Put(rec)
+	}
+	w.raw, w.cur, w.ord, w.spool = nil, nil, nil, nil
 	if w.err == nil && w.closeErr != nil {
 		w.err = w.closeErr
 	}
@@ -388,11 +398,17 @@ func (w *Writer) seal() error {
 			return fmt.Errorf("gompresso: sealing header: %w", err)
 		}
 	} else {
+		// The container goes out in one Write per record. A destination
+		// that can reserve room (a bytes.Buffer) is asked for all of it
+		// first, so that it grows once, not by doubling.
+		if g, ok := w.dst.(interface{ Grow(int) }); ok {
+			g.Grow(format.HeaderSize + int(w.written) + len(trailer))
+		}
 		if _, err := w.dst.Write(hb); err != nil {
 			return fmt.Errorf("gompresso: writing header: %w", err)
 		}
-		if w.spool.Len() > 0 {
-			if _, err := w.spool.WriteTo(w.dst); err != nil {
+		for _, rec := range w.spool {
+			if _, err := w.dst.Write(*rec); err != nil {
 				return fmt.Errorf("gompresso: writing blocks: %w", err)
 			}
 		}
