@@ -6,7 +6,6 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
-	"runtime"
 	"testing"
 	"time"
 
@@ -16,15 +15,6 @@ import (
 	"gompresso/internal/format"
 	"gompresso/internal/gzidx"
 )
-
-// allocated returns the bytes fn allocates.
-func allocated(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
 
 // lie rewrites, in place, the block size and raw size in the header of the
 // one-block container c and the raw length of its record.
@@ -83,7 +73,7 @@ func TestLyingRawLengthAllocatesNothing(t *testing.T) {
 	for name, data := range map[string][]byte{"1 GiB Byte": gib, "64 MiB Bit": full} {
 		for _, op := range ops {
 			var err error
-			if n := allocated(func() { err = op.run(data) }); n >= 1<<20 {
+			if n := gompresso.BytesPerRun(1, func() { err = op.run(data) }); n >= 1<<20 {
 				t.Errorf("%s: %s allocated %d bytes", name, op.name, n)
 			}
 			if !errors.Is(err, format.ErrFormat) {
@@ -112,7 +102,7 @@ func TestLyingRawLengthAllocatesNothing(t *testing.T) {
 		lie(bad[at:], claim, claim)
 		body := bad[:len(bad)-4]
 		binary.LittleEndian.PutUint32(bad[len(body):], crc32.ChecksumIEEE(body))
-		if n := allocated(func() { _, _, err = gzidx.Decode(bad) }); n >= 1<<20 {
+		if n := gompresso.BytesPerRun(1, func() { _, _, err = gzidx.Decode(bad) }); n >= 1<<20 {
 			t.Errorf("sidecar with a %d-byte window container: Decode allocated %d bytes", claim, n)
 		}
 		if !errors.Is(err, gzidx.ErrSidecar) {
@@ -154,7 +144,7 @@ func TestIndexTrailerWrappingLengths(t *testing.T) {
 		t.Fatalf("NewReaderAt: %v", err)
 	}
 	got := make([]byte, 100)
-	if n := allocated(func() { _, err = ra.ReadAt(got, 0) }); n >= 1<<20 {
+	if n := gompresso.BytesPerRun(1, func() { _, err = ra.ReadAt(got, 0) }); n >= 1<<20 {
 		t.Errorf("a 100-byte ReadAt allocated %d bytes", n)
 	}
 	if err != nil || !bytes.Equal(got, src[:100]) {

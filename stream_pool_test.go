@@ -41,6 +41,31 @@ func poolFixture(t *testing.T) (src, comp []byte, codecs map[string]*Codec) {
 	return src, comp, codecs
 }
 
+// bytesPerRun returns the bytes one call of fn allocates in a warm process,
+// averaged over runs calls — testing.AllocsPerRun's counterpart for bytes.
+// Like it, it pins one P and warms up first, here with as many calls as it
+// measures; it also holds the collector off, since a collection empties the
+// pools. On several Ps a pooled object can sit in another P's private slot,
+// out of reach of the P that asks next, and the pool makes a fresh one: on a
+// loaded machine that flipped these bounds at random. On one P the pools still
+// grow when a preempted task lets another overlap it, or hands a record to a
+// bigger block than last time; a warm-up as long as the measurement meets
+// those high-water marks first.
+func bytesPerRun(runs int, fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // A stream takes its records and decoded-block buffers from the package pools
 // and gives them back, so in a warm process opening, draining and closing a
 // Reader allocates a few fixed objects — the source's read buffer, the ordered
@@ -49,7 +74,6 @@ func poolFixture(t *testing.T) (src, comp []byte, codecs map[string]*Codec) {
 // own: about a third of this container's raw size, half of a 4 MiB one's.
 func TestReaderStreamAllocationsBounded(t *testing.T) {
 	src, comp, codecs := poolFixture(t)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
 	for name, c := range codecs {
 		stream := func() {
 			r, err := c.NewReader(bytes.NewReader(comp))
@@ -61,15 +85,7 @@ func TestReaderStreamAllocationsBounded(t *testing.T) {
 			}
 			r.Close()
 		}
-		stream() // warm the pools
-		const streams = 8
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < streams; i++ {
-			stream()
-		}
-		runtime.ReadMemStats(&after)
-		per := (after.TotalAlloc - before.TotalAlloc) / streams
+		per := bytesPerRun(8, stream)
 		if limit := uint64(len(src) / 8); per > limit {
 			t.Errorf("%s: a warm stream of %d bytes allocates %d, want ≤ %d", name, len(src), per, limit)
 		}
@@ -342,7 +358,6 @@ func TestWriterSteadyStateAllocations(t *testing.T) {
 		t.Skip("sync.Pool drops items on purpose under -race")
 	}
 	src := datagen.WikiXML(4<<20, 41)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
 	for _, workers := range []int{1, 2} {
 		c, err := New(WithDE(DEStrict), WithWorkers(workers))
 		if err != nil {
@@ -358,15 +373,7 @@ func TestWriterSteadyStateAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		write() // warm the pools
-		const streams = 4
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < streams; i++ {
-			write()
-		}
-		runtime.ReadMemStats(&after)
-		if per := (after.TotalAlloc - before.TotalAlloc) / streams; per >= 64<<10 {
+		if per := bytesPerRun(4, write); per >= 64<<10 {
 			t.Errorf("workers=%d: a warm 4 MiB stream allocates %d bytes, want < %d", workers, per, 64<<10)
 		}
 	}
@@ -380,26 +387,21 @@ func TestCompressAllocBound(t *testing.T) {
 		t.Skip("sync.Pool drops items on purpose under -race")
 	}
 	src := datagen.WikiXML(4<<20, 43)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, v := range []Variant{VariantBit, VariantByte} {
 		c, err := New(WithVariant(v), WithIndex(true), WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.Compress(src); err != nil { // warm the pools
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		out, _, err := c.Compress(src)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var out []byte
+		got := bytesPerRun(1, func() {
+			if out, _, err = c.Compress(src); err != nil {
+				t.Fatal(err)
+			}
+		})
 		if cap(out) != len(out) {
 			t.Errorf("%v: the container has capacity %d for %d bytes", v, cap(out), len(out))
 		}
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(out))*11/10+64<<10; got > limit {
+		if limit := uint64(len(out))*11/10 + 64<<10; got > limit {
 			t.Errorf("%v: Compress of %d bytes into %d allocated %d, want ≤ %d", v, len(src), len(out), got, limit)
 		}
 	}
