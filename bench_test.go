@@ -76,7 +76,7 @@ func compressFor(b *testing.B, data []byte, variant gompresso.Variant, de gompre
 // benchDevice times simulated-device decompression and reports the modeled
 // throughput. It calls internal/kernels for TileTo, which keeps the modelled
 // device as full as the paper's 1 GB inputs do and is not a Codec option.
-func benchDevice(b *testing.B, comp []byte, raw []byte, strat gompresso.Strategy, pcie gompresso.PCIeMode) {
+func benchDevice(b *testing.B, comp []byte, raw []byte, strat kernels.Strategy, pcie kernels.PCIeMode) {
 	b.Helper()
 	b.SetBytes(int64(len(raw)))
 	var sim float64
@@ -96,38 +96,37 @@ func benchDevice(b *testing.B, comp []byte, raw []byte, strat gompresso.Strategy
 // Fig. 9a — strategy comparison, Gompresso/Byte, no transfers.
 func BenchmarkFig09a_Wikipedia_SC(b *testing.B) {
 	w, _ := corpora()
-	benchDevice(b, compressFor(b, w, gompresso.VariantByte, gompresso.DEOff), w, gompresso.SC, gompresso.PCIeNone)
+	benchDevice(b, compressFor(b, w, gompresso.VariantByte, gompresso.DEOff), w, kernels.SC, kernels.PCIeNone)
 }
 func BenchmarkFig09a_Wikipedia_MRR(b *testing.B) {
 	w, _ := corpora()
-	benchDevice(b, compressFor(b, w, gompresso.VariantByte, gompresso.DEOff), w, gompresso.MRR, gompresso.PCIeNone)
+	benchDevice(b, compressFor(b, w, gompresso.VariantByte, gompresso.DEOff), w, kernels.MRR, kernels.PCIeNone)
 }
 func BenchmarkFig09a_Wikipedia_DE(b *testing.B) {
 	w, _ := corpora()
-	benchDevice(b, compressFor(b, w, gompresso.VariantByte, gompresso.DEStrict), w, gompresso.DE, gompresso.PCIeNone)
+	benchDevice(b, compressFor(b, w, gompresso.VariantByte, gompresso.DEStrict), w, kernels.DE, kernels.PCIeNone)
 }
 func BenchmarkFig09a_Matrix_SC(b *testing.B) {
 	_, m := corpora()
-	benchDevice(b, compressFor(b, m, gompresso.VariantByte, gompresso.DEOff), m, gompresso.SC, gompresso.PCIeNone)
+	benchDevice(b, compressFor(b, m, gompresso.VariantByte, gompresso.DEOff), m, kernels.SC, kernels.PCIeNone)
 }
 func BenchmarkFig09a_Matrix_MRR(b *testing.B) {
 	_, m := corpora()
-	benchDevice(b, compressFor(b, m, gompresso.VariantByte, gompresso.DEOff), m, gompresso.MRR, gompresso.PCIeNone)
+	benchDevice(b, compressFor(b, m, gompresso.VariantByte, gompresso.DEOff), m, kernels.MRR, kernels.PCIeNone)
 }
 func BenchmarkFig09a_Matrix_DE(b *testing.B) {
 	_, m := corpora()
-	benchDevice(b, compressFor(b, m, gompresso.VariantByte, gompresso.DEStrict), m, gompresso.DE, gompresso.PCIeNone)
+	benchDevice(b, compressFor(b, m, gompresso.VariantByte, gompresso.DEStrict), m, kernels.DE, kernels.PCIeNone)
 }
 
 // Fig. 9b — MRR round statistics (the bench reports avg rounds).
 func BenchmarkFig09b_Rounds(b *testing.B) {
 	w, _ := corpora()
 	comp := compressFor(b, w, gompresso.VariantByte, gompresso.DEOff)
-	codec := newCodec(b, gompresso.WithEngine(gompresso.EngineDevice), gompresso.WithStrategy(gompresso.MRR))
 	b.SetBytes(int64(len(w)))
 	var rounds float64
 	for i := 0; i < b.N; i++ {
-		_, ds, err := codec.Decompress(comp)
+		_, ds, err := kernels.Decompress(comp, kernels.Config{Strategy: kernels.MRR})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +142,7 @@ func BenchmarkFig09c_Depth32(b *testing.B) { benchNesting(b, 1) }
 func benchNesting(b *testing.B, families int) {
 	data := datagen.Nesting(benchSize, families, 7)
 	comp := compress(b, data, byteVariant, gompresso.WithDE(gompresso.DEOff), gompresso.WithWindow(datagen.NestingWindow))
-	benchDevice(b, comp, data, gompresso.MRR, gompresso.PCIeNone)
+	benchDevice(b, comp, data, kernels.MRR, kernels.PCIeNone)
 }
 
 // Fig. 11 — Dependency Elimination compression cost.
@@ -171,13 +170,13 @@ func BenchmarkFig12_Block256KB(b *testing.B) { benchFig12(b, 256<<10) }
 func benchFig12(b *testing.B, blockSize int) {
 	w, _ := corpora()
 	comp := compress(b, w, gompresso.WithDE(gompresso.DEStrict), gompresso.WithBlockSize(blockSize))
-	benchDevice(b, comp, w, gompresso.DE, gompresso.PCIeInOut)
+	benchDevice(b, comp, w, kernels.DE, kernels.PCIeInOut)
 }
 
 // Fig. 13 — Gompresso/Bit vs the measured CPU baselines on this host.
 func BenchmarkFig13_GompBit(b *testing.B) {
 	w, _ := corpora()
-	benchDevice(b, compressFor(b, w, gompresso.VariantBit, gompresso.DEStrict), w, gompresso.DE, gompresso.PCIeInOut)
+	benchDevice(b, compressFor(b, w, gompresso.VariantBit, gompresso.DEStrict), w, kernels.DE, kernels.PCIeInOut)
 }
 
 func BenchmarkFig13_CPU(b *testing.B) {

@@ -8,7 +8,6 @@
 //	gompresso decompress [flags] <in> <out>
 //	gompresso cat        [flags] <in>     (stream a range to stdout)
 //	gompresso stat       [-json] <in>     (container metadata, no decode)
-//	gompresso verify     [flags] <in>     (compress+decompress in memory)
 //	gompresso index      [flags] <in>     (build a .gzx seek-index sidecar for a .gz/.zz)
 //	gompresso serve      [flags]          (HTTP range server over -root)
 //	gompresso loadtest   [flags]          (open-loop latency load harness against serve)
@@ -19,9 +18,9 @@
 // decompress and cat sniff their input: Gompresso containers take the
 // native block-parallel path, .gz/.zz files the deflate pipeline
 // (`gompresso cat file.gz` is a parallel `gzip -dc`; -offset/-length
-// require the native container's index). decompress runs on the host;
-// `decompress -engine device` runs the paper's GPU kernels on the
-// deterministic simulator instead and prints their modeled time.
+// require the native container's index). Both run on the host; the paper's
+// simulated GPU kernels are reproduced by cmd/figures and driven directly by
+// the examples.
 package main
 
 import (
@@ -49,8 +48,6 @@ func main() {
 		err = catCmd(args)
 	case "stat":
 		err = statCmd(args)
-	case "verify":
-		err = verifyCmd(args)
 	case "index":
 		err = indexCmd(args)
 	case "serve":
@@ -69,7 +66,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: gompresso {compress|decompress|cat|stat|verify|index|serve|loadtest|version} [flags] <in> [out]")
+	fmt.Fprintln(os.Stderr, "usage: gompresso {compress|decompress|cat|stat|index|serve|loadtest|version} [flags] <in> [out]")
 	os.Exit(2)
 }
 
@@ -77,8 +74,6 @@ func usage() {
 var (
 	variants = map[string]gompresso.Variant{"bit": gompresso.VariantBit, "byte": gompresso.VariantByte}
 	deModes  = map[string]gompresso.DEMode{"off": gompresso.DEOff, "strict": gompresso.DEStrict, "lit": gompresso.DELit}
-	engines  = map[string]gompresso.Engine{"device": gompresso.EngineDevice, "host": gompresso.EngineHost}
-	pcies    = map[string]gompresso.PCIeMode{"none": gompresso.PCIeNone, "in": gompresso.PCIeIn, "inout": gompresso.PCIeInOut}
 )
 
 // compressFlags registers the compression flags on fs and returns the
@@ -110,34 +105,6 @@ func compressFlags(fs *flag.FlagSet) func(extra ...gompresso.Option) (*gompresso
 			gompresso.WithSeqsPerSub(*subSeqs),
 			gompresso.WithIndex(*index),
 		}, extra...)...)
-	}
-}
-
-// decompressFlags is compressFlags' counterpart for the engine flags.
-func decompressFlags(fs *flag.FlagSet) func(extra ...gompresso.Option) (*gompresso.Codec, error) {
-	engine := fs.String("engine", "host", "engine: host (the fused fast path) or device (the paper's simulated GPU)")
-	strategy := fs.String("strategy", "auto", "back-reference strategy: auto, sc, mrr, de")
-	pcie := fs.String("pcie", "none", "transfer accounting: none, in, inout")
-	return func(extra ...gompresso.Option) (*gompresso.Codec, error) {
-		e, ok := engines[*engine]
-		if !ok {
-			return nil, fmt.Errorf("unknown engine %q", *engine)
-		}
-		m, ok := pcies[*pcie]
-		if !ok {
-			return nil, fmt.Errorf("unknown pcie mode %q", *pcie)
-		}
-		o := []gompresso.Option{gompresso.WithEngine(e), gompresso.WithPCIe(m)}
-		switch *strategy {
-		case "auto", "mrr": // unpinned: the device engine picks DE for DE-parsed streams, MRR otherwise
-		case "sc":
-			o = append(o, gompresso.WithStrategy(gompresso.SC))
-		case "de":
-			o = append(o, gompresso.WithStrategy(gompresso.DE))
-		default:
-			return nil, fmt.Errorf("unknown strategy %q", *strategy)
-		}
-		return gompresso.New(append(o, extra...)...)
 	}
 }
 
@@ -211,21 +178,18 @@ func compressCmd(args []string) error {
 	return nil
 }
 
-// decompressCmd hands the whole input to one Codec.Decompress: the codec
-// routes by magic bytes (not by parse success, so a corrupt native
-// container still surfaces its own error under the flags the user
-// selected) and decodes foreign gzip/zlib input on the host whatever -engine
-// says. -engine device runs the paper's simulated GPU instead of the host
-// fast path and reports its modeled time; -strategy and -pcie apply to it.
+// decompressCmd hands the whole input to one Codec.Decompress on the host:
+// the codec routes by magic bytes (not by parse success, so a corrupt native
+// container still surfaces its own error) and decodes foreign gzip/zlib input
+// through the deflate pipeline.
 func decompressCmd(args []string) error {
 	fs := flag.NewFlagSet("decompress", flag.ExitOnError)
-	codec := decompressFlags(fs)
-	workers := fs.Int("workers", 0, "concurrent host block decodes (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "concurrent block decodes (0 = GOMAXPROCS)")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		return fmt.Errorf("decompress needs <in> <out>")
 	}
-	c, err := codec(gompresso.WithWorkers(*workers))
+	c, err := gompresso.New(gompresso.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -240,22 +204,13 @@ func decompressCmd(args []string) error {
 	if err := os.WriteFile(fs.Arg(1), out, 0o644); err != nil {
 		return err
 	}
-	if stats.SimSeconds > 0 {
-		fmt.Printf("%d bytes  simulated %.3f ms (%.2f GB/s device)  host %.3f ms\n",
-			stats.RawSize, stats.SimSeconds*1e3, float64(stats.RawSize)/stats.SimSeconds/1e9,
-			stats.HostSeconds*1e3)
-		if stats.Rounds != nil && stats.Rounds.Groups > 0 {
-			fmt.Printf("MRR: %.2f avg rounds, max %d\n", stats.Rounds.AvgRounds(), stats.Rounds.MaxRounds)
-		}
-	} else {
-		fmt.Printf("%d bytes  host %.3f ms\n", stats.RawSize, stats.HostSeconds*1e3)
-	}
+	fmt.Printf("%d bytes  host %.3f ms\n", stats.RawSize, stats.HostSeconds*1e3)
 	return nil
 }
 
 // catCmd streams (a range of) a container's decompressed contents to
 // stdout through the parallel pipelined Reader — the serving path, as
-// opposed to decompressCmd's whole-buffer engines.
+// opposed to decompressCmd's whole-buffer decode.
 func catCmd(args []string) error {
 	fs := flag.NewFlagSet("cat", flag.ExitOnError)
 	workers := fs.Int("workers", 0, "concurrent block decodes (0 = GOMAXPROCS)")
@@ -290,45 +245,4 @@ func catCmd(args []string) error {
 	}
 	_, err = io.Copy(os.Stdout, src)
 	return err
-}
-
-func verifyCmd(args []string) error {
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	codec := compressFlags(fs)
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		return fmt.Errorf("verify needs <in>")
-	}
-	src, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	host, err := codec()
-	if err != nil {
-		return err
-	}
-	// The device codec's unpinned strategy follows the stream: DE for a
-	// DE parse, MRR otherwise.
-	device, err := codec(gompresso.WithEngine(gompresso.EngineDevice))
-	if err != nil {
-		return err
-	}
-	comp, cs, err := host.Compress(src)
-	if err != nil {
-		return err
-	}
-	for _, eng := range []struct {
-		name string
-		c    *gompresso.Codec
-	}{{"host", host}, {"device", device}} {
-		out, _, err := eng.c.Decompress(comp)
-		if err != nil {
-			return fmt.Errorf("%s engine: %w", eng.name, err)
-		}
-		if string(out) != string(src) {
-			return fmt.Errorf("%s engine: roundtrip mismatch", eng.name)
-		}
-	}
-	fmt.Printf("ok: %d bytes, ratio %.3f, verified on host and simulated device\n", cs.RawSize, cs.Ratio)
-	return nil
 }

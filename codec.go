@@ -38,7 +38,6 @@ type Codec struct {
 	ctx    context.Context
 	form   Format
 	engine Engine
-	dev    kernels.Config // device engine only
 
 	cacheBytes int64
 	cache      *blockcache.Cache // nil unless WithCache(n>0)
@@ -83,16 +82,9 @@ func WithWorkers(n int) Option { return func(c *Codec) { c.copt.Workers = n } }
 
 // WithEngine selects the decompression engine for Codec.Decompress. New's
 // default is EngineHost, the production fast path; EngineDevice is the
-// paper's simulated GPU.
+// paper's simulated GPU in its default configuration: DE for DE-parsed
+// streams, MRR otherwise, no PCIe transfers.
 func WithEngine(e Engine) Option { return func(c *Codec) { c.engine = e } }
-
-// WithStrategy pins the device engine's back-reference resolution
-// strategy. Without it, the device engine picks DE for DE-parsed streams
-// and MRR otherwise.
-func WithStrategy(s Strategy) Option { return func(c *Codec) { c.dev.Strategy = s } }
-
-// WithPCIe selects the device engine's transfer accounting.
-func WithPCIe(m PCIeMode) Option { return func(c *Codec) { c.dev.PCIe = m } }
 
 // WithFormat pins the input format Decompress and NewReader expect. The
 // default, FormatAuto, sniffs the magic bytes and accepts the Gompresso
@@ -245,7 +237,7 @@ func (c *Codec) Decompress(data []byte) ([]byte, *DecompressStats, error) {
 		out, err = core.DecompressContext(c.ctx, data, c.copt.Workers)
 	default:
 		if err = c.ctx.Err(); err == nil {
-			out, dev, err = kernels.Decompress(data, c.dev)
+			out, dev, err = kernels.Decompress(data, kernels.Config{})
 		}
 	}
 	if err != nil {

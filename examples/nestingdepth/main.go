@@ -12,6 +12,7 @@ import (
 
 	"gompresso"
 	"gompresso/internal/datagen"
+	"gompresso/internal/kernels"
 )
 
 func main() {
@@ -19,14 +20,14 @@ func main() {
 	fmt.Println("designed depth vs measured MRR rounds and simulated time (8 MiB per point)")
 	fmt.Println()
 	fmt.Printf("%-10s %-15s %-12s %-14s %s\n", "families", "designed depth", "avg rounds", "MRR time (ms)", "bar")
-	// One device codec per parse mode. Its strategy is left unpinned, so it
-	// follows the stream: MRR for an unrestricted parse, DE for a DE parse.
+	// One codec per parse mode. The simulated device's strategy is left
+	// unpinned, so it follows the stream: MRR for an unrestricted parse, DE
+	// for a DE parse.
 	codec := func(de gompresso.DEMode) *gompresso.Codec {
 		c, err := gompresso.New(
 			gompresso.WithVariant(gompresso.VariantByte),
 			gompresso.WithDE(de),
 			gompresso.WithWindow(datagen.NestingWindow),
-			gompresso.WithEngine(gompresso.EngineDevice),
 		)
 		if err != nil {
 			log.Fatal(err)
@@ -40,7 +41,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, ds, err := mrr.Decompress(comp)
+		out, ds, err := kernels.Decompress(comp, kernels.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, ds, err := de.Decompress(comp)
+	_, ds, err := kernels.Decompress(comp, kernels.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,9 +32,10 @@
 // (LZ77 + limited-length Huffman), 256 KB blocks, 8 KB window, an
 // unrestricted parse, GOMAXPROCS workers, and host decompression.
 // WithDE(DEStrict) compresses streams the single-round DE strategy can
-// decompress; WithEngine(EngineDevice) decompresses on the simulated GPU,
-// where an unpinned WithStrategy follows the stream (DE for a DE parse,
-// MRR otherwise) and DecompressStats carries the modeled device time.
+// decompress; WithEngine(EngineDevice) decompresses on the simulated GPU
+// and DecompressStats carries the modeled device time. The simulator's own
+// knobs — resolution strategy, PCIe accounting, device — are internal/kernels'
+// Config, which cmd/figures and the examples drive directly.
 // Configuration mistakes are rejected at New with errors wrapping
 // ErrInvalidOption, and WithContext threads cancellation through every
 // pipeline.
@@ -48,7 +49,6 @@ package gompresso
 import (
 	"gompresso/internal/core"
 	"gompresso/internal/format"
-	"gompresso/internal/kernels"
 	"gompresso/internal/lz77"
 )
 
@@ -61,12 +61,8 @@ type (
 	FileHeader = format.FileHeader
 	// Variant selects Gompresso/Byte or Gompresso/Bit.
 	Variant = format.Variant
-	// Strategy selects the back-reference resolution strategy.
-	Strategy = kernels.Strategy
 	// DEMode selects the Dependency-Elimination parse rule.
 	DEMode = lz77.DEMode
-	// PCIeMode selects transfer accounting for the device engine.
-	PCIeMode = kernels.PCIeMode
 )
 
 // Compression variants (paper §III).
@@ -75,25 +71,11 @@ const (
 	VariantBit  = format.VariantBit
 )
 
-// Back-reference resolution strategies (paper §IV).
-const (
-	SC  = kernels.SC
-	MRR = kernels.MRR
-	DE  = kernels.DE
-)
-
 // Dependency-Elimination parse modes (paper §IV-B and DESIGN.md).
 const (
 	DEOff    = lz77.DEOff
 	DEStrict = lz77.DEStrict
 	DELit    = lz77.DELit
-)
-
-// PCIe accounting modes of the device engine (paper Fig. 13).
-const (
-	PCIeNone  = kernels.PCIeNone
-	PCIeIn    = kernels.PCIeIn
-	PCIeInOut = kernels.PCIeInOut
 )
 
 // Info parses and returns a container's header: it reads the first 35 bytes

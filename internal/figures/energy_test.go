@@ -1,17 +1,17 @@
-package perf
+package figures
 
 import "testing"
 
 func TestEnergy(t *testing.T) {
-	if Energy(100, 2) != 200 {
+	if energy(100, 2) != 200 {
 		t.Fatal("energy arithmetic")
 	}
 }
 
 func TestCalibrationTable(t *testing.T) {
-	for _, d := range []Dataset{Wikipedia, Matrix} {
+	for _, d := range []string{"Wikipedia", "Matrix"} {
 		for _, c := range []string{"Snappy", "LZ4", "Zstd", "zlib"} {
-			pt, err := CalibratedCPU(d, c)
+			pt, err := calibratedCPU(d, c)
 			if err != nil {
 				t.Fatalf("%v/%s: %v", d, c, err)
 			}
@@ -20,10 +20,10 @@ func TestCalibrationTable(t *testing.T) {
 			}
 		}
 	}
-	if _, err := CalibratedCPU(Wikipedia, "nope"); err == nil {
+	if _, err := calibratedCPU("Wikipedia", "nope"); err == nil {
 		t.Fatal("unknown codec accepted")
 	}
-	if _, err := CalibratedCPU(Dataset(9), "zlib"); err == nil {
+	if _, err := calibratedCPU("nope", "zlib"); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }
@@ -31,11 +31,11 @@ func TestCalibrationTable(t *testing.T) {
 func TestPaperRelationsHold(t *testing.T) {
 	// The calibration must preserve the paper's qualitative geometry:
 	// byte-aligned codecs are faster but compress less than bit-aligned.
-	for _, d := range []Dataset{Wikipedia, Matrix} {
-		lz4, _ := CalibratedCPU(d, "LZ4")
-		snappy, _ := CalibratedCPU(d, "Snappy")
-		zlib, _ := CalibratedCPU(d, "zlib")
-		zstd, _ := CalibratedCPU(d, "Zstd")
+	for _, d := range []string{"Wikipedia", "Matrix"} {
+		lz4, _ := calibratedCPU(d, "LZ4")
+		snappy, _ := calibratedCPU(d, "Snappy")
+		zlib, _ := calibratedCPU(d, "zlib")
+		zstd, _ := calibratedCPU(d, "Zstd")
 		if !(lz4.GBps > zlib.GBps && snappy.GBps > zlib.GBps) {
 			t.Fatalf("%v: byte codecs should out-run zlib", d)
 		}
@@ -44,11 +44,11 @@ func TestPaperRelationsHold(t *testing.T) {
 		}
 	}
 	// Wikipedia gzip ratio must match the paper's quoted 3.09.
-	w, _ := CalibratedCPU(Wikipedia, "zlib")
+	w, _ := calibratedCPU("Wikipedia", "zlib")
 	if w.Ratio != 3.09 {
 		t.Fatalf("zlib Wikipedia ratio %v, paper says 3.09", w.Ratio)
 	}
-	m, _ := CalibratedCPU(Matrix, "zlib")
+	m, _ := calibratedCPU("Matrix", "zlib")
 	if m.Ratio != 4.99 {
 		t.Fatalf("zlib Matrix ratio %v, paper says 4.99", m.Ratio)
 	}

@@ -1,10 +1,6 @@
 package figures
 
-import (
-	"fmt"
-
-	"gompresso/internal/perf"
-)
+import "fmt"
 
 // Fig14Row is one point of paper Fig. 14: wall-socket energy to decompress
 // the Wikipedia dataset (normalized to 1 GB) vs compression ratio.
@@ -16,7 +12,7 @@ type Fig14Row struct {
 }
 
 // Fig14 converts the Fig. 13 Wikipedia operating points into energy with
-// the perf power model: CPU libraries at CPU-only system power (GPUs
+// the power model: CPU libraries at CPU-only system power (GPUs
 // physically removed, §V-D), Gompresso at GPU system power.
 func Fig14(cfg Config) ([]Fig14Row, error) {
 	cfg = cfg.withDefaults()
@@ -29,15 +25,15 @@ func Fig14(cfg Config) ([]Fig14Row, error) {
 		if r.Dataset != "Wikipedia" || r.GBps <= 0 {
 			continue
 		}
-		watts := perf.GPUSystemWatts
+		watts := gpuSystemWatts
 		if len(r.System) > 5 && r.System[len(r.System)-5:] == "(CPU)" {
-			watts = perf.CPUSystemWatts
+			watts = cpuSystemWatts
 		}
 		secondsPerGB := 1.0 / r.GBps // decimal GB as in GBps
 		rows = append(rows, Fig14Row{
 			System:   r.System,
 			Ratio:    r.Ratio,
-			JoulesGB: perf.Energy(watts, secondsPerGB),
+			JoulesGB: energy(watts, secondsPerGB),
 			Watts:    watts,
 		})
 	}

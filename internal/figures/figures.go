@@ -7,7 +7,7 @@
 // Two modes control the CPU side of Figs. 13/14:
 //
 //   - Calibrated (default): CPU libraries are placed at the operating
-//     points read off the paper's figures (internal/perf), so the geometry
+//     points read off the paper's figures (energy.go), so the geometry
 //     reproduces machine-independently; the GPU side always comes from the
 //     simulator.
 //   - Measured: the real Go baseline codecs run block-parallel on the host
@@ -24,7 +24,6 @@ import (
 	"gompresso/internal/datagen"
 	"gompresso/internal/gpu"
 	"gompresso/internal/kernels"
-	"gompresso/internal/perf"
 )
 
 // paperScale is the dataset size of the paper's evaluation (1 GB); device
@@ -81,10 +80,10 @@ func (c Config) simulate(comp []byte, strat kernels.Strategy, pcie kernels.PCIeM
 	return st, GBps(int64(len(out)), st.SimSeconds), err
 }
 
-// Dataset pairs a perf calibration id with generated bytes.
+// Dataset is a named evaluation corpus; the name also keys its CPU
+// calibration.
 type Dataset struct {
 	Name string
-	ID   perf.Dataset
 	Data []byte
 }
 
@@ -93,8 +92,8 @@ type Dataset struct {
 func Datasets(cfg Config) []Dataset {
 	cfg = cfg.withDefaults()
 	return []Dataset{
-		{Name: "Wikipedia", ID: perf.Wikipedia, Data: datagen.WikiXML(cfg.DataSize, cfg.Seed)},
-		{Name: "Matrix", ID: perf.Matrix, Data: datagen.MatrixMarket(cfg.DataSize, cfg.Seed)},
+		{Name: "Wikipedia", Data: datagen.WikiXML(cfg.DataSize, cfg.Seed)},
+		{Name: "Matrix", Data: datagen.MatrixMarket(cfg.DataSize, cfg.Seed)},
 	}
 }
 
@@ -125,34 +124,34 @@ func measureDecompress(fn func() error) (float64, error) {
 
 // measuredCPUPoint compresses ds with the codec block-parallel and times
 // parallel decompression on the host.
-func measuredCPUPoint(c baseline.Codec, data []byte, workers int) (perf.OperatingPoint, error) {
+func measuredCPUPoint(c baseline.Codec, data []byte, workers int) (operatingPoint, error) {
 	comp, err := baseline.CompressParallel(c, data, baseline.DefaultParallelBlockSize, workers)
 	if err != nil {
-		return perf.OperatingPoint{}, err
+		return operatingPoint{}, err
 	}
 	secs, err := measureDecompress(func() error {
 		_, err := baseline.DecompressParallel(c, comp, workers)
 		return err
 	})
 	if err != nil {
-		return perf.OperatingPoint{}, err
+		return operatingPoint{}, err
 	}
-	return perf.OperatingPoint{
+	return operatingPoint{
 		GBps:  GBps(int64(len(data)), secs),
 		Ratio: float64(len(data)) / float64(len(comp)),
 	}, nil
 }
 
 // cpuPoint dispatches on the mode.
-func cpuPoint(cfg Config, ds Dataset, codec string) (perf.OperatingPoint, error) {
+func cpuPoint(cfg Config, ds Dataset, codec string) (operatingPoint, error) {
 	if cfg.Mode == Measured {
 		c, err := baseline.ByName(codec)
 		if err != nil {
-			return perf.OperatingPoint{}, err
+			return operatingPoint{}, err
 		}
 		return measuredCPUPoint(c, ds.Data, cfg.Workers)
 	}
-	return perf.CalibratedCPU(ds.ID, codec)
+	return calibratedCPU(ds.Name, codec)
 }
 
 // table renders rows of cells with aligned columns.

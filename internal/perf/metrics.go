@@ -1,10 +1,8 @@
+// Package perf holds the serving layer's runtime metrics: cheap atomic
+// counters and gauges a daemon bumps on the request path, collected by a
+// Registry that renders a Prometheus-style text exposition or JSON for a
+// /metrics endpoint.
 package perf
-
-// Runtime metrics for the serving layer. The package's other half turns
-// measured times into the paper's reported quantities offline; this half
-// is the live counterpart: cheap atomic counters and gauges a daemon
-// bumps on the request path, collected by a Registry that renders a
-// Prometheus-style text exposition or JSON for a /metrics endpoint.
 
 import (
 	"encoding/json"

@@ -105,9 +105,11 @@ func TestPublicSurfacePinned(t *testing.T) {
 }
 
 // The device simulator sits behind one seam: the host codec, its container
-// format, the foreign decoder and the sidecar codec are built without it, and
-// outside internal/kernels and internal/figures only this package (for
-// WithEngine(EngineDevice)) imports it.
+// format, the foreign decoder and the sidecar codec are built without it; in
+// this package only codec.go imports it, for WithEngine(EngineDevice); no file
+// of the CLI does; and otherwise only internal/kernels, the paper's figures
+// (internal/figures, cmd/figures) and the examples, which drive the simulator's
+// strategies and PCIe accounting directly, import it.
 func TestSimulatorImportSeam(t *testing.T) {
 	const mod = "gompresso"
 	sim := map[string]bool{mod + "/internal/gpu": true, mod + "/internal/kernels": true}
@@ -138,13 +140,43 @@ func TestSimulatorImportSeam(t *testing.T) {
 		}
 		walk(root)
 	}
-	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+
+	// Per file: the root's non-test files but codec.go, and every file of the
+	// CLI, tests included.
+	files, err := filepath.Glob("cmd/gompresso/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range root {
+		if name != "codec.go" && !strings.HasSuffix(name, "_test.go") {
+			files = append(files, name)
+		}
+	}
+	for _, name := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range f.Imports {
+			if imp := strings.Trim(spec.Path.Value, `"`); sim[imp] {
+				t.Errorf("%s imports %s: the simulator is reached through codec.go's engine switch", name, imp)
+			}
+		}
+	}
+
+	err = filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
 		switch dir {
-		case ".", "internal/kernels", "internal/figures":
-			return nil // the seam's two sides, and the paper's figures
+		case ".", "internal/kernels", "internal/figures", "cmd/figures":
+			return nil // checked per file above; the seam's far side; the paper's figures
+		case "examples":
+			return filepath.SkipDir // programs that drive the simulator's knobs themselves
 		case "benchmark", ".bench_build", ".git":
 			return filepath.SkipDir // a module of its own, pinned to this package's surface
 		}
