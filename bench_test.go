@@ -74,8 +74,9 @@ func compressFor(b *testing.B, data []byte, variant gompresso.Variant, de gompre
 }
 
 // benchDevice times simulated-device decompression and reports the modeled
-// throughput. It calls internal/kernels for TileTo, which keeps the modelled
-// device as full as the paper's 1 GB inputs do and is not a Codec option.
+// throughput. It calls internal/kernels directly: the strategy, the PCIe
+// accounting and TileTo, which keeps the modelled device as full as the
+// paper's 1 GB inputs do, are not Codec options.
 func benchDevice(b *testing.B, comp []byte, raw []byte, strat kernels.Strategy, pcie kernels.PCIeMode) {
 	b.Helper()
 	b.SetBytes(int64(len(raw)))
