@@ -113,3 +113,72 @@ func TestContainerGrammarAgreement(t *testing.T) {
 	})
 	t.Logf("%d mutated containers", cases)
 }
+
+// A sub-block table past its block — a size beyond the payload's bits, a
+// literal count beyond the raw length, or running sums past them — is refused
+// by the one record parser, so every path from bytes to a decode refuses it:
+// ParseFile, the BlockReader loop, the streaming Reader, and the host and
+// device engines. A first sub-block claiming 2^31 literals once passed the
+// parser and made the device engine panic allocating them; one claiming 2^63
+// bits wrapped the parser's sum of sizes.
+func TestCraftedSubBlockTables(t *testing.T) {
+	raw := bytes.Repeat([]byte("sub-block tables split a block's bits and literals; "), 300)
+	host, err := New(WithVariant(VariantBit), WithBlockSize(64<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := New(WithEngine(EngineDevice))
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, _, err := host.Compress(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := format.ParseFile(comp)
+	if err != nil || len(f.Blocks) != 1 || len(f.Blocks[0].SubBits) < 2 {
+		t.Fatalf("want a one-block container of several sub-blocks: %v", err)
+	}
+	b := &f.Blocks[0]
+	payloadBits, rawLen := uint64(8*len(b.Payload)), uint64(b.RawLen)
+	for name, edit := range map[string]func(bits, lits []uint64){
+		"bits 2^63":      func(bits, _ []uint64) { bits[0] = 1 << 63 },
+		"bits > payload": func(bits, _ []uint64) { bits[0] = payloadBits + 1 },
+		"bit sum":        func(bits, _ []uint64) { bits[0], bits[1] = payloadBits, 1 },
+		"lits 2^31":      func(_, lits []uint64) { lits[0] = 1 << 31 },
+		"lits > raw":     func(_, lits []uint64) { lits[0] = rawLen + 1 },
+		"literal sum":    func(_, lits []uint64) { lits[0], lits[1] = rawLen, 1 },
+	} {
+		bits, lits := make([]uint64, len(b.SubBits)), make([]uint64, len(b.SubLits))
+		for i := range bits {
+			bits[i], lits[i] = uint64(b.SubBits[i]), uint64(b.SubLits[i])
+		}
+		edit(bits, lits)
+		list := format.HeaderSize + 12 + huffman.LengthsSize(format.LitLenSyms) + huffman.LengthsSize(format.OffSyms) + 4
+		bad := bytes.Clone(comp[:list])
+		for i := range bits {
+			bad = binary.AppendUvarint(binary.AppendUvarint(bad, bits[i]), lits[i])
+		}
+		bad = append(bad, b.Payload...)
+
+		errs := make(map[string]error)
+		_, errs["ParseFile"] = format.ParseFile(bad)
+		br, err := format.NewBlockReader(bytes.NewReader(bad))
+		for blk := new(format.Block); err == nil; {
+			err = br.Next(blk)
+		}
+		errs["BlockReader"] = err
+		_, _, errs["host"] = host.Decompress(bad)
+		_, _, errs["device"] = dev.Decompress(bad)
+		if r, err := host.NewReader(bytes.NewReader(bad)); err != nil {
+			errs["Reader"] = err
+		} else {
+			_, errs["Reader"] = io.Copy(io.Discard, r)
+		}
+		for path, err := range errs {
+			if !errors.Is(err, format.ErrFormat) {
+				t.Errorf("%s: %s: %v, want ErrFormat", name, path, err)
+			}
+		}
+	}
+}

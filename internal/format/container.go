@@ -252,7 +252,11 @@ func ParseBlock(h FileHeader, bi uint32, data []byte, b *Block) ([]byte, error) 
 			b.SubBits = make([]int64, 0, numSubs)
 			b.SubLits = make([]int32, 0, numSubs)
 		}
-		var totalBits int64
+		// The sub-blocks split the payload's bits and the block's literals,
+		// so neither running sum may pass its whole: that keeps both sums
+		// from wrapping and every count within what a device lane may
+		// allocate from it.
+		var totalBits, totalLits uint64
 		for s := 0; s < numSubs; s++ {
 			v, n := binary.Uvarint(rest)
 			if n <= 0 {
@@ -264,12 +268,12 @@ func ParseBlock(h FileHeader, bi uint32, data []byte, b *Block) ([]byte, error) 
 				return nil, fmt.Errorf("%w: block %d: bad sub-block literal varint", ErrFormat, bi)
 			}
 			rest = rest[n:]
+			if v > uint64(payloadLen)*8-totalBits || lv > uint64(b.RawLen)-totalLits {
+				return nil, fmt.Errorf("%w: block %d: sub-blocks exceed the %d-byte payload or %d raw bytes", ErrFormat, bi, payloadLen, b.RawLen)
+			}
+			totalBits, totalLits = totalBits+v, totalLits+lv
 			b.SubBits = append(b.SubBits, int64(v))
 			b.SubLits = append(b.SubLits, int32(lv))
-			totalBits += int64(v)
-		}
-		if totalBits > int64(payloadLen)*8 {
-			return nil, fmt.Errorf("%w: block %d: sub-block bits %d exceed payload", ErrFormat, bi, totalBits)
 		}
 	}
 	if len(rest) < payloadLen {

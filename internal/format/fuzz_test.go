@@ -139,6 +139,9 @@ func FuzzDecodeBlock(f *testing.F) {
 		f.Add(fuzzContainer(f, VariantBit, src, 64<<10))
 		f.Add(fuzzContainer(f, VariantByte, src, 64<<10))
 	}
+	for _, data := range craftedSubTables(f) {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := ParseFile(data)
 		streamed, serr := streamBlocks(data)

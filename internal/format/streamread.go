@@ -1,7 +1,6 @@
 package format
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,13 +12,16 @@ import (
 // BlockReader reads a Gompresso container from an io.Reader one block at a
 // time, without buffering the whole file — what the public gompresso.Reader
 // and ScanIndex run on. It only frames: Next finds where the next record
-// ends, reads it into the Block's record buffer and hands those bytes to
-// ParseBlock, which validates them exactly as it would inside ParseFile.
-// The record buffer and the Block's slices are reused across calls, so a
-// steady-state read loop performs no allocations once they have grown to the
-// stream's largest record.
+// ends, reads it straight from the source into the Block's record buffer and
+// hands those bytes to ParseBlock, which validates them exactly as it would
+// inside ParseFile. It keeps no read buffer of its own and never reads past
+// the last byte of the record it returns, so the source is left at Offset —
+// what a pipe, or a reader that splices sniffed bytes back in front of one,
+// needs. The record buffer and the Block's slices are reused across calls, so
+// a steady-state read loop performs no allocations once they have grown to
+// the stream's largest record.
 type BlockReader struct {
-	r    *bufio.Reader
+	r    io.Reader
 	hdr  FileHeader
 	left uint32 // blocks not yet returned
 	seen uint64 // raw bytes described by returned blocks
@@ -29,7 +31,7 @@ type BlockReader struct {
 
 // NewBlockReader reads and validates the file header.
 func NewBlockReader(r io.Reader) (*BlockReader, error) {
-	br := &BlockReader{r: bufio.NewReaderSize(r, 64<<10)}
+	br := &BlockReader{r: r}
 	if _, err := io.ReadFull(br.r, br.head[:]); err != nil {
 		return nil, readErr(err, "reading header")
 	}
@@ -37,9 +39,7 @@ func NewBlockReader(r io.Reader) (*BlockReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	br.hdr = h
-	br.left = h.NumBlocks
-	br.off = HeaderSize
+	br.hdr, br.left, br.off = h, h.NumBlocks, HeaderSize
 	return br, nil
 }
 
@@ -54,7 +54,7 @@ func NewBlockReaderAt(r io.Reader, h FileHeader, firstBlock uint32, off int64) *
 		seen = h.RawSize
 	}
 	return &BlockReader{
-		r:    bufio.NewReaderSize(r, 64<<10),
+		r:    r,
 		hdr:  h,
 		left: h.NumBlocks - firstBlock,
 		seen: seen,
@@ -72,7 +72,9 @@ func (br *BlockReader) Offset() int64 { return br.off }
 // Next reads the next block into b, reusing b's record buffer and slices
 // when they have capacity; b.Payload is valid until b is passed to Next
 // again. It returns io.EOF after the last block, verifying that the stream's
-// blocks add up to the header's raw size and that no trailing bytes remain.
+// blocks add up to the header's raw size and that no trailing bytes remain;
+// the trailing bytes are read into b's record buffer, so b holds no block
+// once Next has returned an error or io.EOF.
 func (br *BlockReader) Next(b *Block) error {
 	if br.left == 0 {
 		if br.seen != br.hdr.RawSize {
@@ -82,8 +84,9 @@ func (br *BlockReader) Next(b *Block) error {
 		// trailer whose offsets reproduce the block section just read. One
 		// byte more than the longest trailer is asked for: if it arrives,
 		// tail is not a trailer and parseIndexBytes says so.
-		tail, err := io.ReadAll(io.LimitReader(br.r, maxTrailerSize(br.hdr)+1))
-		if err != nil {
+		tail, err := br.fill(b.rec[:0], int(maxTrailerSize(br.hdr))+1)
+		b.rec = tail
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 			return readErr(err, "reading past last block")
 		}
 		if len(tail) == 0 {
@@ -126,29 +129,29 @@ func (br *BlockReader) frame(rec []byte) ([]byte, error) {
 			return rec, err
 		}
 		// A varint ends at its first byte without the continuation bit, so
-		// counting those finds the end of the list without decoding it.
+		// counting those finds the end of the list without decoding it; and
+		// each varint still missing its end has at least that byte to come,
+		// so reading one byte per missing end never reads past the list.
 		for ends := 2 * int(binary.LittleEndian.Uint32(rec[len(rec)-4:])); ends > 0; {
-			if _, err := br.r.Peek(1); err != nil {
+			from := len(rec)
+			if rec, err = br.fill(rec, ends); err != nil {
 				return rec, err
 			}
-			buf, _ := br.r.Peek(br.r.Buffered())
-			n := 0
-			for ; n < len(buf) && ends > 0; n++ {
-				if buf[n] < 0x80 {
+			for _, c := range rec[from:] {
+				if c < 0x80 {
 					ends--
 				}
 			}
-			rec = append(reserve(rec, n, n+ends), buf[:n]...)
-			br.r.Discard(n)
 		}
 	}
 	return br.fill(rec, payloadLen)
 }
 
-// fill appends the stream's next n bytes to rec.
+// fill appends the stream's next n bytes to rec, read straight from the
+// source; on a short stream, what arrived and io.EOF or io.ErrUnexpectedEOF.
 func (br *BlockReader) fill(rec []byte, n int) ([]byte, error) {
 	for n > 0 {
-		rec = reserve(rec, 1, n)
+		rec = reserve(rec, n)
 		step := min(n, cap(rec)-len(rec))
 		m, err := io.ReadFull(br.r, rec[len(rec):len(rec)+step])
 		rec = rec[:len(rec)+m]
@@ -160,8 +163,8 @@ func (br *BlockReader) fill(rec []byte, n int) ([]byte, error) {
 	return rec, nil
 }
 
-// reserve returns rec with room for need more bytes. When it has to grow it
-// grows by claim, the bytes the record says are still to come,
+// reserve returns rec with room for at least one more byte. When it has to
+// grow it grows by claim, the bytes the record says are still to come,
 //   - plus a sixteenth, so a stream of similar records settles on its
 //     buffers after the first few;
 //   - but at least a quarter of what rec holds, so a large record grows in
@@ -171,8 +174,8 @@ func (br *BlockReader) fill(rec []byte, n int) ([]byte, error) {
 //     ahead of bytes that actually arrived: a lying length costs 1 MiB on a
 //     short stream and never more than a quarter over what the source
 //     delivered.
-func reserve(rec []byte, need, claim int) []byte {
-	if cap(rec)-len(rec) >= need {
+func reserve(rec []byte, claim int) []byte {
+	if len(rec) < cap(rec) {
 		return rec
 	}
 	quarter := len(rec) / 4

@@ -106,8 +106,13 @@ func (c *Codec) NewReaderContext(ctx context.Context, r io.Reader) (*Reader, err
 	}
 	if form != FormatGompresso {
 		// Buffer the compressed stream once, seeded with the sniffed bytes
-		// (append(head, ...) would copy the whole input a second time).
+		// (append(head, ...) would copy the whole input a second time), and
+		// at its size when the source knows what is left: ReadFrom grows by
+		// doubling otherwise, and wants MinRead bytes free to see the end.
 		var buf bytes.Buffer
+		if l, ok := r.(interface{ Len() int }); ok {
+			buf.Grow(len(head) + l.Len() + bytes.MinRead)
+		}
 		buf.Write(head)
 		if _, err := buf.ReadFrom(r); err != nil {
 			return nil, err

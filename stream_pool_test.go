@@ -2,6 +2,7 @@ package gompresso
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"errors"
 	"fmt"
@@ -67,11 +68,13 @@ func bytesPerRun(runs int, fn func()) uint64 {
 }
 
 // A stream takes its records and decoded-block buffers from the package pools
-// and gives them back, so in a warm process opening, draining and closing a
-// Reader allocates a few fixed objects — the source's read buffer, the ordered
-// queue — and nothing that grows with the stream. Before the buffers were
+// and gives them back, and frames records straight from its source into them,
+// so in a warm process opening, draining and closing a Reader allocates a few
+// fixed objects — the Reader, its block reader, the ordered queue — and nothing
+// that grows with the stream or with a read buffer. Before the buffers were
 // pooled a pipelined stream allocated readahead+1 blocks and records of its
-// own: about a third of this container's raw size, half of a 4 MiB one's.
+// own, about a third of this container's raw size; before records were framed
+// from the source it allocated a 64 KiB read buffer.
 func TestReaderStreamAllocationsBounded(t *testing.T) {
 	src, comp, codecs := poolFixture(t)
 	for name, c := range codecs {
@@ -85,10 +88,39 @@ func TestReaderStreamAllocationsBounded(t *testing.T) {
 			}
 			r.Close()
 		}
-		per := bytesPerRun(8, stream)
-		if limit := uint64(len(src) / 8); per > limit {
+		const limit = 8 << 10
+		if per := bytesPerRun(8, stream); per > limit {
 			t.Errorf("%s: a warm stream of %d bytes allocates %d, want ≤ %d", name, len(src), per, limit)
 		}
+	}
+}
+
+// A foreign stream keeps its whole compressed input in memory. From a source
+// that says how much of it is left, the input is read into one buffer of that
+// size; grown as it arrived, it cost about twice the input. One worker, so no
+// speculative scan starts: whether it would depends on the size the shared
+// pool took at its first use in the process.
+func TestForeignSpoolAllocatesOnce(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(datagen.WikiXML(4<<20, 47))
+	zw.Close()
+	c, err := New(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := bytesPerRun(4, func() {
+		r, err := c.NewReader(bytes.NewReader(gz.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+	})
+	if limit := uint64(gz.Len() + 16<<10); per > limit {
+		t.Errorf("opening a stream of a %d-byte .gz allocates %d bytes, want ≤ %d", gz.Len(), per, limit)
 	}
 }
 

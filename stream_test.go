@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"gompresso"
@@ -178,6 +179,32 @@ func TestStreamingReaderParallel(t *testing.T) {
 				t.Fatalf("%v/w%d: WriteTo stream mismatch", variant, workers)
 			}
 			r2.Close()
+		}
+	}
+}
+
+// A Reader frames records straight from its source, so a source that hands
+// out a byte, or half of what is asked, at a time — and cannot seek, so the
+// sniffed magic is spliced back in front of it — streams the same bytes, on
+// both variants, with and without an index trailer, at one worker and four.
+func TestStreamingReaderTricklingSource(t *testing.T) {
+	src := datagen.WikiXML(300<<10, 23)
+	for _, variant := range []gompresso.Variant{gompresso.VariantBit, gompresso.VariantByte} {
+		for _, index := range []bool{false, true} {
+			comp := compress(t, src, gompresso.WithVariant(variant), gompresso.WithBlockSize(64<<10), gompresso.WithIndex(index))
+			for how, wrap := range map[string]func(io.Reader) io.Reader{"one byte": iotest.OneByteReader, "half": iotest.HalfReader} {
+				for _, workers := range []int{1, 4} {
+					r, err := newCodec(t, gompresso.WithWorkers(workers)).NewReader(wrap(bytes.NewReader(comp)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := io.ReadAll(r)
+					if err != nil || !bytes.Equal(got, src) {
+						t.Fatalf("%v index=%v %s w%d: %d of %d bytes, err %v", variant, index, how, workers, len(got), len(src), err)
+					}
+					r.Close()
+				}
+			}
 		}
 	}
 }
